@@ -9,15 +9,7 @@ label-level constructions, ``su3x`` the rank-3 triplet/antitriplet
 realization, and ``checks`` the executable verification suites.
 """
 
-from .algebra import (
-    LinearOp,
-    casimir2_op,
-    commutator,
-    generator_action,
-    generator_op,
-    invariant_action,
-    invariant_op,
-)
+from .algebra import LinearOp, casimir2_op, generator_action, invariant_action
 from .checks import SUITES, CheckRecord, iter_labels, run_suite
 from .fock import (
     FockState,
@@ -78,7 +70,6 @@ __all__ = [
     "build_monomial",
     "casimir2_op",
     "casimir_eigenvalue",
-    "commutator",
     "constraint_residual",
     "creation_coeff",
     "distinct_multi_indices",
@@ -86,10 +77,8 @@ __all__ = [
     "enumerate_sector",
     "format_ket",
     "generator_action",
-    "generator_op",
     "inner_product",
     "invariant_action",
-    "invariant_op",
     "isb_annihilate",
     "isb_create",
     "isb_create_iterative",

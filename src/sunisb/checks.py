@@ -29,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import su3x
 from .algebra import casimir2_op, generator_action, invariant_action
 from .fock import (
     Ket,
+    _bilinear,
     _compositions,
     apply_annihilate,
     apply_create,
@@ -59,6 +60,7 @@ from .irreps import (
     monomial_rank,
     nullspace_basis,
     nullspace_dimension,
+    scalar_on,
     weyl_dimension,
 )
 from .isb import (
@@ -72,6 +74,8 @@ from .isb import (
 
 __all__ = ["CheckRecord", "SUITES", "iter_labels", "run_suite"]
 
+_COLORS = (1, 2, 3)
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -80,6 +84,11 @@ class CheckRecord:
     check_id: str
     passed: bool
     witness: str | None = None
+
+
+def _record(check_id: str, witness: str | None) -> CheckRecord:
+    """The record of a check whose first failure is ``witness``; None means it passed."""
+    return CheckRecord(check_id, witness is None, witness)
 
 
 def iter_labels(n: int, max_quanta: int) -> Iterator[IrrepLabel]:
@@ -103,81 +112,92 @@ def _all_states(n: int, max_quanta: int):
             yield from enumerate_sector(n, totals)
 
 
-def _scalar_ratio(image: Ket, psi: Ket) -> Fraction | None:
-    """The c with image == c * psi, or None when image is not proportional to psi."""
-    state, coeff = next(iter(psi.terms.items()))
-    value = Fraction(image.terms.get(state, 0)) / Fraction(coeff)
-    return value if image == psi * value else None
+def _spot_witness(spots: Iterable[tuple[str, object, object]]) -> str | None:
+    """The first (name, got, expected) with got != expected, as a witness."""
+    for name, got, expected in spots:
+        if got != expected:
+            return f"{name} = {got} != {expected}"
+    return None
+
+
+def _first_colors(n: int, m: int, broken: Callable[[tuple, tuple], object]) -> str | None:
+    """The first rank-3 color choice, n upper and m lower, for which broken(alphas, betas) holds."""
+    for alphas in product(_COLORS, repeat=n):
+        for betas in product(_COLORS, repeat=m):
+            if broken(alphas, betas):
+                return f"alphas={alphas} betas={betas}"
+    return None
+
+
+def _violated(psi: Ket) -> tuple[int, int] | None:
+    """The first constraint (i, j), i < j, whose bilinear L[i,j] does not annihilate psi."""
+    for i in range(1, psi.n):
+        for j in range(i + 1, psi.n):
+            if invariant_action(i, j, psi).terms:
+                return i, j
+    return None
 
 
 # --- fock ---------------------------------------------------------------
+
+
+def _slots(n: int) -> list[tuple[int, int]]:
+    return [(i, a) for i in range(1, n) for a in range(1, n + 1)]
+
+
+def _commutator_witness(n: int) -> str | None:
+    slots = _slots(n)
+    for state in _all_states(n, 2):
+        psi = basis_ket(state)
+        for i, alpha in slots:
+            for j, beta in slots:
+                left = apply_annihilate(i, alpha, apply_create(j, beta, psi))
+                right = apply_create(j, beta, apply_annihilate(i, alpha, psi))
+                expect = psi if (i, alpha) == (j, beta) else zero_ket(n)
+                if left - right != expect:
+                    return f"slots ({i},{alpha}),({j},{beta}) at occ={state.occ}"
+    return None
+
+
+def _adjointness_witness(n: int) -> str | None:
+    slots = _slots(n)
+    by_quanta: dict[int, list] = {}
+    for state in _all_states(n, 3):
+        by_quanta.setdefault(sum(sum(row) for row in state.occ), []).append(state)
+    for q, pool in sorted(by_quanta.items()):
+        for s in pool:
+            ks = basis_ket(s)
+            for t in by_quanta.get(q + 1, ()):
+                kt = basis_ket(t)
+                for i, alpha in slots:
+                    up = inner_product(apply_create(i, alpha, ks), kt)
+                    down = inner_product(ks, apply_annihilate(i, alpha, kt))
+                    if up != down:
+                        return f"slot ({i},{alpha}): <a+ s|t>={up} but <s|a t>={down}"
+    return None
+
+
+def _enumeration_witness(n: int, max_quanta: int) -> str | None:
+    for q in range(max_quanta + 1):
+        for totals in _compositions(q, n - 1):
+            states = enumerate_sector(n, totals)
+            if len(states) != sector_size(n, totals):
+                return f"count mismatch at totals={totals}"
+            if any(a.occ >= b.occ for a, b in zip(states, states[1:])):
+                return f"enumeration out of order at totals={totals}"
+    return None
 
 
 def suite_fock(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Oscillator layer: canonical commutators, adjointness, sector enumeration."""
     n_max = 4 if n_max is None else n_max
     max_quanta = 6 if max_quanta is None else max_quanta
-    records = []
-    for n in range(2, n_max + 1):
-        slots = [(i, a) for i in range(1, n) for a in range(1, n + 1)]
-        ok, witness = True, None
-        for state in _all_states(n, 2):
-            psi = basis_ket(state)
-            for i, alpha in slots:
-                for j, beta in slots:
-                    left = apply_annihilate(i, alpha, apply_create(j, beta, psi))
-                    right = apply_create(j, beta, apply_annihilate(i, alpha, psi))
-                    expect = psi if (i, alpha) == (j, beta) else zero_ket(n)
-                    if left - right != expect:
-                        ok = False
-                        witness = f"slots ({i},{alpha}),({j},{beta}) at occ={state.occ}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        records.append(CheckRecord(f"canonical-commutators[N={n}]", ok, witness))
-
-    for n in range(2, n_max + 1):
-        slots = [(i, a) for i in range(1, n) for a in range(1, n + 1)]
-        by_quanta: dict[int, list] = {}
-        for state in _all_states(n, 3):
-            by_quanta.setdefault(sum(sum(row) for row in state.occ), []).append(state)
-        ok, witness = True, None
-        for q, pool in sorted(by_quanta.items()):
-            for s in pool:
-                ks = basis_ket(s)
-                for t in by_quanta.get(q + 1, ()):
-                    kt = basis_ket(t)
-                    for i, alpha in slots:
-                        up = inner_product(apply_create(i, alpha, ks), kt)
-                        down = inner_product(ks, apply_annihilate(i, alpha, kt))
-                        if up != down:
-                            ok = False
-                            witness = f"slot ({i},{alpha}): <a+ s|t>={up} but <s|a t>={down}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        records.append(CheckRecord(f"ladder-adjointness[N={n}]", ok, witness))
-
-    for n in range(2, n_max + 1):
-        ok, witness = True, None
-        for q in range(max_quanta + 1):
-            for totals in _compositions(q, n - 1):
-                states = enumerate_sector(n, totals)
-                if len(states) != sector_size(n, totals):
-                    ok, witness = False, f"count mismatch at totals={totals}"
-                    break
-                if any(a.occ >= b.occ for a, b in zip(states, states[1:])):
-                    ok, witness = False, f"enumeration out of order at totals={totals}"
-                    break
-            if not ok:
-                break
-        records.append(CheckRecord(f"sector-enumeration[N={n}]", ok, witness))
+    ranks = range(2, n_max + 1)
+    records = [_record(f"canonical-commutators[N={n}]", _commutator_witness(n)) for n in ranks]
+    records += [_record(f"ladder-adjointness[N={n}]", _adjointness_witness(n)) for n in ranks]
+    records += [
+        _record(f"sector-enumeration[N={n}]", _enumeration_witness(n, max_quanta)) for n in ranks
+    ]
     return records
 
 
@@ -220,38 +240,37 @@ def suite_algebra(n_max: int | None = None, max_quanta: int | None = None) -> li
     """Exact operator identities of the invariant bilinears, state by state."""
     n_max = 4 if n_max is None else n_max
     max_quanta = 4 if max_quanta is None else max_quanta
-    records = []
-    for n in range(2, n_max + 1):
-        witness = _bilinear_algebra_witness(n, max_quanta)
-        records.append(CheckRecord(f"bilinear-algebra[N={n}]", witness is None, witness))
-    for n in range(2, n_max + 1):
-        witness = _generator_commutant_witness(n, max_quanta)
-        records.append(CheckRecord(f"generator-commutant[N={n}]", witness is None, witness))
+    ranks = range(2, n_max + 1)
+    records = [
+        _record(f"bilinear-algebra[N={n}]", _bilinear_algebra_witness(n, max_quanta)) for n in ranks
+    ]
+    records += [
+        _record(f"generator-commutant[N={n}]", _generator_commutant_witness(n, max_quanta))
+        for n in ranks
+    ]
     return records
 
 
 # --- constraints --------------------------------------------------------
 
 
+def _constraint_witness(label: IrrepLabel) -> str | None:
+    for idx in all_multi_indices(label):
+        pair = _violated(build_monomial(label, idx))
+        if pair is not None:
+            return f"idx={idx} survives L[{pair[0]},{pair[1]}]"
+    return None
+
+
 def suite_constraints(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Every monomial of every color assignment is killed by every constraint."""
     n_max = 5 if n_max is None else n_max
     max_quanta = 5 if max_quanta is None else max_quanta
-    records = []
-    for n in range(2, n_max + 1):
-        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-        for label in iter_labels(n, max_quanta):
-            ok, witness = True, None
-            for idx in all_multi_indices(label):
-                psi = build_monomial(label, idx)
-                for i, j in pairs:
-                    if invariant_action(i, j, psi).terms:
-                        ok, witness = False, f"idx={idx} survives L[{i},{j}]"
-                        break
-                if not ok:
-                    break
-            records.append(CheckRecord(f"constraint-null[N={n},rows={label.rows}]", ok, witness))
-    return records
+    return [
+        _record(f"constraint-null[N={n},rows={label.rows}]", _constraint_witness(label))
+        for n in range(2, n_max + 1)
+        for label in iter_labels(n, max_quanta)
+    ]
 
 
 # --- dimensions ---------------------------------------------------------
@@ -264,6 +283,10 @@ _SPOT_DIMENSIONS = {
 }
 
 
+def _dimension_triple(label: IrrepLabel) -> tuple[int, int, int]:
+    return weyl_dimension(label), nullspace_dimension(label), monomial_rank(label)
+
+
 def suite_dimensions(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Three independent dimension computations agree label by label."""
     n_max = 5 if n_max is None else n_max
@@ -272,56 +295,37 @@ def suite_dimensions(n_max: int | None = None, max_quanta: int | None = None) ->
     triples: dict[tuple[int, tuple[int, ...]], tuple[int, int, int]] = {}
     for n in range(2, n_max + 1):
         for label in iter_labels(n, max_quanta):
-            triple = (weyl_dimension(label), nullspace_dimension(label), monomial_rank(label))
-            triples[(n, label.rows)] = triple
-            ok = triple[0] == triple[1] == triple[2]
-            records.append(
-                CheckRecord(
-                    f"dimension-triple[N={n},rows={label.rows}]",
-                    ok,
-                    None if ok else f"weyl={triple[0]} nullspace={triple[1]} rank={triple[2]}",
-                )
-            )
+            weyl, null, rank = triples[(n, label.rows)] = _dimension_triple(label)
+            witness = None if weyl == null == rank else f"weyl={weyl} nullspace={null} rank={rank}"
+            records.append(_record(f"dimension-triple[N={n},rows={label.rows}]", witness))
     for (n, rows), expected in _SPOT_DIMENSIONS.items():
-        triple = triples.get((n, rows))
-        if triple is None:
-            label = IrrepLabel(n, rows)
-            triple = (weyl_dimension(label), nullspace_dimension(label), monomial_rank(label))
-        ok = triple == (expected, expected, expected)
-        records.append(
-            CheckRecord(
-                f"spot-dimension[N={n},rows={rows}]",
-                ok,
-                None if ok else f"{triple} != {expected}",
-            )
-        )
+        triple = triples.get((n, rows)) or _dimension_triple(IrrepLabel(n, rows))
+        witness = None if triple == (expected,) * 3 else f"{triple} != {expected}"
+        records.append(_record(f"spot-dimension[N={n},rows={rows}]", witness))
     return records
 
 
 # --- octet --------------------------------------------------------------
 
 
+def _octet_witness(beta: int) -> str | None:
+    label = IrrepLabel(3, (2, 1))
+    for a1 in _COLORS:
+        for a2 in _COLORS:
+            built = build_monomial(label, ((a1, a2), (beta,)))
+            lead = apply_create(2, beta, apply_create(1, a1, apply_create(1, a2, vacuum(3))))
+            swap1 = apply_create(2, a1, apply_create(1, beta, apply_create(1, a2, vacuum(3))))
+            swap2 = apply_create(2, a2, apply_create(1, beta, apply_create(1, a1, vacuum(3))))
+            expected = lead * Fraction(2, 3) - swap1 * Fraction(1, 3) - swap2 * Fraction(1, 3)
+            if built != expected:
+                return f"colors ({a1},{a2};{beta})"
+    return None
+
+
 def suite_octet(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """The rank-3 [2,1] monomial against its fully expanded three-term form."""
     # bounds are not applicable: this is one fixed identity, all 27 color choices
-    label = IrrepLabel(3, (2, 1))
-    records = []
-    for beta in (1, 2, 3):
-        ok, witness = True, None
-        for a1 in (1, 2, 3):
-            for a2 in (1, 2, 3):
-                built = build_monomial(label, ((a1, a2), (beta,)))
-                lead = apply_create(2, beta, apply_create(1, a1, apply_create(1, a2, vacuum(3))))
-                swap1 = apply_create(2, a1, apply_create(1, beta, apply_create(1, a2, vacuum(3))))
-                swap2 = apply_create(2, a2, apply_create(1, beta, apply_create(1, a1, vacuum(3))))
-                expected = lead * Fraction(2, 3) - swap1 * Fraction(1, 3) - swap2 * Fraction(1, 3)
-                if built != expected:
-                    ok, witness = False, f"colors ({a1},{a2};{beta})"
-                    break
-            if not ok:
-                break
-        records.append(CheckRecord(f"octet-expansion[beta={beta}]", ok, witness))
-    return records
+    return [_record(f"octet-expansion[beta={beta}]", _octet_witness(beta)) for beta in _COLORS]
 
 
 # --- traceless ----------------------------------------------------------
@@ -329,62 +333,50 @@ def suite_octet(n_max: int | None = None, max_quanta: int | None = None) -> list
 _BV_CASES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
 
+def _contraction_witness(n: int, m: int) -> str | None:
+    def traceless(a, b):
+        return su3x.traceless_state(n, m, a, b)
+
+    for l in range(1, n + 1):
+        for k in range(1, m + 1):
+            witness = _first_colors(
+                n, m, lambda a, b: su3x.trace_contract(traceless, a, b, l, k).terms
+            )
+            if witness is not None:
+                return f"positions ({l},{k}) at {witness}"
+    return None
+
+
 def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Explicit trace-subtracted states equal the dressed monomials, and are traceless."""
-    colors = (1, 2, 3)
-    records = []
-    for n, m in _BV_CASES:
-        ok, witness = True, None
-        for alphas in product(colors, repeat=n):
-            for betas in product(colors, repeat=m):
-                if su3x.traceless_state(n, m, alphas, betas) != su3x.isb_monomial(alphas, betas):
-                    ok, witness = False, f"alphas={alphas} betas={betas}"
-                    break
-            if not ok:
-                break
-        records.append(CheckRecord(f"bv-equals-isb[({n},{m})]", ok, witness))
+    records = [
+        _record(
+            f"bv-equals-isb[({n},{m})]",
+            _first_colors(
+                n, m, lambda a, b: su3x.traceless_state(n, m, a, b) != su3x.isb_monomial(a, b)
+            ),
+        )
+        for n, m in _BV_CASES
+    ]
 
     spots = (
         ((1, 1, 1), Fraction(-1, 3)),
         ((2, 1, 1), Fraction(-1, 4)),
         ((2, 2, 2), Fraction(1, 20)),
     )
-    ok, witness = True, None
-    for (n, m, r), expected in spots:
-        got = su3x.trace_coeff(n, m, r)
-        if got != expected:
-            ok, witness = False, f"coefficient({n},{m},{r}) = {got} != {expected}"
-    records.append(CheckRecord("trace-coefficients", ok, witness))
+    coefficients = (
+        (f"coefficient({n},{m},{r})", su3x.trace_coeff(n, m, r), expected)
+        for (n, m, r), expected in spots
+    )
+    records.append(_record("trace-coefficients", _spot_witness(coefficients)))
 
-    for n, m in _BV_CASES:
-        ok, witness = True, None
-
-        def traceless(a, b, n=n, m=m):
-            return su3x.traceless_state(n, m, a, b)
-
-        for l in range(1, n + 1):
-            for k in range(1, m + 1):
-                for alphas in product(colors, repeat=n):
-                    for betas in product(colors, repeat=m):
-                        if su3x.trace_contract(traceless, alphas, betas, l, k).terms:
-                            ok, witness = False, f"positions ({l},{k}) at alphas={alphas} betas={betas}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        records.append(CheckRecord(f"trace-contraction[({n},{m})]", ok, witness))
+    records += [
+        _record(f"trace-contraction[({n},{m})]", _contraction_witness(n, m)) for n, m in _BV_CASES
+    ]
 
     bare = su3x.trace_contract(su3x.bare_state, (1,), (1,), 1, 1)
-    records.append(
-        CheckRecord(
-            "trace-contraction-negative-control",
-            bool(bare.terms),
-            None if bare.terms else "the bare monomial contraction vanished",
-        )
-    )
+    witness = None if bare.terms else "the bare monomial contraction vanished"
+    records.append(_record("trace-contraction-negative-control", witness))
     return records
 
 
@@ -402,52 +394,41 @@ def suite_recurrence(n_max: int | None = None, max_quanta: int | None = None) ->
     max_entry = 6 if max_quanta is None else max_quanta
     records = []
     for n in range(4, n_max + 1):
-        grid = list(_ordered_totals(n - 1, max_entry))
-        ok = verify_recurrence(n - 1, grid)
+        ok = verify_recurrence(n - 1, list(_ordered_totals(n - 1, max_entry)))
         records.append(
-            CheckRecord(
-                f"chain-recurrence[N={n}]", ok, None if ok else "closed form broke its recurrence"
-            )
+            _record(f"chain-recurrence[N={n}]", None if ok else "closed form broke its recurrence")
         )
 
-    ok, witness = True, None
-    for length in range(2, max(n_max - 1, 2) + 1):
-        for totals in _ordered_totals(length, max_entry):
-            for k in range(1, length + 1):
-                for i in range(k + 1, length + 1):
-                    den = totals[k - 1] - totals[i - 1] + 1 + (i - k)
-                    if annihilation_coeff(i, k, totals) != Fraction(1, den):
-                        ok, witness = False, f"H[{i},{k}] at totals={totals}"
-    records.append(CheckRecord("annihilation-closed-form", ok, witness))
+    annihilation = (
+        (f"H[{i},{k}] at totals={totals}", annihilation_coeff(i, k, totals),
+         Fraction(1, totals[k - 1] - totals[i - 1] + 1 + (i - k)))
+        for length in range(2, max(n_max - 1, 2) + 1)
+        for totals in _ordered_totals(length, max_entry)
+        for k in range(1, length + 1)
+        for i in range(k + 1, length + 1)
+    )
+    records.append(_record("annihilation-closed-form", _spot_witness(annihilation)))
 
-    ok, witness = True, None
-    for totals in _ordered_totals(2, max_entry):
-        if creation_coeff(2, 1, totals) != Fraction(-1, totals[0] - totals[1] + 2):
-            ok, witness = False, f"F[2,1] at totals={totals}"
-    spots = (
+    first_steps = [
+        (f"F[2,1] at totals={totals}", creation_coeff(2, 1, totals),
+         Fraction(-1, totals[0] - totals[1] + 2))
+        for totals in _ordered_totals(2, max_entry)
+    ]
+    first_steps += [
         ("F[2,1](2,1)", creation_coeff(2, 1, (2, 1)), Fraction(-1, 3)),
         ("H[2,1](2,1)", annihilation_coeff(2, 1, (2, 1)), Fraction(1, 3)),
         ("F[3,2](2,1,0)", creation_coeff(3, 2, (2, 1, 0)), Fraction(-1, 3)),
         ("F[3,1](2,1,0)", creation_coeff(3, 1, (2, 1, 0)), Fraction(-1, 5)),
-    )
-    for name, got, expected in spots:
-        if got != expected:
-            ok, witness = False, f"{name} = {got} != {expected}"
-    records.append(CheckRecord("first-step-coefficients", ok, witness))
+    ]
+    records.append(_record("first-step-coefficients", _spot_witness(first_steps)))
 
     def damaged(k, i, totals):
         value = creation_coeff(k, i, totals)
         return value * 2 if i == 1 else value
 
-    small = list(_ordered_totals(3, 2))
-    broke = not verify_recurrence(3, small, coeff=damaged)
-    records.append(
-        CheckRecord(
-            "recurrence-negative-control",
-            broke,
-            None if broke else "a damaged closed form still satisfied the recurrence",
-        )
-    )
+    broke = not verify_recurrence(3, list(_ordered_totals(3, 2)), coeff=damaged)
+    witness = None if broke else "a damaged closed form still satisfied the recurrence"
+    records.append(_record("recurrence-negative-control", witness))
     return records
 
 
@@ -456,30 +437,55 @@ def suite_recurrence(n_max: int | None = None, max_quanta: int | None = None) ->
 _ITERATIVE_SECTORS = ((1, 1, 0), (2, 1, 0), (2, 1, 1))
 
 
+def _iterative_witnesses(totals: tuple[int, ...]) -> tuple[str | None, str | None]:
+    """First failures of (gluing == closed form, closed-form image is constrained)."""
+    gluing = constrained = None
+    for b, psi in enumerate(nullspace_basis(IrrepLabel(4, totals))):
+        for alpha in range(1, 5):
+            closed = isb_create(3, alpha, psi)
+            if gluing is None and isb_create_iterative(alpha, psi) != closed:
+                gluing = f"basis[{b}] alpha={alpha}"
+            pair = _violated(closed) if constrained is None else None
+            if pair is not None:
+                constrained = f"basis[{b}] alpha={alpha} survives L[{pair[0]},{pair[1]}]"
+    return gluing, constrained
+
+
 def suite_iterative(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """The rank-4 gluing construction equals the closed-form dressed creation."""
     records = []
     for totals in _ITERATIVE_SECTORS:
-        label = IrrepLabel(4, totals)
-        basis = nullspace_basis(label)
-        ok, witness = True, None
-        preserved, pres_witness = True, None
-        for b, psi in enumerate(basis):
-            for alpha in range(1, 5):
-                closed = isb_create(3, alpha, psi)
-                if isb_create_iterative(alpha, psi) != closed:
-                    ok, witness = False, f"basis[{b}] alpha={alpha}"
-                for i in range(1, 4):
-                    for j in range(i + 1, 4):
-                        if invariant_action(i, j, closed).terms:
-                            preserved = False
-                            pres_witness = f"basis[{b}] alpha={alpha} survives L[{i},{j}]"
-        records.append(CheckRecord(f"iterative-gluing[{totals}]", ok, witness))
-        records.append(CheckRecord(f"dressed-image-constrained[{totals}]", preserved, pres_witness))
+        gluing, constrained = _iterative_witnesses(totals)
+        records.append(_record(f"iterative-gluing[{totals}]", gluing))
+        records.append(_record(f"dressed-image-constrained[{totals}]", constrained))
     return records
 
 
 # --- multiplicity -------------------------------------------------------
+
+
+def _offdiagonal_witness(n: int, basis: list[Ket]) -> str | None:
+    for b, psi in enumerate(basis):
+        for i in range(1, n):
+            for j in range(1, n):
+                if i == j:
+                    continue
+                if _bilinear(isb_create, i, isb_annihilate, j, psi).terms:
+                    return f"A+[{i}].A[{j}] on basis[{b}]"
+                if _bilinear(isb_annihilate, i, isb_create, j, psi).terms:
+                    return f"A[{i}].A+[{j}] on basis[{b}]"
+    return None
+
+
+def _diagonal_witness(n: int, basis: list[Ket]) -> str | None:
+    products = (("A+.A", isb_create, isb_annihilate), ("A.A+", isb_annihilate, isb_create))
+    for i in range(1, n):
+        for tag, outer, inner in products:
+            try:
+                scalar_on(lambda psi: _bilinear(outer, i, inner, i, psi), basis)
+            except (AlgebraViolationError, ValueError) as err:
+                return f"{tag}[{i}] on the basis: {err}"
+    return None
 
 
 def suite_multiplicity(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
@@ -495,186 +501,128 @@ def suite_multiplicity(n_max: int | None = None, max_quanta: int | None = None) 
     for n in range(2, n_max + 1):
         for label in iter_labels(n, max_quanta):
             basis = nullspace_basis(label)
-            ok_off, wit_off = True, None
-            ok_diag, wit_diag = True, None
-            diagonal_values: dict[tuple[str, int], Fraction] = {}
-            for b, psi in enumerate(basis):
-                for i in range(1, n):
-                    for j in range(1, n):
-                        up = zero_ket(n)
-                        down = zero_ket(n)
-                        for gamma in range(1, n + 1):
-                            up = up + isb_create(i, gamma, isb_annihilate(j, gamma, psi))
-                            down = down + isb_annihilate(i, gamma, isb_create(j, gamma, psi))
-                        if i != j:
-                            if up.terms:
-                                ok_off = False
-                                wit_off = f"A+[{i}].A[{j}] on basis[{b}]"
-                            if down.terms:
-                                ok_off = False
-                                wit_off = f"A[{i}].A+[{j}] on basis[{b}]"
-                        else:
-                            for tag, image in (("A+.A", up), ("A.A+", down)):
-                                value = _scalar_ratio(image, psi)
-                                if value is None:
-                                    ok_diag = False
-                                    wit_diag = f"{tag}[{i}] not scalar on basis[{b}]"
-                                elif diagonal_values.setdefault((tag, i), value) != value:
-                                    ok_diag = False
-                                    wit_diag = f"{tag}[{i}] varies across the sector"
-            records.append(
-                CheckRecord(f"offdiagonal-invariants[N={n},rows={label.rows}]", ok_off, wit_off)
-            )
-            records.append(
-                CheckRecord(f"diagonal-invariant-scalars[N={n},rows={label.rows}]", ok_diag, wit_diag)
-            )
+            tag = f"N={n},rows={label.rows}"
+            records.append(_record(f"offdiagonal-invariants[{tag}]", _offdiagonal_witness(n, basis)))
+            records.append(_record(f"diagonal-invariant-scalars[{tag}]", _diagonal_witness(n, basis)))
     return records
 
 
 # --- commutators --------------------------------------------------------
 
 
+def _same_row_witness(label: IrrepLabel) -> str | None:
+    n = label.n
+    for b, psi in enumerate(nullspace_basis(label)):
+        for k in range(1, n):
+            for alpha in range(1, n + 1):
+                for beta in range(alpha + 1, n + 1):
+                    ab = isb_create(k, alpha, isb_create(k, beta, psi))
+                    if ab != isb_create(k, beta, isb_create(k, alpha, psi)):
+                        return f"[A+[{k}]^{alpha},A+[{k}]^{beta}] on basis[{b}]"
+    return None
+
+
+def _ab_commutator_witness(n: int, m: int) -> str | None:
+    a, b = su3x.dressed_create_a, su3x.dressed_create_b
+    for alphas, betas in su3x._distinct_families(n, m):
+        psi = su3x.traceless_state(n, m, alphas, betas)
+        if not psi.terms:
+            continue
+        for x in _COLORS:
+            for y in _COLORS:
+                where = f"({x},{y}) on {alphas}|{betas}"
+                if x < y and a(x, a(y, psi)) != a(y, a(x, psi)):
+                    return f"a-type pair {where}"
+                if x < y and b(x, b(y, psi)) != b(y, b(x, psi)):
+                    return f"b-type pair {where}"
+                if a(x, b(y, psi)) != b(y, a(x, psi)):
+                    return f"cross pair {where}"
+    return None
+
+
 def suite_commutators(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Dressed creation operators commute where they must."""
     n_max = 4 if n_max is None else n_max
     max_quanta = 4 if max_quanta is None else max_quanta
-    records = []
-    for n in range(2, n_max + 1):
-        for label in iter_labels(n, max_quanta):
-            ok, witness = True, None
-            for b, psi in enumerate(nullspace_basis(label)):
-                for k in range(1, n):
-                    for alpha in range(1, n + 1):
-                        for beta in range(alpha + 1, n + 1):
-                            ab = isb_create(k, alpha, isb_create(k, beta, psi))
-                            ba = isb_create(k, beta, isb_create(k, alpha, psi))
-                            if ab != ba:
-                                ok = False
-                                witness = f"[A+[{k}]^{alpha},A+[{k}]^{beta}] on basis[{b}]"
-            records.append(
-                CheckRecord(f"same-row-creation-commutators[N={n},rows={label.rows}]", ok, witness)
-            )
-
-    colors = (1, 2, 3)
-    for n, m in _BV_CASES:
-        ok, witness = True, None
-        for alphas in combinations_with_replacement(colors, n):
-            for betas in combinations_with_replacement(colors, m):
-                psi = su3x.traceless_state(n, m, alphas, betas)
-                if not psi.terms:
-                    continue
-                for x in colors:
-                    for y in colors:
-                        if x < y:
-                            aa = su3x.dressed_create_a(x, su3x.dressed_create_a(y, psi))
-                            if aa != su3x.dressed_create_a(y, su3x.dressed_create_a(x, psi)):
-                                ok, witness = False, f"a-type pair ({x},{y}) on {alphas}|{betas}"
-                            bb = su3x.dressed_create_b(x, su3x.dressed_create_b(y, psi))
-                            if bb != su3x.dressed_create_b(y, su3x.dressed_create_b(x, psi)):
-                                ok, witness = False, f"b-type pair ({x},{y}) on {alphas}|{betas}"
-                        cross = su3x.dressed_create_a(x, su3x.dressed_create_b(y, psi))
-                        if cross != su3x.dressed_create_b(y, su3x.dressed_create_a(x, psi)):
-                            ok, witness = False, f"cross pair ({x},{y}) on {alphas}|{betas}"
-        records.append(CheckRecord(f"ab-cross-commutators[({n},{m})]", ok, witness))
+    records = [
+        _record(f"same-row-creation-commutators[N={n},rows={label.rows}]", _same_row_witness(label))
+        for n in range(2, n_max + 1)
+        for label in iter_labels(n, max_quanta)
+    ]
+    records += [
+        _record(f"ab-cross-commutators[({n},{m})]", _ab_commutator_witness(n, m)) for n, m in _BV_CASES
+    ]
     return records
 
 
 # --- sp2r ---------------------------------------------------------------
 
 
-def suite_sp2r(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
-    """The noncompact pair algebra holds exactly; traceless states sit at the bottom."""
-    max_quanta = 6 if max_quanta is None else max_quanta
+def _pair_algebra_witness(max_quanta: int) -> str | None:
     kp, km, k0 = su3x.sp2r_ops()
-    records = []
-    ok, witness = True, None
     for ta in range(max_quanta + 1):
         for tb in range(max_quanta - ta + 1):
             for state in enumerate_sector(3, (ta, tb)):
                 psi = basis_ket(state)
                 if km(kp(psi)) - kp(km(psi)) != k0(psi) * 2:
-                    ok, witness = False, f"[k-,k+] at occ={state.occ}"
-                elif k0(kp(psi)) - kp(k0(psi)) != kp(psi):
-                    ok, witness = False, f"[k0,k+] at occ={state.occ}"
-                elif k0(km(psi)) - km(k0(psi)) != -km(psi):
-                    ok, witness = False, f"[k0,k-] at occ={state.occ}"
-            if not ok:
-                break
-        if not ok:
-            break
-    records.append(CheckRecord("pair-algebra-relations", ok, witness))
+                    return f"[k-,k+] at occ={state.occ}"
+                if k0(kp(psi)) - kp(k0(psi)) != kp(psi):
+                    return f"[k0,k+] at occ={state.occ}"
+                if k0(km(psi)) - km(k0(psi)) != -km(psi):
+                    return f"[k0,k-] at occ={state.occ}"
+    return None
 
-    colors = (1, 2, 3)
+
+def suite_sp2r(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+    """The noncompact pair algebra holds exactly; traceless states sit at the bottom."""
+    max_quanta = 6 if max_quanta is None else max_quanta
+    records = [_record("pair-algebra-relations", _pair_algebra_witness(max_quanta))]
     for n in range(3):
         for m in range(3):
-            ok, witness = True, None
-            for alphas in product(colors, repeat=n):
-                for betas in product(colors, repeat=m):
-                    if su3x.pair_annihilate(su3x.traceless_state(n, m, alphas, betas)).terms:
-                        ok, witness = False, f"alphas={alphas} betas={betas}"
-                        break
-                if not ok:
-                    break
-            records.append(CheckRecord(f"lowest-weight[({n},{m})]", ok, witness))
+            witness = _first_colors(
+                n, m, lambda a, b: su3x.pair_annihilate(su3x.traceless_state(n, m, a, b)).terms
+            )
+            records.append(_record(f"lowest-weight[({n},{m})]", witness))
 
     base = su3x.traceless_state(1, 1, (1,), (2,))
     lifted = su3x.pair_create(base)
     covariant = su3x.ab_casimir2_op()(lifted) == lifted * su3x.ab_casimir_eigenvalue(1, 1)
     broken = bool(su3x.pair_annihilate(lifted).terms)
     ok = bool(lifted.terms) and covariant and broken
-    records.append(
-        CheckRecord(
-            "tower-negative-control",
-            ok,
-            None
-            if ok
-            else f"lifted nonzero={bool(lifted.terms)} covariant={covariant} leaves-bottom={broken}",
-        )
-    )
+    witness = f"lifted nonzero={bool(lifted.terms)} covariant={covariant} leaves-bottom={broken}"
+    records.append(_record("tower-negative-control", None if ok else witness))
     return records
 
 
 # --- casimir ------------------------------------------------------------
 
 
+def _casimir_match_witness(label: IrrepLabel, c2) -> str | None:
+    try:
+        mono = casimir_eigenvalue(label)
+        null = scalar_on(c2, nullspace_basis(label))
+    except (AlgebraViolationError, ValueError) as err:
+        return str(err)
+    return None if mono == null else f"monomial scalar {mono} != null-space scalar {null}"
+
+
 def suite_casimir(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Casimir scalars: rank-2 closed form, and monomials vs null-space basis."""
     n_max = 4 if n_max is None else n_max
-    records = []
-    ok, witness = True, None
-    for q in range(6):
-        got = casimir_eigenvalue(IrrepLabel(2, (q,)))
-        expected = Fraction(q, 2) * (Fraction(q, 2) + 1)
-        if got != expected:
-            ok, witness = False, f"q={q}: {got} != {expected}"
-    records.append(CheckRecord("casimir-closed-form-rank2", ok, witness))
+    rank2 = (
+        (f"q={q}", casimir_eigenvalue(IrrepLabel(2, (q,))), Fraction(q, 2) * (Fraction(q, 2) + 1))
+        for q in range(6)
+    )
+    records = [_record("casimir-closed-form-rank2", _spot_witness(rank2))]
 
     default_bounds = {3: 5, 4: 4}
     for n in range(3, n_max + 1):
         bound = default_bounds.get(n, 3) if max_quanta is None else max_quanta
         c2 = casimir2_op(n)
-        for label in iter_labels(n, bound):
-            check_id = f"casimir-match[N={n},rows={label.rows}]"
-            try:
-                mono = casimir_eigenvalue(label)
-            except (AlgebraViolationError, ValueError) as err:
-                records.append(CheckRecord(check_id, False, str(err)))
-                continue
-            ok, witness = True, None
-            value: Fraction | None = None
-            for b, psi in enumerate(nullspace_basis(label)):
-                got = _scalar_ratio(c2(psi), psi)
-                if got is None:
-                    ok, witness = False, f"null basis[{b}] is not an eigenvector"
-                    break
-                if value is None:
-                    value = got
-                elif got != value:
-                    ok, witness = False, "eigenvalue varies across the null-space basis"
-                    break
-            if ok and value != mono:
-                ok, witness = False, f"monomial scalar {mono} != null-space scalar {value}"
-            records.append(CheckRecord(check_id, ok, witness))
+        records += [
+            _record(f"casimir-match[N={n},rows={label.rows}]", _casimir_match_witness(label, c2))
+            for label in iter_labels(n, bound)
+        ]
     return records
 
 
@@ -682,7 +630,6 @@ def suite_casimir(n_max: int | None = None, max_quanta: int | None = None) -> li
 
 
 def _serialization_families(n_max: int, max_quanta: int):
-    colors = (1, 2, 3)
     monomials = []
     for n in range(2, min(n_max, 4) + 1):
         for label in iter_labels(n, max_quanta):
@@ -701,10 +648,9 @@ def _serialization_families(n_max: int, max_quanta: int):
 
     trace = []
     for n, m in _BV_CASES:
-        for alphas in combinations_with_replacement(colors, n):
-            for betas in combinations_with_replacement(colors, m):
-                trace.append(su3x.traceless_state(n, m, alphas, betas))
-                trace.append(su3x.isb_monomial(alphas, betas))
+        for alphas, betas in su3x._distinct_families(n, m):
+            trace.append(su3x.traceless_state(n, m, alphas, betas))
+            trace.append(su3x.isb_monomial(alphas, betas))
     yield "traceless-states", trace
 
     kp, km, k0 = su3x.sp2r_ops()
@@ -721,27 +667,26 @@ def _serialization_families(n_max: int, max_quanta: int):
     yield "zero-ket", [build_monomial(IrrepLabel(3, (1, 1)), ((1,), (1,)))]
 
 
+def _round_trip_witness(family: str, kets: list[Ket]) -> str | None:
+    if not kets:
+        return "family produced no kets"
+    for pos, psi in enumerate(kets):
+        if ket_from_document(ket_to_document(psi)) != psi:
+            return f"{family}[{pos}]: document round trip changed the ket"
+        text = dumps_ket(psi)
+        if dumps_ket(loads_ket(text)) != text:
+            return f"{family}[{pos}]: byte round trip is not identical"
+    return None
+
+
 def suite_serialization(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Every producible ket survives document and byte round trips exactly."""
     n_max = 4 if n_max is None else n_max
     max_quanta = 4 if max_quanta is None else max_quanta
-    records = []
-    for family, kets in _serialization_families(n_max, max_quanta):
-        ok, witness = True, None
-        count = 0
-        for pos, psi in enumerate(kets):
-            count += 1
-            if ket_from_document(ket_to_document(psi)) != psi:
-                ok, witness = False, f"{family}[{pos}]: document round trip changed the ket"
-                break
-            text = dumps_ket(psi)
-            if dumps_ket(loads_ket(text)) != text:
-                ok, witness = False, f"{family}[{pos}]: byte round trip is not identical"
-                break
-        if ok and count == 0:
-            ok, witness = False, "family produced no kets"
-        records.append(CheckRecord(f"round-trip[{family}]", ok, witness))
-    return records
+    return [
+        _record(f"round-trip[{family}]", _round_trip_witness(family, kets))
+        for family, kets in _serialization_families(n_max, max_quanta)
+    ]
 
 
 SUITES: dict[str, Callable[..., list[CheckRecord]]] = {

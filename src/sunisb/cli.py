@@ -39,7 +39,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        """True when every check passed; a suite that ran no checks fails."""
+        return bool(self.records) and all(r.passed for r in self.records)
 
     def to_document(self) -> dict:
         return {

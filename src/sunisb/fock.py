@@ -128,9 +128,10 @@ def _recolored(state: FockState, i: int, beta: int, alpha: int) -> FockState:
 class Ket:
     """Finite linear combination of FockStates with exact coefficients.
 
-    Coefficients are ints or Fractions; zero terms are pruned on
-    construction, so equality of ``terms`` dicts is exact state
-    equality.  Treat instances as frozen.
+    Coefficients must be ints or Fractions (``bool`` and ``float`` raise
+    ``ValueError``); zero terms are pruned on construction, so equality
+    of ``terms`` dicts is exact state equality.  Treat instances as
+    frozen.
     """
 
     __slots__ = ("n", "terms")
@@ -138,21 +139,14 @@ class Ket:
     def __init__(self, n: int, terms=None):
         if n < 2:
             raise ValueError(f"group rank must be at least 2, got {n}")
-        clean: dict[FockState, object] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for state, coeff in items:
-                if state.n != n:
-                    raise ValueError("cannot mix group ranks in one ket")
-                if coeff:
-                    prev = clean.get(state)
-                    total = coeff if prev is None else prev + coeff
-                    if total:
-                        clean[state] = total
-                    elif prev is not None:
-                        del clean[state]
+        items = list(terms.items() if isinstance(terms, dict) else terms or ())
+        for state, coeff in items:
+            if not isinstance(state, FockState) or state.n != n:
+                raise ValueError(f"every state of a rank-{n} ket must be a rank-{n} FockState")
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficients must be int or Fraction, got {coeff!r}")
         self.n = n
-        self.terms = clean
+        self.terms = _accumulate({}, items)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,23 +160,17 @@ class Ket:
         return self.n == other.n and self.terms == other.terms
 
     def __add__(self, other: "Ket") -> "Ket":
+        return self._combined(other, 1)
+
+    def __sub__(self, other: "Ket") -> "Ket":
+        return self._combined(other, -1)
+
+    def _combined(self, other, sign: int) -> "Ket":
         if not isinstance(other, Ket):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("cannot mix group ranks in one ket")
-        out = dict(self.terms)
-        for state, coeff in other.terms.items():
-            total = out.get(state, 0) + coeff
-            if total:
-                out[state] = total
-            elif state in out:
-                del out[state]
-        return _raw_ket(self.n, out)
-
-    def __sub__(self, other: "Ket") -> "Ket":
-        if not isinstance(other, Ket):
-            return NotImplemented
-        return self.__add__(other.__neg__())
+        return _raw_ket(self.n, _accumulate(dict(self.terms), other.terms.items(), sign))
 
     def __neg__(self) -> "Ket":
         return _raw_ket(self.n, {s: -c for s, c in self.terms.items()})
@@ -203,6 +191,23 @@ class Ket:
 
     def __repr__(self) -> str:
         return f"<Ket N={self.n}, {len(self.terms)} terms>"
+
+
+def _accumulate(acc: dict, terms, scale=1) -> dict:
+    """Add scale * coeff into acc for every (state, coeff) of terms, in place; return acc.
+
+    States whose total reaches zero are dropped.  This is the package's
+    one accumulate-and-prune loop: kets, operators and ladders sum here.
+    """
+    # only an int scale is tested for 1: comparing a Fraction to 1 costs more than it saves
+    unit = type(scale) is int and scale == 1
+    for state, coeff in terms:
+        total = acc.get(state, 0) + (coeff if unit else coeff * scale)
+        if total:
+            acc[state] = total
+        else:
+            acc.pop(state, None)
+    return acc
 
 
 def _raw_ket(n: int, terms: dict) -> Ket:
@@ -251,6 +256,14 @@ def apply_annihilate(i: int, alpha: int, psi: Ket) -> Ket:
         if m:
             out[_bumped(s, i, alpha, -1)] = m * c
     return _raw_ket(psi.n, out)
+
+
+def _bilinear(outer, i: int, inner, j: int, psi: Ket) -> Ket:
+    """Color-contracted bilinear: the sum over gamma of outer(i, gamma, inner(j, gamma, psi))."""
+    acc: dict = {}
+    for gamma in range(1, psi.n + 1):
+        _accumulate(acc, outer(i, gamma, inner(j, gamma, psi)).terms.items())
+    return _raw_ket(psi.n, acc)
 
 
 def total_occupations(state: FockState) -> tuple[int, ...]:
@@ -356,7 +369,12 @@ def ket_from_document(doc: dict) -> Ket:
     terms = {}
     for record in doc["terms"]:
         state = FockState(n, record["occ"])
-        terms[state] = Fraction(int(record["num"]), int(record["den"]))
+        if state in terms:
+            raise ValueError(f"state {state.occ} appears twice in the ket document")
+        den = int(record["den"])
+        if den == 0:
+            raise ValueError(f"zero denominator for state {state.occ} in the ket document")
+        terms[state] = Fraction(int(record["num"]), den)
     return Ket(n, terms)
 
 

@@ -21,6 +21,10 @@ the null-space and rank eliminations split into independent
 color-weight blocks; that is what keeps them small.  All block and
 basis orders are fixed by the lexicographic state order, so every
 result here is deterministic.
+
+Shared helpers: ``gram_rank(kets)`` serves both dimension-by-rank
+routines, and ``scalar_on(op, kets)`` both Casimir eigenvalues and the
+``casimir`` and ``multiplicity`` suites.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .algebra import casimir2_op, invariant_action
 from .fock import (
@@ -36,7 +40,6 @@ from .fock import (
     basis_ket,
     color_totals,
     enumerate_sector,
-    inner_product,
     factorial_weight,
     vacuum,
 )
@@ -208,67 +211,63 @@ def _index_weight(n: int, idx) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _weighted_terms(psi: Ket) -> dict:
-    return {s: c * factorial_weight(s) for s, c in psi.terms.items()}
+def gram_rank(kets: list[Ket]) -> int:
+    """Dimension of the span of kets: their Gram rank, as the inner product is positive definite."""
+    weighted = [{s: c * factorial_weight(s) for s, c in k.terms.items()} for k in kets]
+    size = len(kets)
+    gram = [[Fraction(0)] * size for _ in range(size)]
+    for a in range(size):
+        wa = weighted[a]
+        for b in range(a, size):
+            tb = kets[b].terms
+            val = sum((c * tb[s] for s, c in wa.items() if s in tb), Fraction(0))
+            gram[a][b] = gram[b][a] = val
+    return rank(integer_rows(gram))
 
 
 def monomial_rank(label: IrrepLabel) -> int:
     """Rank of the deduplicated monomial family, via factorial-weighted Gram matrices.
 
     Monomials of different color weight are orthogonal, so the Gram
-    matrix splits into blocks; the inner product is positive definite,
-    which makes the Gram rank the dimension of the span.
+    matrix splits into one ``gram_rank`` block per weight.
     """
     groups: dict = {}
     for idx in distinct_multi_indices(label):
         ket = build_monomial(label, idx)
         if ket.terms:
             groups.setdefault(_index_weight(label.n, idx), []).append(ket)
-    total = 0
-    for weight in sorted(groups):
-        kets = groups[weight]
-        weighted = [_weighted_terms(k) for k in kets]
-        size = len(kets)
-        gram = [[Fraction(0)] * size for _ in range(size)]
-        for a in range(size):
-            wa = weighted[a]
-            for b in range(a, size):
-                tb = kets[b].terms
-                val = sum((c * tb[s] for s, c in wa.items() if s in tb), Fraction(0))
-                gram[a][b] = gram[b][a] = val
-        total += rank(integer_rows(gram))
-    return total
+    return sum(gram_rank(groups[weight]) for weight in sorted(groups))
 
 
-def casimir_eigenvalue(label: IrrepLabel) -> Fraction:
-    """The exact quadratic Casimir scalar on the label's monomial family.
+def scalar_on(op: Callable[[Ket], Ket], kets: Iterable[Ket]) -> Fraction:
+    """The one scalar by which op acts on every nonzero ket of kets.
 
-    Applies the Casimir to every deduplicated monomial, verifies the
-    result is exactly proportional with one common ratio, and returns
-    that ratio.  A non-proportional image raises
-    ``AlgebraViolationError``.
+    Zero kets are skipped.  Raises ``AlgebraViolationError`` at the
+    first ket (counted from 0, zero kets included) on which op is not
+    that scalar, and ``ValueError`` when no ket is nonzero.
     """
-    c2 = casimir2_op(label.n)
     scalar = None
-    seen_nonzero = False
-    for idx in distinct_multi_indices(label):
-        psi = build_monomial(label, idx)
+    for pos, psi in enumerate(kets):
         if not psi.terms:
             continue
-        seen_nonzero = True
-        image = c2(psi)
+        image = op(psi)
         state, coeff = next(iter(psi.terms.items()))
         value = Fraction(image.terms.get(state, 0)) / Fraction(coeff)
         if image != psi * value:
-            raise AlgebraViolationError(
-                f"Casimir image is not proportional on {label.rows} at index {idx}"
-            )
+            raise AlgebraViolationError(f"image of ket {pos} is not proportional to it")
         if scalar is None:
             scalar = value
         elif value != scalar:
-            raise AlgebraViolationError(
-                f"Casimir eigenvalue varies across monomials of {label.rows}"
-            )
-    if not seen_nonzero:
-        raise ValueError(f"no nonzero monomial exists for {label.rows}")
+            raise AlgebraViolationError(f"scalar {value} on ket {pos} differs from {scalar}")
+    if scalar is None:
+        raise ValueError("no nonzero ket to take a scalar on")
     return scalar
+
+
+def casimir_eigenvalue(label: IrrepLabel) -> Fraction:
+    """The exact quadratic Casimir scalar on the label's deduplicated monomials.
+
+    Ket positions in an ``AlgebraViolationError`` follow ``distinct_multi_indices``.
+    """
+    monomials = (build_monomial(label, idx) for idx in distinct_multi_indices(label))
+    return scalar_on(casimir2_op(label.n), monomials)

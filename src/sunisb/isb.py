@@ -40,13 +40,13 @@ from typing import Iterable
 from .algebra import invariant_action
 from .fock import (
     Ket,
+    _accumulate,
     _bumped,
     _check_slot,
     _raw_ket,
     apply_create,
     basis_ket,
     total_occupations,
-    zero_ket,
 )
 
 __all__ = [
@@ -89,21 +89,9 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _descending_chains(k: int) -> tuple[tuple[int, ...], ...]:
-    below = tuple(range(k - 1, 0, -1))
-    out = []
-    for r in range(1, k):
-        out.extend(combinations(below, r))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _ascending_chains(k: int, top: int) -> tuple[tuple[int, ...], ...]:
-    above = tuple(range(k + 1, top + 1))
-    out = []
-    for r in range(1, len(above) + 1):
-        out.extend(combinations(above, r))
-    return tuple(out)
+def _chains(rows: range) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty chain of rows taken in the order given, shortest first."""
+    return tuple(c for r in range(1, len(rows) + 1) for c in combinations(rows, r))
 
 
 def _create_on_basis(k: int, alpha: int, state) -> dict:
@@ -112,7 +100,7 @@ def _create_on_basis(k: int, alpha: int, state) -> dict:
         return out
     totals = list(total_occupations(state))
     totals[k - 1] += 1
-    for chain in _descending_chains(k):
+    for chain in _chains(range(k - 1, 0, -1)):
         scale = Fraction(1)
         for idx in chain:
             scale *= creation_coeff(k, idx, totals)
@@ -124,12 +112,7 @@ def _create_on_basis(k: int, alpha: int, state) -> dict:
             if not ket.terms:
                 break
             lower = upper
-        for s2, c2 in ket.terms.items():
-            total = out.get(s2, 0) + scale * c2
-            if total:
-                out[s2] = total
-            elif s2 in out:
-                del out[s2]
+        _accumulate(out, ket.terms.items(), scale)
     return out
 
 
@@ -145,12 +128,7 @@ def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
     _check_slot(n, k, alpha)
     acc: dict = {}
     for state, coeff in psi.terms.items():
-        for s2, c2 in _create_terms(k, alpha, state):
-            total = acc.get(s2, 0) + coeff * c2
-            if total:
-                acc[s2] = total
-            elif s2 in acc:
-                del acc[s2]
+        _accumulate(acc, _create_terms(k, alpha, state), coeff)
     return _raw_ket(n, acc)
 
 
@@ -165,7 +143,7 @@ def _annihilate_on_basis(k: int, alpha: int, state, top: int) -> dict:
         return out
     totals = list(total_occupations(state))
     totals[k - 1] -= 1
-    for chain in _ascending_chains(k, top):
+    for chain in _chains(range(k + 1, top + 1)):
         scale = Fraction(1)
         for idx in chain:
             scale *= annihilation_coeff(idx, k, totals)
@@ -179,12 +157,7 @@ def _annihilate_on_basis(k: int, alpha: int, state, top: int) -> dict:
             ket = invariant_action(upper, lower, ket)
             if not ket.terms:
                 break
-        for s2, c2 in ket.terms.items():
-            total = out.get(s2, 0) + scale * c2
-            if total:
-                out[s2] = total
-            elif s2 in out:
-                del out[s2]
+        _accumulate(out, ket.terms.items(), scale)
     return out
 
 
@@ -198,12 +171,7 @@ def _annihilate(k: int, alpha: int, psi: Ket, top: int) -> Ket:
     _check_slot(n, k, alpha)
     acc: dict = {}
     for state, coeff in psi.terms.items():
-        for s2, c2 in _annihilate_terms(k, alpha, state, top):
-            total = acc.get(s2, 0) + coeff * c2
-            if total:
-                acc[s2] = total
-            elif s2 in acc:
-                del acc[s2]
+        _accumulate(acc, _annihilate_terms(k, alpha, state, top), coeff)
     return _raw_ket(n, acc)
 
 
@@ -245,25 +213,15 @@ def isb_create_iterative(alpha: int, psi: Ket) -> Ket:
             )
         g2 = Fraction(-1, d2)
         g1 = Fraction(-(ta[0] - ta[1] + 2), d1a * d1b)
-        image = _raw_ket(4, {_bumped(state, 3, alpha, 1): 1})
-        # (a+[3].A[2]) A+[2]^a with the rank-3 dressed operators
-        v2 = _raw_ket(4, dict(_create_terms(2, alpha, state)))
-        w2 = zero_ket(4)
-        for gamma in range(1, 5):
-            w2 = w2 + apply_create(3, gamma, _annihilate(2, gamma, v2, 2))
-        image = image + w2 * g2
+        _accumulate(acc, ((_bumped(state, 3, alpha, 1), coeff),))
+        # (a+[3].A[2]) A+[2]^a with the rank-3 dressed operators, and
         # (a+[3].A[1]) A+[1]^a, where A+[1] is bare
+        v2 = _raw_ket(4, dict(_create_terms(2, alpha, state)))
         v1 = basis_ket(_bumped(state, 1, alpha, 1))
-        w1 = zero_ket(4)
-        for gamma in range(1, 5):
-            w1 = w1 + apply_create(3, gamma, _annihilate(1, gamma, v1, 2))
-        image = image + w1 * g1
-        for s2, c2 in image.terms.items():
-            total = acc.get(s2, 0) + coeff * c2
-            if total:
-                acc[s2] = total
-            elif s2 in acc:
-                del acc[s2]
+        for row, v, g in ((2, v2, g2), (1, v1, g1)):
+            for gamma in range(1, 5):
+                image = apply_create(3, gamma, _annihilate(row, gamma, v, 2))
+                _accumulate(acc, image.terms.items(), coeff * g)
     return _raw_ket(4, acc)
 
 

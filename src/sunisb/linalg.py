@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["integer_rows", "row_echelon", "rank", "nullspace", "in_span"]
+__all__ = ["integer_rows", "row_echelon", "rank", "nullspace"]
 
 
 def integer_rows(rows: list[list]) -> list[list[int]]:
@@ -120,9 +120,3 @@ def nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
         basis.append(_primitive(x))
     return basis
 
-
-def in_span(rows: list[list], target: list) -> bool:
-    """True iff target lies in the row span of rows (exact)."""
-    base = integer_rows(rows)
-    extended = integer_rows(rows + [target])
-    return rank(base) == rank(extended)

@@ -26,6 +26,10 @@ Provided:
 * ``compare_languages``: dimension and Casimir computed in both
   realizations at [n_1, n_2] <-> (n, m) = (n_1 - n_2, n_2), compared
   exactly.
+
+Shared generic helpers: ``fock._accumulate``, ``fock._bilinear``,
+``algebra.casimir_op``, ``irreps.gram_rank`` and ``irreps.scalar_on``.
+Both dressed creations are one routine, ``_dressed_create``.
 """
 
 from __future__ import annotations
@@ -35,22 +39,23 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Sequence
 
-from .algebra import LinearOp
+from .algebra import LinearOp, casimir_op
 from .fock import (
     FockState,
     Ket,
+    _accumulate,
+    _bilinear,
     _bumped,
     _raw_ket,
+    _recolored,
     apply_annihilate,
     apply_create,
     basis_ket,
-    factorial_weight,
     total_occupations,
     vacuum,
     zero_ket,
 )
-from .irreps import AlgebraViolationError, IrrepLabel, casimir_eigenvalue, nullspace_dimension
-from .linalg import integer_rows, rank
+from .irreps import IrrepLabel, casimir_eigenvalue, gram_rank, nullspace_dimension, scalar_on
 
 __all__ = [
     "A_ROW",
@@ -111,18 +116,12 @@ def trace_coeff(n: int, m: int, r: int) -> Fraction:
 
 def pair_create(psi: Ket) -> Ket:
     """Apply the invariant pair creation a+.b+ (color summed)."""
-    acc = zero_ket(3)
-    for gamma in _COLORS:
-        acc = acc + apply_create(A_ROW, gamma, apply_create(B_ROW, gamma, psi))
-    return acc
+    return _bilinear(apply_create, A_ROW, apply_create, B_ROW, psi)
 
 
 def pair_annihilate(psi: Ket) -> Ket:
     """Apply the invariant pair annihilation a.b (color summed)."""
-    acc = zero_ket(3)
-    for gamma in _COLORS:
-        acc = acc + apply_annihilate(A_ROW, gamma, apply_annihilate(B_ROW, gamma, psi))
-    return acc
+    return _bilinear(apply_annihilate, A_ROW, apply_annihilate, B_ROW, psi)
 
 
 def traceless_state(n: int, m: int, alphas: Sequence[int], betas: Sequence[int]) -> Ket:
@@ -207,53 +206,36 @@ def sp2r_ops() -> tuple[LinearOp, LinearOp, LinearOp]:
     return kp, km, k0
 
 
-def dressed_create_a(alpha: int, psi: Ket) -> Ket:
-    """Dressed triplet creation: a+^alpha minus its pair-creation trace.
+def _dressed_create(row: int, color: int, psi: Ket) -> Ket:
+    """Dressed creation on ``row``: the bare creation minus its pair-creation trace.
 
-    The subtraction coefficient 1/(N_a + N_b + 1) is a function of
-    number operators written left of the operator part, so it is
-    evaluated on the totals after the net raise by one a-quantum.
+    The trace lowers the other row in the same color, then applies
+    a+.b+.  Its coefficient 1/(N_a + N_b + 1) is a function of number
+    operators written left of the operator part, so it is evaluated on
+    the totals after the net raise by one quantum.
     """
-    if alpha not in _COLORS:
-        raise IndexError(f"color must lie in 1..3, got {alpha}")
+    if color not in _COLORS:
+        raise IndexError(f"color must lie in 1..3, got {color}")
+    other = B_ROW if row == A_ROW else A_ROW
     acc: dict = {}
     for state, coeff in psi.terms.items():
-        na, nb = total_occupations(state)
-        c = Fraction(1, na + nb + 2)
-        image = basis_ket(_bumped(state, A_ROW, alpha, 1))
-        mb = state.occ[B_ROW - 1][alpha - 1]
-        if mb:
-            lowered = _raw_ket(3, {_bumped(state, B_ROW, alpha, -1): mb})
-            image = image - pair_create(lowered) * c
-        for s2, c2 in image.terms.items():
-            total = acc.get(s2, 0) + coeff * c2
-            if total:
-                acc[s2] = total
-            elif s2 in acc:
-                del acc[s2]
+        _accumulate(acc, ((_bumped(state, row, color, 1), coeff),))
+        m = state.occ[other - 1][color - 1]
+        if m:
+            na, nb = total_occupations(state)
+            lowered = _raw_ket(3, {_bumped(state, other, color, -1): m})
+            _accumulate(acc, pair_create(lowered).terms.items(), -coeff * Fraction(1, na + nb + 2))
     return _raw_ket(3, acc)
+
+
+def dressed_create_a(alpha: int, psi: Ket) -> Ket:
+    """Dressed triplet creation: a+^alpha minus its pair-creation trace."""
+    return _dressed_create(A_ROW, alpha, psi)
 
 
 def dressed_create_b(beta: int, psi: Ket) -> Ket:
     """Dressed antitriplet creation: b+_beta minus its pair-creation trace."""
-    if beta not in _COLORS:
-        raise IndexError(f"color must lie in 1..3, got {beta}")
-    acc: dict = {}
-    for state, coeff in psi.terms.items():
-        na, nb = total_occupations(state)
-        c = Fraction(1, na + nb + 2)
-        image = basis_ket(_bumped(state, B_ROW, beta, 1))
-        ma = state.occ[A_ROW - 1][beta - 1]
-        if ma:
-            lowered = _raw_ket(3, {_bumped(state, A_ROW, beta, -1): ma})
-            image = image - pair_create(lowered) * c
-        for s2, c2 in image.terms.items():
-            total = acc.get(s2, 0) + coeff * c2
-            if total:
-                acc[s2] = total
-            elif s2 in acc:
-                del acc[s2]
-    return _raw_ket(3, acc)
+    return _dressed_create(B_ROW, beta, psi)
 
 
 def isb_monomial(alphas: Sequence[int], betas: Sequence[int]) -> Ket:
@@ -276,11 +258,12 @@ def ab_generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     """
     if alpha not in _COLORS or beta not in _COLORS:
         raise IndexError("colors must lie in 1..3")
+    # summed inline: via fock._accumulate this ran 6% slower on single-term kets (Python 3.11)
     acc: dict = {}
     for state, coeff in psi.terms.items():
         ma = state.occ[A_ROW - 1][beta - 1]
         if ma:
-            s2 = _bumped(_bumped(state, A_ROW, beta, -1), A_ROW, alpha, 1)
+            s2 = _recolored(state, A_ROW, beta, alpha)
             total = acc.get(s2, 0) + ma * coeff
             if total:
                 acc[s2] = total
@@ -288,7 +271,7 @@ def ab_generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
                 del acc[s2]
         mb = state.occ[B_ROW - 1][alpha - 1]
         if mb:
-            s2 = _bumped(_bumped(state, B_ROW, alpha, -1), B_ROW, beta, 1)
+            s2 = _recolored(state, B_ROW, alpha, beta)
             total = acc.get(s2, 0) - mb * coeff
             if total:
                 acc[s2] = total
@@ -307,16 +290,7 @@ def ab_generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
 
 def ab_casimir2_op() -> LinearOp:
     """Quadratic Casimir of this language, same normalization as ``algebra``."""
-
-    def act(state: FockState) -> Ket:
-        base = basis_ket(state)
-        total = zero_ket(3)
-        for alpha in _COLORS:
-            for beta in _COLORS:
-                total = total + ab_generator_action(alpha, beta, ab_generator_action(beta, alpha, base))
-        return total * Fraction(1, 2)
-
-    return LinearOp(3, act, label="C2(ab)")
+    return casimir_op(3, ab_generator_action, "C2(ab)")
 
 
 def _distinct_families(n: int, m: int):
@@ -327,45 +301,14 @@ def _distinct_families(n: int, m: int):
 
 def ab_dimension(n: int, m: int) -> int:
     """Rank of the traceless family, via the factorial-weighted Gram matrix."""
-    kets = [
-        traceless_state(n, m, alphas, betas)
-        for alphas, betas in _distinct_families(n, m)
-    ]
-    kets = [k for k in kets if k.terms]
-    size = len(kets)
-    weighted = [{s: c * factorial_weight(s) for s, c in k.terms.items()} for k in kets]
-    gram = [[Fraction(0)] * size for _ in range(size)]
-    for a in range(size):
-        wa = weighted[a]
-        for b in range(a, size):
-            tb = kets[b].terms
-            val = sum((c * tb[s] for s, c in wa.items() if s in tb), Fraction(0))
-            gram[a][b] = gram[b][a] = val
-    return rank(integer_rows(gram))
+    kets = (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
+    return gram_rank([k for k in kets if k.terms])
 
 
 def ab_casimir_eigenvalue(n: int, m: int) -> Fraction:
     """Casimir scalar on the traceless family, with a proportionality check."""
-    c2 = ab_casimir2_op()
-    scalar = None
-    for alphas, betas in _distinct_families(n, m):
-        psi = traceless_state(n, m, alphas, betas)
-        if not psi.terms:
-            continue
-        image = c2(psi)
-        state, coeff = next(iter(psi.terms.items()))
-        value = Fraction(image.terms.get(state, 0)) / Fraction(coeff)
-        if image != psi * value:
-            raise AlgebraViolationError(
-                f"Casimir image is not proportional on ({n}, {m}) at {alphas}, {betas}"
-            )
-        if scalar is None:
-            scalar = value
-        elif value != scalar:
-            raise AlgebraViolationError(f"Casimir eigenvalue varies across ({n}, {m})")
-    if scalar is None:
-        raise ValueError(f"no nonzero traceless state for ({n}, {m})")
-    return scalar
+    family = (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
+    return scalar_on(ab_casimir2_op(), family)
 
 
 @dataclass(frozen=True)

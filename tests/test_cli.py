@@ -1,10 +1,13 @@
 """Command line behavior: output shapes, exit codes, file output."""
 
 import json
+from pathlib import Path
 
 from sunisb.cli import main
 from sunisb.fock import loads_ket
 from sunisb.irreps import IrrepLabel, build_monomial
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -78,6 +81,21 @@ class TestVerify:
         )
         assert code == 0
         assert "suite fock:" in out
+
+    def test_suite_with_no_checks_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "fock", "--n-max", "0")
+        assert code == 1
+        assert "suite fock: 0/0 checks, FAILED" in out
+        code, out, _ = run(capsys, "--format", "structured", "verify", "--suite", "fock", "--n-max", "0")
+        assert code == 1
+        assert json.loads(out)[0]["passed"] is False
+
+    def test_pinned_check_list(self, capsys):
+        """Ordered (suite, check id, status) of the whole sweep at --n-max 3."""
+        code, out, _ = run(capsys, "--format", "structured", "verify", "--n-max", "3")
+        assert code == 0
+        got = [[r["suite"], c["id"], c["status"]] for r in json.loads(out) for c in r["checks"]]
+        assert got == json.loads((DATA / "verify_n_max_3.json").read_text())
 
     def test_unknown_suite_rejected(self, capsys):
         import pytest

@@ -74,6 +74,17 @@ class TestKet:
         with pytest.raises(ValueError):
             vacuum(2) + vacuum(3)
 
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, True, False, "1", None])
+    def test_inexact_coefficients_rejected(self, coeff):
+        with pytest.raises(ValueError):
+            Ket(2, {FockState(2, ((1, 0),)): coeff})
+
+    def test_exact_coefficients_accepted_and_summed(self):
+        s = FockState(2, ((1, 0),))
+        assert Ket(2, {s: Fraction(1, 2)}).terms == {s: Fraction(1, 2)}
+        assert Ket(2, [(s, 2), (s, -2)]).is_zero()
+        assert Ket(2, [(s, 1), (s, Fraction(1, 3))]).terms == {s: Fraction(4, 3)}
+
 
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), states(n), slots(n), slots(n))))
 def test_canonical_commutator(data):
@@ -162,6 +173,18 @@ class TestSerialization:
         b = basis_ket(FockState(2, ((2, 0),)))
         doc = ket_to_document(b + a)
         assert doc["terms"][0]["occ"] == [[0, 2]]
+
+    def test_repeated_state_rejected(self):
+        doc = ket_to_document(basis_ket(FockState(2, ((1, 0),))))
+        doc["terms"].append(dict(doc["terms"][0], num="5"))
+        with pytest.raises(ValueError):
+            ket_from_document(doc)
+
+    def test_zero_denominator_rejected(self):
+        doc = ket_to_document(basis_ket(FockState(2, ((1, 0),))))
+        doc["terms"][0]["den"] = "0"
+        with pytest.raises(ValueError):
+            ket_from_document(doc)
 
     def test_convention_is_enforced(self):
         doc = ket_to_document(vacuum(2))

@@ -6,7 +6,7 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sunisb.linalg import in_span, integer_rows, nullspace, rank, row_echelon
+from sunisb.linalg import integer_rows, nullspace, rank, row_echelon
 
 
 def gauss_rank(rows, ncols):
@@ -74,12 +74,6 @@ def test_integer_rows_scales_away_denominators():
     scaled = integer_rows(rows)
     assert scaled == [[3, 2], [2, 0]] or scaled == [[3, 2], [1, 0]]
     assert all(isinstance(x, int) for row in scaled for x in row)
-
-
-def test_in_span():
-    basis = [[1, 0, 1], [0, 1, 1]]
-    assert in_span(basis, [2, 3, 5])
-    assert not in_span(basis, [1, 0, 0])
 
 
 def test_empty_matrix_nullspace_is_identity_sized():
