@@ -22,8 +22,8 @@ matter:
   (1/2) sum_ab Q[a,b] Q[b,a].
 
 Shared helpers: ``casimir_op(n, action, label)`` builds that Casimir
-from any generator action, here and in ``su3x``; ``LinearOp`` and the
-Casimir sum accumulate through ``fock._accumulate``.
+from any generator action, here and in ``su3x``, memoizing basis images
+per operator; ``LinearOp`` and the Casimir sum use ``fock._accumulate``.
 """
 
 from __future__ import annotations
@@ -141,16 +141,21 @@ def casimir_op(n: int, action: Callable[[int, int, Ket], Ket], label: str) -> Li
 
     ``action(alpha, beta, psi)`` applies the Weyl-basis generator
     Q[alpha, beta]; both oscillator languages build their Casimir here.
+    Each state's image is computed once and kept for the operator's life.
     """
     colors = range(1, n + 1)
+    images: dict = {}
 
     def act(state: FockState) -> Ket:
-        base = basis_ket(state)
-        acc: dict = {}
-        for alpha in colors:
-            for beta in colors:
-                _accumulate(acc, action(alpha, beta, action(beta, alpha, base)).terms.items())
-        return _raw_ket(n, acc) * Fraction(1, 2)
+        image = images.get(state)
+        if image is None:
+            base = basis_ket(state)
+            acc: dict = {}
+            for alpha in colors:
+                for beta in colors:
+                    _accumulate(acc, action(alpha, beta, action(beta, alpha, base)).terms.items())
+            image = images[state] = _raw_ket(n, acc) * Fraction(1, 2)
+        return image
 
     return LinearOp(n, act, label)
 

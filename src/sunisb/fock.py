@@ -362,20 +362,39 @@ def ket_to_document(psi: Ket) -> dict:
 
 
 def ket_from_document(doc: dict) -> Ket:
-    convention = doc.get("convention")
-    if convention != SERIALIZATION_CONVENTION:
-        raise ValueError(f"unsupported ket convention: {convention!r}")
-    n = int(doc["N"])
+    """Inverse of ``ket_to_document``: every document it accepts round-trips unchanged.
+
+    Anything ``ket_to_document`` cannot write raises ``ValueError``: a missing
+    or extra key, a wrong type or shape, a zero coefficient, a fraction not
+    in lowest terms over a positive denominator, a repeated or unsorted state.
+    """
+    if not isinstance(doc, dict) or doc.keys() != {"N", "convention", "terms"}:
+        raise ValueError("a ket document is a dict with the keys N, convention and terms")
+    if doc["convention"] != SERIALIZATION_CONVENTION:
+        raise ValueError(f"unsupported ket convention: {doc['convention']!r}")
+    n, records = doc["N"], doc["terms"]
+    if type(n) is not int or type(records) is not list:
+        raise ValueError("a ket document needs an int N and a list of terms")
     terms = {}
-    for record in doc["terms"]:
-        state = FockState(n, record["occ"])
-        if state in terms:
-            raise ValueError(f"state {state.occ} appears twice in the ket document")
-        den = int(record["den"])
-        if den == 0:
-            raise ValueError(f"zero denominator for state {state.occ} in the ket document")
-        terms[state] = Fraction(int(record["num"]), den)
-    return Ket(n, terms)
+    last = ()
+    for record in records:
+        if not isinstance(record, dict) or record.keys() != {"occ", "num", "den"}:
+            raise ValueError("a term record is a dict with the keys occ, num and den")
+        occ = record["occ"]
+        if type(occ) is not list or any(type(row) is not list or {type(e) for e in row} - {int} for row in occ):
+            raise ValueError(f"occ must be a list of lists of ints, got {occ!r}")
+        state = FockState(n, occ)
+        if state.occ <= last:
+            raise ValueError(f"state {state.occ} is repeated or out of order in the ket document")
+        last = state.occ
+        num, den = record["num"], record["den"]
+        if type(num) is not str or type(den) is not str or int(den) <= 0:
+            raise ValueError(f"num and den must be decimal strings, den positive; got {num!r}, {den!r}")
+        coeff = Fraction(int(num), int(den))
+        if not coeff or [str(coeff.numerator), str(coeff.denominator)] != [num, den]:
+            raise ValueError(f"coefficient {num}/{den} of state {state.occ} is zero or not in lowest terms")
+        terms[state] = coeff
+    return _raw_ket(n, terms)
 
 
 def dumps_ket(psi: Ket) -> str:

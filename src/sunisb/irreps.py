@@ -23,8 +23,8 @@ basis orders are fixed by the lexicographic state order, so every
 result here is deterministic.
 
 Shared helpers: ``gram_rank(kets)`` serves both dimension-by-rank
-routines, and ``scalar_on(op, kets)`` both Casimir eigenvalues and the
-``casimir`` and ``multiplicity`` suites.
+routines in integer arithmetic, and ``scalar_on(op, kets)`` both
+Casimir eigenvalues and the ``casimir`` and ``multiplicity`` suites.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from .algebra import casimir2_op, invariant_action
@@ -44,7 +45,7 @@ from .fock import (
     vacuum,
 )
 from .isb import isb_create
-from .linalg import integer_rows, nullspace, rank
+from .linalg import nullspace, rank
 
 __all__ = [
     "IrrepLabel",
@@ -135,15 +136,18 @@ def build_monomial(label: IrrepLabel, idx) -> Ket:
 
 
 def weyl_dimension(label: IrrepLabel) -> int:
-    """Weyl product formula, evaluated exactly."""
+    """Weyl product formula in exact integers; ``ArithmeticError`` if it is not an integer."""
     lam = label.rows + (0,)
     n = label.n
-    dim = Fraction(1)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            dim *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert dim.denominator == 1
-    return int(dim)
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"Weyl product {num}/{den} for {label} is not an integer")
+    return dim
 
 
 def constraint_residual(psi: Ket) -> ConstraintReport:
@@ -212,17 +216,23 @@ def _index_weight(n: int, idx) -> tuple[int, ...]:
 
 
 def gram_rank(kets: list[Ket]) -> int:
-    """Dimension of the span of kets: their Gram rank, as the inner product is positive definite."""
-    weighted = [{s: c * factorial_weight(s) for s, c in k.terms.items()} for k in kets]
+    """Dimension of the span of kets: their Gram rank, as the inner product is positive definite.
+
+    Kets are scaled to integer coefficients first: G becomes D G D, D invertible diagonal.
+    """
+    scaled = []
+    for k in kets:
+        scale = lcm(*(c.denominator for c in k.terms.values()))
+        scaled.append({s: c.numerator * (scale // c.denominator) for s, c in k.terms.items()})
+    weighted = [{s: c * factorial_weight(s) for s, c in k.items()} for k in scaled]
     size = len(kets)
-    gram = [[Fraction(0)] * size for _ in range(size)]
+    gram = [[0] * size for _ in range(size)]
     for a in range(size):
         wa = weighted[a]
         for b in range(a, size):
-            tb = kets[b].terms
-            val = sum((c * tb[s] for s, c in wa.items() if s in tb), Fraction(0))
-            gram[a][b] = gram[b][a] = val
-    return rank(integer_rows(gram))
+            tb = scaled[b]
+            gram[a][b] = gram[b][a] = sum(c * tb[s] for s, c in wa.items() if s in tb)
+    return rank(gram)
 
 
 def monomial_rank(label: IrrepLabel) -> int:

@@ -1,8 +1,11 @@
 """Exact linear algebra: fraction-free elimination over the integers.
 
 Callers split their systems into color-weight blocks before coming
-here, so the dense matrices below stay small.  Pivoting is
-first-nonzero, which keeps every result deterministic.
+here, so the dense matrices below stay small.  Every input matrix has
+int entries: callers clear denominators themselves (``irreps.gram_rank``
+scales each ket to integer coefficients before forming its Gram
+matrix).  Pivoting is first-nonzero, which keeps every result
+deterministic.
 """
 
 from __future__ import annotations
@@ -10,21 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["integer_rows", "row_echelon", "rank", "nullspace"]
-
-
-def integer_rows(rows: list[list]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators.
-
-    Row scaling changes neither the rank nor the null space nor the row
-    span, so downstream results are unaffected.
-    """
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
+__all__ = ["row_echelon", "rank", "nullspace"]
 
 
 def row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

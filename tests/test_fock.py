@@ -1,5 +1,6 @@
 """Oscillator layer: states, kets, ladder maps, inner product, serialization."""
 
+import copy
 import json
 from fractions import Fraction
 from math import comb, factorial
@@ -144,6 +145,76 @@ class TestSectors:
             assert tuple(sum(row) for row in s.occ) == (2, 1)
 
 
+def kets(n: int):
+    coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool)
+    return st.dictionaries(states(n), coeffs, max_size=4).map(lambda terms: Ket(n, terms))
+
+
+ket_documents = st.integers(2, 4).flatmap(kets).map(ket_to_document)
+
+
+def _drop_key(doc, draw):
+    target = draw(st.sampled_from([doc, doc["terms"][0]]))
+    del target[draw(st.sampled_from(sorted(target)))]
+    return doc
+
+
+def _set_coefficient(field, values):
+    def mutate(doc, draw):
+        doc["terms"][0][field] = draw(values)
+        return doc
+
+    return mutate
+
+
+def _repeat_record(doc, draw):
+    pos = draw(st.integers(0, len(doc["terms"]) - 1))
+    doc["terms"].insert(pos, copy.deepcopy(doc["terms"][pos]))
+    return doc
+
+
+def _reshape_occ(doc, draw):
+    occ = doc["terms"][0]["occ"]
+    reshaped = draw(
+        st.sampled_from(
+            [
+                occ[1:],
+                occ + [occ[0]],
+                [row[1:] for row in occ],
+                [row + [0] for row in occ],
+                [[str(e) for e in row] for row in occ],
+                [[float(e) for e in row] for row in occ],
+                [sum(row) for row in occ],
+                0,
+            ]
+        )
+    )
+    doc["terms"][0]["occ"] = reshaped
+    return doc
+
+
+def _non_dict_record(doc, draw):
+    record = doc["terms"][0]
+    doc["terms"][0] = draw(st.sampled_from([list(record.items()), list(record), str(record), None, 0]))
+    return doc
+
+
+def _non_dict_document(doc, draw):
+    return draw(st.sampled_from([list(doc.items()), list(doc), json.dumps(doc), None, 0]))
+
+
+# each mutation turns a document ket_to_document wrote into one it cannot write
+MUTATIONS = {
+    "dropped key": _drop_key,
+    "zero num": _set_coefficient("num", st.sampled_from(["0", "-0", "00"])),
+    "den not positive": _set_coefficient("den", st.integers(-3, 0).map(str)),
+    "repeated record": _repeat_record,
+    "wrong occ shape or type": _reshape_occ,
+    "non-dict record": _non_dict_record,
+    "non-dict document": _non_dict_document,
+}
+
+
 class TestSerialization:
     @given(st.integers(2, 4).flatmap(lambda n: st.lists(states(n), min_size=0, max_size=4).map(lambda ss: (n, ss))))
     def test_round_trip(self, data):
@@ -191,6 +262,19 @@ class TestSerialization:
         doc["convention"] = "normalized"
         with pytest.raises(ValueError):
             ket_from_document(doc)
+
+    @given(ket_documents)
+    def test_document_round_trips_exactly(self, doc):
+        assert ket_to_document(ket_from_document(doc)) == doc
+        text = json.dumps(doc, indent=1) + "\n"
+        assert dumps_ket(loads_ket(text)) == text
+
+    @given(ket_documents.filter(lambda doc: doc["terms"]), st.sampled_from(sorted(MUTATIONS)), st.data())
+    def test_mutated_document_raises_value_error(self, doc, name, data):
+        mutated = MUTATIONS[name](copy.deepcopy(doc), data.draw)
+        assert json.dumps(mutated) != json.dumps(doc)
+        with pytest.raises(ValueError):
+            ket_from_document(mutated)
 
 
 def test_format_ket_readable():

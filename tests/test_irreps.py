@@ -1,23 +1,27 @@
 """Representation labels: monomials, dimensions, null spaces, Casimir scalars."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sunisb.algebra import invariant_action
-from sunisb.fock import inner_product, zero_ket
+from sunisb.algebra import casimir2_op, casimir_op, generator_action, invariant_action
+from sunisb.fock import FockState, Ket, basis_ket, enumerate_sector, inner_product, vacuum, zero_ket
 from sunisb.irreps import (
+    AlgebraViolationError,
     IrrepLabel,
     all_multi_indices,
     build_monomial,
     casimir_eigenvalue,
     constraint_residual,
     distinct_multi_indices,
+    gram_rank,
     monomial_rank,
     nullspace_basis,
     nullspace_dimension,
+    scalar_on,
     weyl_dimension,
 )
 from sunisb.linalg import rank
@@ -146,6 +150,22 @@ class TestNullspace:
         assert rank(mat) == len(basis)
 
 
+def labels_up_to(n: int, boxes: int):
+    """Every weakly decreasing row tuple of rank n with at most ``boxes`` boxes."""
+    return [
+        rows
+        for rows in product(range(boxes + 1), repeat=n - 1)
+        if sum(rows) <= boxes and all(a >= b for a, b in zip(rows, rows[1:]))
+    ]
+
+
+def closed_form_casimir(label: IrrepLabel) -> Fraction:
+    """(1/2)(sum_i lam_i (lam_i + N + 1 - 2i) - |lam|^2 / N), lam the rows plus a trailing 0."""
+    n, lam = label.n, label.rows + (0,)
+    quadratic = sum(l * (l + n + 1 - 2 * i) for i, l in enumerate(lam, start=1))
+    return (quadratic - Fraction(sum(lam) ** 2, n)) / 2
+
+
 class TestCasimir:
     def test_rank2_tower(self):
         for q in range(5):
@@ -162,13 +182,87 @@ class TestCasimir:
         )
 
     def test_matches_nullspace_action(self):
-        from sunisb.algebra import casimir2_op
-
         label = IrrepLabel(3, (2, 0))
         value = casimir_eigenvalue(label)
         c2 = casimir2_op(3)
         for psi in nullspace_basis(label):
             assert c2(psi) == psi * value
+
+    @pytest.mark.parametrize(
+        "label",
+        [IrrepLabel(n, rows) for n in (2, 3, 4) for rows in labels_up_to(n, 4)]
+        + [IrrepLabel(5, (4, 1, 0, 0)), IrrepLabel(5, (3, 2, 0, 0))],
+        ids=str,
+    )
+    def test_matches_closed_form(self, label):
+        assert casimir_eigenvalue(label) == closed_form_casimir(label)
+
+    def test_closed_form_spot_values(self):
+        assert closed_form_casimir(IrrepLabel(5, (4, 1, 0, 0))) == 15
+        assert closed_form_casimir(IrrepLabel(5, (3, 2, 0, 0))) == 12
+
+    def test_images_computed_once_per_state(self):
+        calls = []
+
+        def counted(alpha, beta, psi):
+            calls.append(psi)
+            return generator_action(alpha, beta, psi)
+
+        label = IrrepLabel(3, (2, 1))
+        monomials = [build_monomial(label, idx) for idx in all_multi_indices(label)]
+        distinct = {s for psi in monomials for s in psi.terms}
+        assert sum(len(psi.terms) for psi in monomials) > len(distinct)  # states do repeat
+        op = casimir_op(3, counted, "C2")
+        assert scalar_on(op, monomials) == 3
+        assert len(calls) <= 2 * 3**2 * len(distinct)
+        assert scalar_on(op, monomials) == 3
+        assert len(calls) <= 2 * 3**2 * len(distinct)
+
+    def test_failure_position_survives_repeated_states(self):
+        label = IrrepLabel(3, (2, 1))
+        octet = build_monomial(label, ((1, 2), (3,)))
+        mixed = octet + vacuum(3)
+        kets = [octet, octet, zero_ket(3), mixed, octet]
+        with pytest.raises(AlgebraViolationError, match="ket 3 "):
+            scalar_on(casimir2_op(3), kets)
+
+
+class TestGramRank:
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.dictionaries(
+                        st.tuples(*[st.tuples(*[st.integers(0, 2)] * n)] * (n - 1)),
+                        st.fractions(-4, 4, max_denominator=5).filter(bool),
+                        min_size=1,
+                        max_size=3,
+                    ),
+                    st.fractions(-7, 7, max_denominator=7).filter(bool),
+                ),
+                max_size=5,
+            ).map(lambda family: (n, family))
+        )
+    )
+    def test_rank_ignores_nonzero_scaling(self, data):
+        n, family = data
+        kets = [Ket(n, {FockState(n, occ): c for occ, c in terms.items()}) for terms, _ in family]
+        scaled = [psi * scale for psi, (_, scale) in zip(kets, family)]
+        assert gram_rank(scaled) == gram_rank(kets)
+
+    def test_hand_built_family(self):
+        e = [basis_ket(s) for s in enumerate_sector(3, (2, 0))[:3]]
+        half = e[0] + e[1] * Fraction(1, 2)
+        family = [
+            half,
+            e[0] * 2 + e[1],  # 2 * half: dependent only through the coefficient ratio 1/2
+            e[2] * Fraction(-3, 7),
+            half * Fraction(5, 9) + e[2],  # dependent
+            e[1] * Fraction(1, 3),
+        ]
+        assert gram_rank(family) == 3
+        assert gram_rank(family[:2]) == 1
+        assert gram_rank(family[:3]) == 2
 
 
 @given(st.sampled_from(sorted(DIMENSIONS)))
