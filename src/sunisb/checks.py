@@ -91,19 +91,17 @@ def _record(check_id: str, witness: str | None) -> CheckRecord:
     return CheckRecord(check_id, witness is None, witness)
 
 
+def _ordered_totals(length: int, max_entry: int):
+    # weakly decreasing vectors, descending: diagram rows, and the totals
+    # regime where every dressing denominator is positive
+    return combinations_with_replacement(range(max_entry, -1, -1), length)
+
+
 def iter_labels(n: int, max_quanta: int) -> Iterator[IrrepLabel]:
     """All rank-n diagram labels with at most max_quanta boxes, longest rows first."""
-
-    def shapes(slots: int, cap: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield ()
-            return
-        for r in range(min(cap, budget), -1, -1):
-            for rest in shapes(slots - 1, r, budget - r):
-                yield (r,) + rest
-
-    for rows in shapes(n - 1, max_quanta, max_quanta):
-        yield IrrepLabel(n, rows)
+    for rows in _ordered_totals(n - 1, max_quanta):
+        if sum(rows) <= max_quanta:
+            yield IrrepLabel(n, rows)
 
 
 def _all_states(n: int, max_quanta: int):
@@ -383,11 +381,6 @@ def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> 
 # --- recurrence ---------------------------------------------------------
 
 
-def _ordered_totals(length: int, max_entry: int):
-    # weakly decreasing vectors: the regime where every denominator is positive
-    return combinations_with_replacement(range(max_entry, -1, -1), length)
-
-
 def suite_recurrence(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Closed forms of the dressing coefficients and their downward recurrence."""
     n_max = 6 if n_max is None else n_max
@@ -528,14 +521,16 @@ def _ab_commutator_witness(n: int, m: int) -> str | None:
         psi = su3x.traceless_state(n, m, alphas, betas)
         if not psi.terms:
             continue
+        a_psi = {x: a(x, psi) for x in _COLORS}
+        b_psi = {x: b(x, psi) for x in _COLORS}
         for x in _COLORS:
             for y in _COLORS:
                 where = f"({x},{y}) on {alphas}|{betas}"
-                if x < y and a(x, a(y, psi)) != a(y, a(x, psi)):
+                if x < y and a(x, a_psi[y]) != a(y, a_psi[x]):
                     return f"a-type pair {where}"
-                if x < y and b(x, b(y, psi)) != b(y, b(x, psi)):
+                if x < y and b(x, b_psi[y]) != b(y, b_psi[x]):
                     return f"b-type pair {where}"
-                if a(x, b(y, psi)) != b(y, a(x, psi)):
+                if a(x, b_psi[y]) != b(y, a_psi[x]):
                     return f"cross pair {where}"
     return None
 
@@ -598,8 +593,10 @@ def suite_sp2r(n_max: int | None = None, max_quanta: int | None = None) -> list[
 
 
 def _casimir_match_witness(label: IrrepLabel, c2) -> str | None:
+    # both sides on the suite's one operator: the monomials lie in the null space's sector
+    monomials = (build_monomial(label, idx) for idx in distinct_multi_indices(label))
     try:
-        mono = casimir_eigenvalue(label)
+        mono = scalar_on(c2, monomials)
         null = scalar_on(c2, nullspace_basis(label))
     except (AlgebraViolationError, ValueError) as err:
         return str(err)

@@ -50,6 +50,13 @@ __all__ = [
 SERIALIZATION_CONVENTION = "unnormalized-monomial"
 
 
+def _exact_int(value, what: str) -> int:
+    """value itself if its type is exactly ``int``; ``ValueError`` otherwise (``bool`` included)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 class FockState:
     """One basis state: an (N-1) x N matrix of occupation numbers.
 
@@ -60,8 +67,8 @@ class FockState:
     __slots__ = ("n", "occ", "_hash")
 
     def __init__(self, n: int, occ: Iterable[Iterable[int]]):
-        occ = tuple(tuple(int(e) for e in row) for row in occ)
-        if n < 2:
+        occ = tuple(tuple(_exact_int(e, "occupation") for e in row) for row in occ)
+        if _exact_int(n, "group rank") < 2:
             raise ValueError(f"group rank must be at least 2, got {n}")
         if len(occ) != n - 1 or any(len(row) != n for row in occ):
             raise ValueError(f"occupation matrix must be {n - 1}x{n}")
@@ -137,7 +144,7 @@ class Ket:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if n < 2:
+        if _exact_int(n, "group rank") < 2:
             raise ValueError(f"group rank must be at least 2, got {n}")
         items = list(terms.items() if isinstance(terms, dict) else terms or ())
         for state, coeff in items:
@@ -381,8 +388,8 @@ def ket_from_document(doc: dict) -> Ket:
         if not isinstance(record, dict) or record.keys() != {"occ", "num", "den"}:
             raise ValueError("a term record is a dict with the keys occ, num and den")
         occ = record["occ"]
-        if type(occ) is not list or any(type(row) is not list or {type(e) for e in row} - {int} for row in occ):
-            raise ValueError(f"occ must be a list of lists of ints, got {occ!r}")
+        if type(occ) is not list or any(type(row) is not list for row in occ):
+            raise ValueError(f"occ must be a list of lists, got {occ!r}")
         state = FockState(n, occ)
         if state.occ <= last:
             raise ValueError(f"state {state.occ} is repeated or out of order in the ket document")

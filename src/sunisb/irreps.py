@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator
 from .algebra import casimir2_op, invariant_action
 from .fock import (
     Ket,
+    _exact_int,
     basis_ket,
     color_totals,
     enumerate_sector,
@@ -71,8 +72,8 @@ class IrrepLabel:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
-        if self.n < 2:
+        object.__setattr__(self, "rows", tuple(_exact_int(r, "row length") for r in self.rows))
+        if _exact_int(self.n, "group rank") < 2:
             raise ValueError(f"group rank must be at least 2, got {self.n}")
         if len(self.rows) != self.n - 1:
             raise ValueError(f"need {self.n - 1} row lengths for rank {self.n}")
@@ -98,7 +99,7 @@ class ConstraintReport:
 
 
 def _check_multi_index(label: IrrepLabel, idx) -> tuple[tuple[int, ...], ...]:
-    idx = tuple(tuple(int(a) for a in row) for row in idx)
+    idx = tuple(tuple(_exact_int(a, "color") for a in row) for row in idx)
     if len(idx) != label.n - 1:
         raise ValueError(f"need {label.n - 1} color rows, got {len(idx)}")
     for row, (colors, length) in enumerate(zip(idx, label.rows), start=1):

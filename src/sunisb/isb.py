@@ -17,7 +17,11 @@ where L[p,q] is the invariant bilinear a+[p].a[q] and each
 F(k,i) = -1 / (n_i - n_k + 1 + k - i) is a rational function of the
 row totals.  Dressed annihilation mirrors this with strictly
 increasing chains k < i_1 < ... < i_r <= N-1, factors
-H(i,k) = -F(i,k), and the transposed bilinears.
+H(i,k) = -F(i,k), and the transposed bilinears:
+
+    A[k]_a = a[k]_a
+           + sum_chains H(i_1,k) ... H(i_r,k)
+             L[i_1,k] L[i_2,i_1] ... L[i_r,i_{r-1}] a[i_r]_a
 
 Evaluation convention: a coefficient written to the left of an
 operator chain is a function of number operators and therefore acts
@@ -27,14 +31,22 @@ evaluated at the input totals with row k raised (creation) or lowered
 (annihilation) by one.  With that convention the dressed operators are
 exact rational maps; a vanishing denominator means the totals lie
 outside the ordered Young-diagram regime and raises
-``SingularCoefficientError`` instead of being skipped.
+``SingularCoefficientError`` instead of being skipped.  Every factor
+of the operator is evaluated, except that annihilation on a state with
+an empty row k is a[k]_a alone: every chain ends in L[i_1,k].
+
+The chain sums are the definition.  They are evaluated in nested row
+form, so A+[k]^a takes k(k-1)/2 bilinear applications, not one for each
+row of every chain:
+
+    B_i = a+[i]^a + sum_{j<i} F(k,j) L[i,j] B_j    up from i = 1,    A+[k]^a = B_k
+    C_i = a[i]_a  + sum_{j>i} H(j,k) L[j,i] C_j    down from N-1,    A[k]_a = C_k
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .algebra import invariant_action
@@ -88,32 +100,18 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
     return -creation_coeff(i, k, totals)
 
 
-@lru_cache(maxsize=None)
-def _chains(rows: range) -> tuple[tuple[int, ...], ...]:
-    """Every nonempty chain of rows taken in the order given, shortest first."""
-    return tuple(c for r in range(1, len(rows) + 1) for c in combinations(rows, r))
-
-
 def _create_on_basis(k: int, alpha: int, state) -> dict:
-    out = {_bumped(state, k, alpha, 1): 1}
-    if k == 1:
-        return out
+    # B_1, ..., B_k of the module docstring's nested row form
     totals = list(total_occupations(state))
     totals[k - 1] += 1
-    for chain in _chains(range(k - 1, 0, -1)):
-        scale = Fraction(1)
-        for idx in chain:
-            scale *= creation_coeff(k, idx, totals)
-        # rightmost factor first: a+[i_r], then the bilinears up the chain
-        ket = basis_ket(_bumped(state, chain[-1], alpha, 1))
-        lower = chain[-1]
-        for upper in chain[-2::-1] + (k,):
-            ket = invariant_action(upper, lower, ket)
-            if not ket.terms:
-                break
-            lower = upper
-        _accumulate(out, ket.terms.items(), scale)
-    return out
+    coeffs = {j: creation_coeff(k, j, totals) for j in range(k - 1, 0, -1)}
+    rows: dict[int, Ket] = {}
+    for i in range(1, k + 1):
+        acc = {_bumped(state, i, alpha, 1): 1}
+        for j, b_j in rows.items():
+            _accumulate(acc, invariant_action(i, j, b_j).terms.items(), coeffs[j])
+        rows[i] = _raw_ket(state.n, acc)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -133,37 +131,23 @@ def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
 
 
 def _annihilate_on_basis(k: int, alpha: int, state, top: int) -> dict:
-    out: dict = {}
-    m = state.occ[k - 1][alpha - 1]
-    if m:
-        out[_bumped(state, k, alpha, -1)] = m
+    # C_top, ..., C_k of the module docstring's nested row form
     if k >= top or sum(state.occ[k - 1]) == 0:
         # no higher rows to chain through, or nothing in row k for the
         # final bilinear to absorb: every chain term vanishes
-        return out
+        top = k
     totals = list(total_occupations(state))
     totals[k - 1] -= 1
-    for chain in _chains(range(k + 1, top + 1)):
-        scale = Fraction(1)
-        for idx in chain:
-            scale *= annihilation_coeff(idx, k, totals)
-        m_r = state.occ[chain[-1] - 1][alpha - 1]
-        if not m_r:
-            continue
-        ket = _raw_ket(state.n, {_bumped(state, chain[-1], alpha, -1): m_r})
-        uppers = chain[::-1]
-        for pos, upper in enumerate(uppers):
-            lower = uppers[pos + 1] if pos + 1 < len(uppers) else k
-            ket = invariant_action(upper, lower, ket)
-            if not ket.terms:
-                break
-        _accumulate(out, ket.terms.items(), scale)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _annihilate_terms(k: int, alpha: int, state, top: int) -> tuple:
-    return tuple(_annihilate_on_basis(k, alpha, state, top).items())
+    coeffs = {j: annihilation_coeff(j, k, totals) for j in range(k + 1, top + 1)}
+    rows: dict[int, Ket] = {}
+    for i in range(top, k - 1, -1):
+        m = state.occ[i - 1][alpha - 1]
+        acc = {_bumped(state, i, alpha, -1): m} if m else {}
+        for j, c_j in rows.items():
+            _accumulate(acc, invariant_action(j, i, c_j).terms.items(), coeffs[j])
+        if acc:  # an empty C_i adds nothing further down
+            rows[i] = _raw_ket(state.n, acc)
+    return acc
 
 
 def _annihilate(k: int, alpha: int, psi: Ket, top: int) -> Ket:
@@ -171,7 +155,7 @@ def _annihilate(k: int, alpha: int, psi: Ket, top: int) -> Ket:
     _check_slot(n, k, alpha)
     acc: dict = {}
     for state, coeff in psi.terms.items():
-        _accumulate(acc, _annihilate_terms(k, alpha, state, top), coeff)
+        _accumulate(acc, _annihilate_on_basis(k, alpha, state, top).items(), coeff)
     return _raw_ket(n, acc)
 
 

@@ -50,6 +50,19 @@ class TestFockState:
         with pytest.raises(ValueError):
             FockState(3, ((1, -1, 0), (0, 0, 0)))
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None, Fraction(1)])
+    def test_inexact_occupation_rejected(self, value):
+        # a float or string would otherwise be truncated to a different state
+        with pytest.raises(ValueError):
+            FockState(2, ((value, 0),))
+
+    @pytest.mark.parametrize("n", [3.0, 2.9, "3"])
+    def test_inexact_rank_rejected(self, n):
+        with pytest.raises(ValueError):
+            FockState(n, ((0, 0, 0), (0, 0, 0)))
+        with pytest.raises(ValueError):
+            Ket(n, {})
+
     def test_equality_and_hash(self):
         a = FockState(3, ((1, 0, 0), (0, 2, 0)))
         b = FockState(3, ((1, 0, 0), (0, 2, 0)))

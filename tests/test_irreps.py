@@ -40,6 +40,12 @@ class TestIrrepLabel:
         with pytest.raises(ValueError):
             IrrepLabel(3, (1, -1))
 
+    @pytest.mark.parametrize("n, rows", [(3, (2.9, True)), (3, (2, 1.0)), (3, ("2", 1)), (3.0, (2, 1))])
+    def test_rejects_inexact(self, n, rows):
+        # float, bool and str values would otherwise be truncated to other rows
+        with pytest.raises(ValueError):
+            IrrepLabel(n, rows)
+
 
 # row lengths frozen from the closed product over box hooks
 DIMENSIONS = {
@@ -100,6 +106,12 @@ class TestMonomials:
             build_monomial(label, ((1,), (2,)))
         with pytest.raises(ValueError):
             build_monomial(label, ((1, 4), (2,)))
+
+    @pytest.mark.parametrize("idx", [((1.7, True), ("3",)), ((1, 2.0), (3,)), ((1, 2), (True,))])
+    def test_inexact_colors_rejected(self, idx):
+        # ((1.7, True), ("3",)) would otherwise build the ((1, 1), (3,)) monomial
+        with pytest.raises(ValueError):
+            build_monomial(IrrepLabel(3, (2, 1)), idx)
 
 
 class TestNullspace:

@@ -1,14 +1,24 @@
 """Dressed ladder operators: coefficients, chains, recurrence, the gluing route."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sunisb import isb
 from sunisb.algebra import invariant_action
-from sunisb.fock import apply_create, basis_ket, vacuum
+from sunisb.fock import (
+    FockState,
+    apply_annihilate,
+    apply_create,
+    basis_ket,
+    total_occupations,
+    vacuum,
+    zero_ket,
+)
 from sunisb.irreps import IrrepLabel, build_monomial, nullspace_basis
 from sunisb.isb import (
     SingularCoefficientError,
@@ -23,6 +33,70 @@ from sunisb.isb import (
 
 def ordered_totals(length, max_entry=4):
     return combinations_with_replacement(range(max_entry, -1, -1), length)
+
+
+def chain_sum(state, k, chain_rows, factor, bilinears, bare):
+    """One dressed ladder operator on a basis state, summed chain by chain.
+
+    ``chain_rows`` are the rows a chain may pass through, in chain order;
+    ``bilinears(chain)`` lists its (p, q) pairs of L[p,q], leftmost first;
+    ``bare(i, psi)`` is the plain ladder operator of row i.
+    """
+    out = bare(k, basis_ket(state))
+    for r in range(1, len(chain_rows) + 1):
+        for chain in combinations(chain_rows, r):
+            scale = prod(factor(i) for i in chain)
+            term = bare(chain[-1], basis_ket(state))
+            for p, q in reversed(bilinears(chain)):
+                term = invariant_action(p, q, term)
+            out = out + term * scale
+    return out
+
+
+def chain_create(k, alpha, state):
+    """A+[k]^a from the module docstring: chains k > i_1 > ... > i_r >= 1."""
+    totals = list(total_occupations(state))
+    totals[k - 1] += 1
+    return chain_sum(
+        state,
+        k,
+        range(k - 1, 0, -1),
+        lambda i: creation_coeff(k, i, totals),
+        lambda chain: list(zip((k,) + chain, chain)),
+        lambda i, psi: apply_create(i, alpha, psi),
+    )
+
+
+def chain_annihilate(k, alpha, state):
+    """A[k]_a from the module docstring: chains k < i_1 < ... < i_r <= N-1."""
+    if not sum(state.occ[k - 1]):
+        return apply_annihilate(k, alpha, basis_ket(state))  # empty row k: no chain terms
+    totals = list(total_occupations(state))
+    totals[k - 1] -= 1
+    return chain_sum(
+        state,
+        k,
+        range(k + 1, state.n),
+        lambda i: annihilation_coeff(i, k, totals),
+        lambda chain: list(zip(chain, (k,) + chain)),
+        lambda i, psi: apply_annihilate(i, alpha, psi),
+    )
+
+
+def outcome(operator, *args):
+    try:
+        return operator(*args)
+    except SingularCoefficientError:
+        return "singular"
+
+
+@st.composite
+def ladder_cases(draw):
+    """A basis state of rank N <= 6, unordered totals included, with a row and a color."""
+    n = draw(st.integers(2, 6))
+    cap = 3 if n <= 4 else 2
+    occ = [[draw(st.integers(0, cap)) for _ in range(n)] for _ in range(n - 1)]
+    return FockState(n, occ), draw(st.integers(1, n - 1)), draw(st.integers(1, n))
 
 
 class TestCoefficients:
@@ -119,6 +193,50 @@ class TestAnnihilation:
         psi = isb_create(1, 1, vacuum(3))
         down = isb_annihilate(1, 1, psi)
         assert down == vacuum(3)
+
+
+class TestChainSum:
+    @given(ladder_cases())
+    def test_creation_matches_chain_formula(self, case):
+        state, k, alpha = case
+        got = outcome(isb_create, k, alpha, basis_ket(state))
+        assert got == outcome(chain_create, k, alpha, state)
+
+    @given(ladder_cases())
+    def test_annihilation_matches_chain_formula(self, case):
+        state, k, alpha = case
+        got = outcome(isb_annihilate, k, alpha, basis_ket(state))
+        assert got == outcome(chain_annihilate, k, alpha, state)
+
+    def test_singular_states_agree(self):
+        # totals (0, 1): row 2 raised to 2 puts the creation pair (2, 1) on the pole
+        state = FockState(3, ((0, 0, 0), (1, 0, 0)))
+        assert outcome(chain_create, 2, 1, state) == "singular"
+        assert outcome(isb_create, 2, 1, basis_ket(state)) == "singular"
+        # totals (1, 2): row 1 lowered to 0 puts the annihilation pair (2, 1) on the pole
+        state = FockState(3, ((1, 0, 0), (2, 0, 0)))
+        assert outcome(chain_annihilate, 1, 1, state) == "singular"
+        assert outcome(isb_annihilate, 1, 1, basis_ket(state)) == "singular"
+        # the same pole with row 1 empty: no chain term, so no factor is evaluated
+        state = FockState(3, ((0, 0, 0), (1, 0, 0)))
+        assert outcome(chain_annihilate, 1, 1, state) == zero_ket(3)
+        assert outcome(isb_annihilate, 1, 1, basis_ket(state)) == zero_ket(3)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_one_bilinear_per_row_pair(self, k, monkeypatch):
+        calls = []
+
+        def counted(i, j, psi):
+            calls.append((i, j))
+            return invariant_action(i, j, psi)
+
+        monkeypatch.setattr(isb, "invariant_action", counted)
+        state = FockState(6, ((1,) * 6,) * 5)
+        assert isb._create_on_basis(k, 1, state)
+        assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
+        calls.clear()
+        assert isb._annihilate_on_basis(k, 1, state, 5)
+        assert len(calls) == (6 - k) * (5 - k) // 2  # one L[j,i] per pair i < j of rows k..5
 
 
 class TestIterative:
