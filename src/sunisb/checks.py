@@ -331,9 +331,9 @@ def suite_octet(n_max: int | None = None, max_quanta: int | None = None) -> list
 _BV_CASES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
 
-def _contraction_witness(n: int, m: int) -> str | None:
+def _contraction_witness(n: int, m: int, table: dict) -> str | None:
     def traceless(a, b):
-        return su3x.traceless_state(n, m, a, b)
+        return table[tuple(a), tuple(b)]
 
     for l in range(1, n + 1):
         for k in range(1, m + 1):
@@ -347,12 +347,18 @@ def _contraction_witness(n: int, m: int) -> str | None:
 
 def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
     """Explicit trace-subtracted states equal the dressed monomials, and are traceless."""
+    # every (n, m, colors) state built once, shared by both checks
+    tables = {
+        (n, m): {
+            (a, b): su3x.traceless_state(n, m, a, b)
+            for a, b in product(product(_COLORS, repeat=n), product(_COLORS, repeat=m))
+        }
+        for n, m in _BV_CASES
+    }
     records = [
         _record(
             f"bv-equals-isb[({n},{m})]",
-            _first_colors(
-                n, m, lambda a, b: su3x.traceless_state(n, m, a, b) != su3x.isb_monomial(a, b)
-            ),
+            _first_colors(n, m, lambda a, b: tables[n, m][a, b] != su3x.isb_monomial(a, b)),
         )
         for n, m in _BV_CASES
     ]
@@ -369,7 +375,8 @@ def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> 
     records.append(_record("trace-coefficients", _spot_witness(coefficients)))
 
     records += [
-        _record(f"trace-contraction[({n},{m})]", _contraction_witness(n, m)) for n, m in _BV_CASES
+        _record(f"trace-contraction[({n},{m})]", _contraction_witness(n, m, tables[n, m]))
+        for n, m in _BV_CASES
     ]
 
     bare = su3x.trace_contract(su3x.bare_state, (1,), (1,), 1, 1)
@@ -457,28 +464,35 @@ def suite_iterative(n_max: int | None = None, max_quanta: int | None = None) -> 
 # --- multiplicity -------------------------------------------------------
 
 
-def _offdiagonal_witness(n: int, basis: list[Ket]) -> str | None:
+def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str | None]:
+    """First failures of (off-diagonal products vanish, diagonal products are one scalar).
+
+    Each A[j]_gamma psi and A+[j]^gamma psi is computed once per basis vector.
+    """
+    rows, colors = range(1, n), range(1, n + 1)
+    offdiagonal = None
+    diagonal = {}
     for b, psi in enumerate(basis):
-        for i in range(1, n):
-            for j in range(1, n):
+        lowered = {(j, g): isb_annihilate(j, g, psi) for j in rows for g in colors}
+        raised = {(j, g): isb_create(j, g, psi) for j in rows for g in colors}
+        for i in rows:
+            for j in rows:
+                create_annihilate = _bilinear(isb_create, i, lambda k, g, _: lowered[k, g], j, psi)
+                annihilate_create = _bilinear(isb_annihilate, i, lambda k, g, _: raised[k, g], j, psi)
                 if i == j:
-                    continue
-                if _bilinear(isb_create, i, isb_annihilate, j, psi).terms:
-                    return f"A+[{i}].A[{j}] on basis[{b}]"
-                if _bilinear(isb_annihilate, i, isb_create, j, psi).terms:
-                    return f"A[{i}].A+[{j}] on basis[{b}]"
-    return None
-
-
-def _diagonal_witness(n: int, basis: list[Ket]) -> str | None:
-    products = (("A+.A", isb_create, isb_annihilate), ("A.A+", isb_annihilate, isb_create))
-    for i in range(1, n):
-        for tag, outer, inner in products:
+                    diagonal[id(psi), i, "A+.A"] = create_annihilate
+                    diagonal[id(psi), i, "A.A+"] = annihilate_create
+                elif offdiagonal is None and create_annihilate.terms:
+                    offdiagonal = f"A+[{i}].A[{j}] on basis[{b}]"
+                elif offdiagonal is None and annihilate_create.terms:
+                    offdiagonal = f"A[{i}].A+[{j}] on basis[{b}]"
+    for i in rows:
+        for tag in ("A+.A", "A.A+"):
             try:
-                scalar_on(lambda psi: _bilinear(outer, i, inner, i, psi), basis)
+                scalar_on(lambda psi: diagonal[id(psi), i, tag], basis)
             except (AlgebraViolationError, ValueError) as err:
-                return f"{tag}[{i}] on the basis: {err}"
-    return None
+                return offdiagonal, f"{tag}[{i}] on the basis: {err}"
+    return offdiagonal, None
 
 
 def suite_multiplicity(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
@@ -493,10 +507,10 @@ def suite_multiplicity(n_max: int | None = None, max_quanta: int | None = None) 
     records = []
     for n in range(2, n_max + 1):
         for label in iter_labels(n, max_quanta):
-            basis = nullspace_basis(label)
+            offdiagonal, diagonal = _multiplicity_witnesses(n, nullspace_basis(label))
             tag = f"N={n},rows={label.rows}"
-            records.append(_record(f"offdiagonal-invariants[{tag}]", _offdiagonal_witness(n, basis)))
-            records.append(_record(f"diagonal-invariant-scalars[{tag}]", _diagonal_witness(n, basis)))
+            records.append(_record(f"offdiagonal-invariants[{tag}]", offdiagonal))
+            records.append(_record(f"diagonal-invariant-scalars[{tag}]", diagonal))
     return records
 
 
@@ -555,16 +569,15 @@ def suite_commutators(n_max: int | None = None, max_quanta: int | None = None) -
 
 def _pair_algebra_witness(max_quanta: int) -> str | None:
     kp, km, k0 = su3x.sp2r_ops()
-    for ta in range(max_quanta + 1):
-        for tb in range(max_quanta - ta + 1):
-            for state in enumerate_sector(3, (ta, tb)):
-                psi = basis_ket(state)
-                if km(kp(psi)) - kp(km(psi)) != k0(psi) * 2:
-                    return f"[k-,k+] at occ={state.occ}"
-                if k0(kp(psi)) - kp(k0(psi)) != kp(psi):
-                    return f"[k0,k+] at occ={state.occ}"
-                if k0(km(psi)) - km(k0(psi)) != -km(psi):
-                    return f"[k0,k-] at occ={state.occ}"
+    for state in _all_states(3, max_quanta):
+        psi = basis_ket(state)
+        up, down, level = kp(psi), km(psi), k0(psi)
+        if km(up) - kp(down) != level * 2:
+            return f"[k-,k+] at occ={state.occ}"
+        if k0(up) - kp(level) != up:
+            return f"[k0,k+] at occ={state.occ}"
+        if k0(down) - km(level) != -down:
+            return f"[k0,k-] at occ={state.occ}"
     return None
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -155,9 +155,6 @@ class Ket:
         self.n = n
         self.terms = _accumulate({}, items)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -231,7 +228,7 @@ def zero_ket(n: int) -> Ket:
 
 def vacuum(n: int) -> Ket:
     """The Fock vacuum |0> for rank n, with coefficient one."""
-    if n < 2:
+    if _exact_int(n, "group rank") < 2:
         raise ValueError(f"group rank must be at least 2, got {n}")
     empty = _unchecked_state(n, ((0,) * n,) * (n - 1))
     return _raw_ket(n, {empty: 1})
@@ -329,7 +326,8 @@ def enumerate_sector(n: int, totals: Iterable[int]) -> list[FockState]:
     The order is lexicographic on the flattened occupation matrix, so
     it is reproducible across runs and platforms.
     """
-    totals = tuple(totals)
+    _exact_int(n, "group rank")
+    totals = tuple(_exact_int(t, "row total") for t in totals)
     if len(totals) != n - 1:
         raise ValueError(f"need {n - 1} row totals for rank {n}, got {len(totals)}")
     if any(t < 0 for t in totals):
@@ -340,12 +338,11 @@ def enumerate_sector(n: int, totals: Iterable[int]) -> list[FockState]:
 
 def sector_size(n: int, totals: Iterable[int]) -> int:
     """Closed-form count of ``enumerate_sector``: a product of binomials."""
-    from math import comb
-
-    return_value = 1
+    _exact_int(n, "group rank")
+    count = 1
     for t in totals:
-        return_value *= comb(t + n - 1, n - 1)
-    return return_value
+        count *= comb(_exact_int(t, "row total") + n - 1, n - 1)
+    return count
 
 
 def ket_to_document(psi: Ket) -> dict:

@@ -12,13 +12,14 @@ the operators defined here distinguish the two rows.
 
 Provided:
 
-* the explicit trace-subtracted polynomial states, built from the
-  bare monomial by summing delta-pairings of upper with lower index
-  positions, each distinct pairing once, with rational coefficients
-  ``trace_coeff``;
+* the explicit trace-subtracted polynomial states: the bare monomial
+  plus its delta-pairings of upper with lower index positions, each
+  distinct pairing once, with rational coefficients ``trace_coeff``,
+  evaluated with the pair ladders as (a+.b+)^r (a.b)^r / r!;
 * the noncompact sp(2,R) triple (pair creation a+.b+, pair
-  annihilation a.b, and (N_a + N_b + 3)/2) whose lowest-weight
-  condition a.b |psi> = 0 selects exactly the traceless states;
+  annihilation a.b, and (N_a + N_b + 3)/2), three functions on kets,
+  whose lowest-weight condition a.b |psi> = 0 selects exactly the
+  traceless states;
 * dressed creation operators for both index types, the analogue of
   ``isb.isb_create`` in this language;
 * su(3) generators under which a+ transforms as a triplet and b+ as
@@ -27,30 +28,29 @@ Provided:
   realizations at [n_1, n_2] <-> (n, m) = (n_1 - n_2, n_2), compared
   exactly.
 
-Shared generic helpers: ``fock._accumulate``, ``fock._bilinear``,
+Shared generic helpers: ``fock._bilinear``,
 ``algebra.casimir_op``, ``irreps.gram_rank`` and ``irreps.scalar_on``.
-Both dressed creations are one routine, ``_dressed_create``.
+Both dressed creations are one routine, ``_dressed_create``; it, the
+traceless states and the sp(2,R) triple are compositions of the
+whole-ket ladders ``pair_create`` and ``pair_annihilate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
+from math import factorial
 from typing import Callable, Sequence
 
 from .algebra import LinearOp, casimir_op
 from .fock import (
-    FockState,
     Ket,
-    _accumulate,
     _bilinear,
-    _bumped,
     _raw_ket,
     _recolored,
     apply_annihilate,
     apply_create,
-    basis_ket,
     total_occupations,
     vacuum,
     zero_ket,
@@ -60,7 +60,6 @@ from .irreps import IrrepLabel, casimir_eigenvalue, gram_rank, nullspace_dimensi
 __all__ = [
     "A_ROW",
     "B_ROW",
-    "ab_vacuum",
     "bare_state",
     "trace_coeff",
     "traceless_state",
@@ -82,10 +81,6 @@ __all__ = [
 A_ROW = 1
 B_ROW = 2
 _COLORS = (1, 2, 3)
-
-
-def ab_vacuum() -> Ket:
-    return vacuum(3)
 
 
 def bare_state(alphas: Sequence[int], betas: Sequence[int]) -> Ket:
@@ -135,27 +130,23 @@ def traceless_state(n: int, m: int, alphas: Sequence[int], betas: Sequence[int])
     and r applications of pair creation.  The result is annihilated by
     pair annihilation, which is checked property-by-property in the
     test suite rather than assumed here.
+
+    Evaluated as bare + sum_r trace_coeff(n, m, r)/r! (a+.b+)^r (a.b)^r bare:
+    each a.b removes one matched (upper, lower) pair, so (a.b)^r gives
+    every r-pairing r! times.  The sum is nested, so a+.b+ is applied
+    min(n, m) times.
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
     if len(alphas) != n or len(betas) != m:
         raise ValueError("color lists must match the index counts")
-    total = bare_state(alphas, betas)
-    for r in range(1, min(n, m) + 1):
-        coeff = trace_coeff(n, m, r)
-        layer = zero_ket(3)
-        for l_set in combinations(range(n), r):
-            for k_set in combinations(range(m), r):
-                for image in permutations(k_set):
-                    if all(alphas[l_set[s]] == betas[image[s]] for s in range(r)):
-                        rest_a = [alphas[p] for p in range(n) if p not in l_set]
-                        rest_b = [betas[p] for p in range(m) if p not in k_set]
-                        layer = layer + bare_state(rest_a, rest_b)
-        if layer.terms:
-            for _ in range(r):
-                layer = pair_create(layer)
-            total = total + layer * coeff
-    return total
+    lowered = [bare_state(alphas, betas)]
+    for _ in range(min(n, m)):
+        lowered.append(pair_annihilate(lowered[-1]))
+    total = zero_ket(3)
+    for r in range(min(n, m), 0, -1):
+        total = pair_create(total + lowered[r] * (trace_coeff(n, m, r) / factorial(r)))
+    return lowered[0] + total
 
 
 def trace_contract(
@@ -186,24 +177,26 @@ def trace_contract(
     return acc
 
 
-def sp2r_ops() -> tuple[LinearOp, LinearOp, LinearOp]:
-    """The noncompact triple (k_plus, k_minus, k_zero).
+def _by_pair_weight(psi: Ket, scale: Callable[[int], Fraction]) -> Ket:
+    """Scale each basis state by scale(N_a + N_b + 3), a function of the number operators."""
+    return _raw_ket(3, {s: c * scale(sum(total_occupations(s)) + 3) for s, c in psi.terms.items()})
 
-    k_plus = a+.b+, k_minus = a.b, k_zero = (N_a + N_b + 3)/2, with
+
+def sp2r_ops() -> tuple[Callable[[Ket], Ket], ...]:
+    """The noncompact triple (k_plus, k_minus, k_zero), as functions on kets.
+
+    k_plus = a+.b+ (``pair_create``), k_minus = a.b
+    (``pair_annihilate``), k_zero = (N_a + N_b + 3)/2, with
     [k_minus, k_plus] = 2 k_zero and [k_zero, k_pm] = +-k_pm.  The
     lowest-weight condition k_minus |psi> = 0 picks out the traceless
     states; each k_plus application climbs one rung of a multiplicity
     tower without changing the su(3) content.
     """
-    kp = LinearOp(3, lambda s: pair_create(basis_ket(s)), label="a+.b+")
-    km = LinearOp(3, lambda s: pair_annihilate(basis_ket(s)), label="a.b")
 
-    def k0_act(state: FockState) -> Ket:
-        na, nb = total_occupations(state)
-        return basis_ket(state) * Fraction(na + nb + 3, 2)
+    def k_zero(psi: Ket) -> Ket:
+        return _by_pair_weight(psi, lambda w: Fraction(w, 2))
 
-    k0 = LinearOp(3, k0_act, label="(Na+Nb+3)/2")
-    return kp, km, k0
+    return pair_create, pair_annihilate, k_zero
 
 
 def _dressed_create(row: int, color: int, psi: Ket) -> Ket:
@@ -212,20 +205,14 @@ def _dressed_create(row: int, color: int, psi: Ket) -> Ket:
     The trace lowers the other row in the same color, then applies
     a+.b+.  Its coefficient 1/(N_a + N_b + 1) is a function of number
     operators written left of the operator part, so it is evaluated on
-    the totals after the net raise by one quantum.
+    the totals after the net raise by one quantum; on the lowered state
+    that is 1/(N_a + N_b + 3).
     """
     if color not in _COLORS:
         raise IndexError(f"color must lie in 1..3, got {color}")
     other = B_ROW if row == A_ROW else A_ROW
-    acc: dict = {}
-    for state, coeff in psi.terms.items():
-        _accumulate(acc, ((_bumped(state, row, color, 1), coeff),))
-        m = state.occ[other - 1][color - 1]
-        if m:
-            na, nb = total_occupations(state)
-            lowered = _raw_ket(3, {_bumped(state, other, color, -1): m})
-            _accumulate(acc, pair_create(lowered).terms.items(), -coeff * Fraction(1, na + nb + 2))
-    return _raw_ket(3, acc)
+    lowered = _by_pair_weight(apply_annihilate(other, color, psi), lambda w: Fraction(1, w))
+    return apply_create(row, color, psi) - pair_create(lowered)
 
 
 def dressed_create_a(alpha: int, psi: Ket) -> Ket:

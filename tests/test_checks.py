@@ -4,6 +4,7 @@ from collections import Counter
 
 from sunisb import algebra, checks, su3x
 from sunisb.checks import run_suite
+from sunisb.fock import sector_size
 
 
 def test_casimir_suite_images_each_state_once_per_rank(monkeypatch):
@@ -38,3 +39,76 @@ def test_ab_commutators_create_each_single_image_once(monkeypatch):
     assert checks._ab_commutator_witness(1, 1) is None
     # per family: 6 single images, then 2 per side of 3 a-type, 3 b-type and 9 cross pairs
     assert len(calls) == 36 * families
+
+
+def _ket_key(psi):
+    return frozenset(psi.terms.items())
+
+
+def test_multiplicity_suite_images_each_basis_vector_once_per_operator(monkeypatch):
+    # A[j]_gamma psi and A+[j]^gamma psi of a vector psi of the label's basis, counted by
+    # (operator, j, gamma, psi); the products' outer factors act on other sectors
+    rank_of, current, applied = {}, set(), Counter()
+    original_basis = checks.nullspace_basis
+
+    def recorded_basis(label):
+        basis = original_basis(label)
+        current.clear()
+        current.update(_ket_key(psi) for psi in basis)
+        rank_of.update((key, label.n) for key in current)
+        return basis
+
+    monkeypatch.setattr(checks, "nullspace_basis", recorded_basis)
+    for name in ("isb_create", "isb_annihilate"):
+        original = getattr(checks, name)
+
+        def counted(k, alpha, psi, name=name, original=original):
+            if _ket_key(psi) in current:
+                applied[name, k, alpha, _ket_key(psi)] += 1
+            return original(k, alpha, psi)
+
+        monkeypatch.setattr(checks, name, counted)
+    records = run_suite("multiplicity", n_max=3)
+    assert records and all(r.passed for r in records)
+    assert set(rank_of.values()) == {2, 3}
+    assert set(applied.values()) == {1}
+    # both operators, every row and every color, on every basis vector
+    per_vector = Counter(key for *_, key in applied)
+    assert per_vector == {key: 2 * (n - 1) * n for key, n in rank_of.items()}
+
+
+def test_traceless_suite_builds_each_state_once(monkeypatch):
+    built = Counter()
+    original = su3x.traceless_state
+
+    def counted(n, m, alphas, betas):
+        built[n, m, tuple(alphas), tuple(betas)] += 1
+        return original(n, m, alphas, betas)
+
+    monkeypatch.setattr(su3x, "traceless_state", counted)
+    records = run_suite("traceless")
+    assert records and all(r.passed for r in records)
+    # every color choice of (1,1), (2,1), (1,2) and (2,2), once each
+    assert len(built) == 9 + 27 + 27 + 81
+    assert max(built.values()) == 1
+
+
+def test_pair_algebra_witness_takes_each_ladder_image_once(monkeypatch):
+    applied = []
+    original = su3x.sp2r_ops
+
+    def counted_ops():
+        def counted(op):
+            def apply(psi):
+                applied.append(op)
+                return op(psi)
+
+            return apply
+
+        return tuple(map(counted, original()))
+
+    monkeypatch.setattr(su3x, "sp2r_ops", counted_ops)
+    assert checks._pair_algebra_witness(3) is None
+    states = sum(sector_size(3, (ta, q - ta)) for q in range(4) for ta in range(q + 1))
+    # k+, k- and k0 of each state, then the six products of the three commutators
+    assert len(applied) == 9 * states

@@ -1,17 +1,19 @@
 """The rank-3 triplet/antitriplet realization and its pair algebra."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sunisb.fock import FockState, Ket, apply_annihilate, apply_create, basis_ket, vacuum, zero_ket
 from sunisb.irreps import IrrepLabel
 from sunisb.su3x import (
     ab_casimir2_op,
     ab_casimir_eigenvalue,
     ab_dimension,
     ab_generator_action,
-    ab_vacuum,
     bare_state,
     compare_languages,
     dressed_create_a,
@@ -26,6 +28,45 @@ from sunisb.su3x import (
 )
 
 COLORS = (1, 2, 3)
+
+
+def pairing_sum(n, m, alphas, betas):
+    """The definition of a traceless state: one term per pairing of r upper with r lower positions."""
+    total = bare_state(alphas, betas)
+    for r in range(1, min(n, m) + 1):
+        for uppers in combinations(range(n), r):
+            # an ordered choice of r distinct lower positions: uppers[s] pairs with lowers[s]
+            for lowers in permutations(range(m), r):
+                if any(alphas[u] != betas[l] for u, l in zip(uppers, lowers)):
+                    continue
+                term = bare_state(
+                    [a for p, a in enumerate(alphas) if p not in uppers],
+                    [b for p, b in enumerate(betas) if p not in lowers],
+                )
+                for _ in range(r):
+                    term = pair_create(term)
+                total = total + term * trace_coeff(n, m, r)
+    return total
+
+
+def dressed_oracle(row, color, psi):
+    """Dressed creation state by state: the bare creation minus a+.b+ of the other row
+    lowered in the same color, over N_a + N_b + 2 taken on the input state."""
+    other = 3 - row
+    total = zero_ket(3)
+    for state, coeff in psi.terms.items():
+        one = basis_ket(state) * coeff
+        weight = Fraction(1, sum(map(sum, state.occ)) + 2)
+        total = total + apply_create(row, color, one)
+        total = total - pair_create(apply_annihilate(other, color, one)) * weight
+    return total
+
+
+def rank3_kets():
+    occupations = st.tuples(*[st.tuples(*[st.integers(0, 3)] * 3)] * 2)
+    coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool)
+    terms = st.dictionaries(occupations.map(lambda occ: FockState(3, occ)), coeffs, max_size=5)
+    return terms.map(lambda terms: Ket(3, terms))
 
 
 class TestTraceCoeff:
@@ -74,6 +115,13 @@ class TestTracelessStates:
     def test_bare_contraction_does_not_vanish(self):
         assert trace_contract(bare_state, (1,), (1,), 1, 1).terms
 
+    def test_equals_pairing_sum(self):
+        for n in range(4):
+            for m in range(4):
+                for alphas in product(COLORS, repeat=n):
+                    for betas in product(COLORS, repeat=m):
+                        assert traceless_state(n, m, alphas, betas) == pairing_sum(n, m, alphas, betas)
+
 
 class TestDimensions:
     def test_closed_form_family(self):
@@ -120,15 +168,21 @@ class TestGenerators:
     def test_annihilates_vacuum(self):
         for a in COLORS:
             for b in COLORS:
-                assert not ab_generator_action(a, b, ab_vacuum()).terms
+                assert not ab_generator_action(a, b, vacuum(3)).terms
 
 
 class TestPairAlgebra:
     def test_relations_on_vacuum(self):
         kp, km, k0 = sp2r_ops()
-        v = ab_vacuum()
+        v = vacuum(3)
         assert km(kp(v)) - kp(km(v)) == k0(v) * 2
         assert k0(v) == v * Fraction(3, 2)
+
+    def test_ops_are_the_whole_ket_ladders(self):
+        kp, km, k0 = sp2r_ops()
+        assert (kp, km) == (pair_create, pair_annihilate)
+        psi = bare_state((1, 2), (3,)) + bare_state((1,), ()) * Fraction(2, 7)
+        assert k0(psi) == bare_state((1, 2), (3,)) * 3 + bare_state((1,), ()) * Fraction(4, 7)
 
     def test_lowest_weight_states(self):
         for n, m in ((1, 1), (2, 1)):
@@ -147,8 +201,18 @@ class TestPairAlgebra:
 
 
 class TestDressedOperators:
+    @given(rank3_kets(), st.sampled_from(COLORS))
+    def test_equal_the_state_by_state_formula(self, psi, color):
+        assert dressed_create_a(color, psi) == dressed_oracle(1, color, psi)
+        assert dressed_create_b(color, psi) == dressed_oracle(2, color, psi)
+
+    def test_color_checked(self):
+        for create in (dressed_create_a, dressed_create_b):
+            with pytest.raises(IndexError):
+                create(4, vacuum(3))
+
     def test_build_from_vacuum(self):
-        got = dressed_create_a(1, dressed_create_b(2, ab_vacuum()))
+        got = dressed_create_a(1, dressed_create_b(2, vacuum(3)))
         assert got == isb_monomial((1,), (2,))
 
     def test_cross_commutation(self):
