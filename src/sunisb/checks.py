@@ -650,8 +650,8 @@ def _serialization_families(n_max: int, max_quanta: int):
             monomials.append(build_monomial(big, idx))
     yield "monomials", monomials
 
-    null_kets = []
-    for n in range(3, min(n_max, 4) + 1):
+    null_kets = []  # at rank 2 there are no constraints: the null space is the whole sector
+    for n in range(2, min(n_max, 4) + 1):
         for label in iter_labels(n, min(max_quanta, 3)):
             null_kets.extend(nullspace_basis(label))
     yield "nullspace-basis", null_kets

@@ -57,6 +57,12 @@ def _exact_int(value, what: str) -> int:
     return value
 
 
+def _check_rank(n) -> None:
+    """``ValueError`` unless n is an ``int`` group rank of at least 2."""
+    if _exact_int(n, "group rank") < 2:
+        raise ValueError(f"group rank must be at least 2, got {n}")
+
+
 class FockState:
     """One basis state: an (N-1) x N matrix of occupation numbers.
 
@@ -68,8 +74,7 @@ class FockState:
 
     def __init__(self, n: int, occ: Iterable[Iterable[int]]):
         occ = tuple(tuple(_exact_int(e, "occupation") for e in row) for row in occ)
-        if _exact_int(n, "group rank") < 2:
-            raise ValueError(f"group rank must be at least 2, got {n}")
+        _check_rank(n)
         if len(occ) != n - 1 or any(len(row) != n for row in occ):
             raise ValueError(f"occupation matrix must be {n - 1}x{n}")
         if any(e < 0 for row in occ for e in row):
@@ -144,8 +149,7 @@ class Ket:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if _exact_int(n, "group rank") < 2:
-            raise ValueError(f"group rank must be at least 2, got {n}")
+        _check_rank(n)
         items = list(terms.items() if isinstance(terms, dict) else terms or ())
         for state, coeff in items:
             if not isinstance(state, FockState) or state.n != n:
@@ -228,8 +232,7 @@ def zero_ket(n: int) -> Ket:
 
 def vacuum(n: int) -> Ket:
     """The Fock vacuum |0> for rank n, with coefficient one."""
-    if _exact_int(n, "group rank") < 2:
-        raise ValueError(f"group rank must be at least 2, got {n}")
+    _check_rank(n)
     empty = _unchecked_state(n, ((0,) * n,) * (n - 1))
     return _raw_ket(n, {empty: 1})
 
@@ -326,23 +329,28 @@ def enumerate_sector(n: int, totals: Iterable[int]) -> list[FockState]:
     The order is lexicographic on the flattened occupation matrix, so
     it is reproducible across runs and platforms.
     """
-    _exact_int(n, "group rank")
-    totals = tuple(_exact_int(t, "row total") for t in totals)
-    if len(totals) != n - 1:
-        raise ValueError(f"need {n - 1} row totals for rank {n}, got {len(totals)}")
-    if any(t < 0 for t in totals):
-        raise ValueError("row totals must be non-negative")
+    totals = _sector_totals(n, totals)
     per_row = [list(_compositions(t, n)) for t in totals]
     return [_unchecked_state(n, rows) for rows in product(*per_row)]
 
 
 def sector_size(n: int, totals: Iterable[int]) -> int:
     """Closed-form count of ``enumerate_sector``: a product of binomials."""
-    _exact_int(n, "group rank")
     count = 1
-    for t in totals:
-        count *= comb(_exact_int(t, "row total") + n - 1, n - 1)
+    for t in _sector_totals(n, totals):
+        count *= comb(t + n - 1, n - 1)
     return count
+
+
+def _sector_totals(n: int, totals: Iterable[int]) -> tuple[int, ...]:
+    """The row totals of a rank-n sector as a tuple; ``ValueError`` unless both are valid."""
+    _check_rank(n)
+    totals = tuple(_exact_int(t, "row total") for t in totals)
+    if len(totals) != n - 1:
+        raise ValueError(f"need {n - 1} row totals for rank {n}, got {len(totals)}")
+    if any(t < 0 for t in totals):
+        raise ValueError("row totals must be non-negative")
+    return totals
 
 
 def ket_to_document(psi: Ket) -> dict:

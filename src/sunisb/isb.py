@@ -41,12 +41,27 @@ row of every chain:
 
     B_i = a+[i]^a + sum_{j<i} F(k,j) L[i,j] B_j    up from i = 1,    A+[k]^a = B_k
     C_i = a[i]_a  + sum_{j>i} H(j,k) L[j,i] C_j    down from N-1,    A[k]_a = C_k
+
+The nested rows run on ints, over one denominator per basis image: the
+product of the dressing denominators, d_j = -1/F(k,j) for the rows
+j < k of a creation and h_j = 1/H(j,k) for the rows j > k of an
+annihilation.  E_i B_i with E_i = prod_{j<i} d_j is
+
+    E_i a+[i]^a - sum_{j<i} (prod_{j<l<i} d_l) L[i,j] (E_j B_j),
+
+an integer sum, and the mirror holds for C_i.  A product, not an lcm:
+at rank 4 and row totals (1, 2, 1), A+[3] takes both d_1 and d_2 as
+2, and its two-link chain carries 1/4.  Applied to a ket, the basis
+images and the input coefficients share one common denominator, and
+each output coefficient is divided once: an ``int`` when exact, a
+``Fraction`` otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable
 
 from .algebra import invariant_action
@@ -100,63 +115,99 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
     return -creation_coeff(i, k, totals)
 
 
-def _create_on_basis(k: int, alpha: int, state) -> dict:
-    # B_1, ..., B_k of the module docstring's nested row form
+def _rational_sum(n: int, pieces) -> Ket:
+    """The ket sum of coeff * terms / den over (coeff, terms, den) pieces, terms over ints.
+
+    Every coefficient is brought to one common denominator, the integer
+    products are summed, and each output coefficient is divided once:
+    an ``int`` when the division is exact, a ``Fraction`` otherwise.
+    """
+    pieces = list(pieces)
+    common = lcm(*(c.denominator * den for c, _, den in pieces))
+    acc: dict = {}
+    for c, terms, den in pieces:
+        _accumulate(acc, terms, c.numerator * (common // (c.denominator * den)))
+    if common != 1:
+        for state, v in acc.items():
+            acc[state] = v // common if v % common == 0 else Fraction(v, common)
+    return _raw_ket(n, acc)
+
+
+def _create_on_basis(k: int, alpha: int, state) -> tuple:
+    # E_1 B_1, ..., E_k B_k of the module docstring's nested row form, over ints;
+    # E_i is the product of the dressing denominators d_j = -1/F(k,j), j < i
     totals = list(total_occupations(state))
     totals[k - 1] += 1
-    coeffs = {j: creation_coeff(k, j, totals) for j in range(k - 1, 0, -1)}
+    dens = {}
+    for j in range(k - 1, 0, -1):
+        f = creation_coeff(k, j, totals)
+        dens[j] = -f.numerator * f.denominator  # the numerator is -1 or 1
     rows: dict[int, Ket] = {}
+    scale = 1  # E_i
     for i in range(1, k + 1):
-        acc = {_bumped(state, i, alpha, 1): 1}
+        acc = {_bumped(state, i, alpha, 1): scale}
+        # E_i F(k,j) / E_j = -(product of d_l for j < l < i)
+        between, factor = {}, -1
+        for j in range(i - 1, 0, -1):
+            between[j] = factor
+            factor *= dens[j]
         for j, b_j in rows.items():
-            _accumulate(acc, invariant_action(i, j, b_j).terms.items(), coeffs[j])
+            _accumulate(acc, invariant_action(i, j, b_j).terms.items(), between[j])
         rows[i] = _raw_ket(state.n, acc)
-    return acc
+        if i < k:
+            scale *= dens[i]
+    return acc.items(), scale
 
 
 @lru_cache(maxsize=None)
 def _create_terms(k: int, alpha: int, state) -> tuple:
     # memoized: monomial sweeps revisit the same basis states constantly
-    return tuple(_create_on_basis(k, alpha, state).items())
+    terms, den = _create_on_basis(k, alpha, state)
+    return tuple(terms), den
 
 
 def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
     """Apply the dressed creation operator of row k, color alpha."""
-    n = psi.n
-    _check_slot(n, k, alpha)
-    acc: dict = {}
-    for state, coeff in psi.terms.items():
-        _accumulate(acc, _create_terms(k, alpha, state), coeff)
-    return _raw_ket(n, acc)
+    _check_slot(psi.n, k, alpha)
+    return _rational_sum(psi.n, ((c, *_create_terms(k, alpha, s)) for s, c in psi.terms.items()))
 
 
-def _annihilate_on_basis(k: int, alpha: int, state, top: int) -> dict:
-    # C_top, ..., C_k of the module docstring's nested row form
+def _annihilate_on_basis(k: int, alpha: int, state, top: int) -> tuple:
+    # E_top C_top, ..., E_k C_k of the module docstring's nested row form, over ints;
+    # E_i is the product of the dressing denominators h_j = 1/H(j,k), i < j <= top
     if k >= top or sum(state.occ[k - 1]) == 0:
         # no higher rows to chain through, or nothing in row k for the
         # final bilinear to absorb: every chain term vanishes
         top = k
     totals = list(total_occupations(state))
     totals[k - 1] -= 1
-    coeffs = {j: annihilation_coeff(j, k, totals) for j in range(k + 1, top + 1)}
+    dens = {}
+    for j in range(k + 1, top + 1):
+        h = annihilation_coeff(j, k, totals)
+        dens[j] = h.numerator * h.denominator  # the numerator is -1 or 1
     rows: dict[int, Ket] = {}
+    scale = 1  # E_i
     for i in range(top, k - 1, -1):
         m = state.occ[i - 1][alpha - 1]
-        acc = {_bumped(state, i, alpha, -1): m} if m else {}
+        acc = {_bumped(state, i, alpha, -1): m * scale} if m else {}
+        # E_i H(j,k) / E_j = product of h_l for i < l < j
+        between, factor = {}, 1
+        for j in range(i + 1, top + 1):
+            between[j] = factor
+            factor *= dens[j]
         for j, c_j in rows.items():
-            _accumulate(acc, invariant_action(j, i, c_j).terms.items(), coeffs[j])
+            _accumulate(acc, invariant_action(j, i, c_j).terms.items(), between[j])
         if acc:  # an empty C_i adds nothing further down
             rows[i] = _raw_ket(state.n, acc)
-    return acc
+        if i > k:
+            scale *= dens[i]
+    return acc.items(), scale
 
 
 def _annihilate(k: int, alpha: int, psi: Ket, top: int) -> Ket:
-    n = psi.n
-    _check_slot(n, k, alpha)
-    acc: dict = {}
-    for state, coeff in psi.terms.items():
-        _accumulate(acc, _annihilate_on_basis(k, alpha, state, top).items(), coeff)
-    return _raw_ket(n, acc)
+    _check_slot(psi.n, k, alpha)
+    pieces = ((c, *_annihilate_on_basis(k, alpha, s, top)) for s, c in psi.terms.items())
+    return _rational_sum(psi.n, pieces)
 
 
 def isb_annihilate(k: int, alpha: int, psi: Ket) -> Ket:
@@ -200,7 +251,7 @@ def isb_create_iterative(alpha: int, psi: Ket) -> Ket:
         _accumulate(acc, ((_bumped(state, 3, alpha, 1), coeff),))
         # (a+[3].A[2]) A+[2]^a with the rank-3 dressed operators, and
         # (a+[3].A[1]) A+[1]^a, where A+[1] is bare
-        v2 = _raw_ket(4, dict(_create_terms(2, alpha, state)))
+        v2 = _rational_sum(4, ((1, *_create_terms(2, alpha, state)),))
         v1 = basis_ket(_bumped(state, 1, alpha, 1))
         for row, v, g in ((2, v2, g2), (1, v1, g1)):
             for gamma in range(1, 5):

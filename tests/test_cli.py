@@ -90,6 +90,12 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)[0]["passed"] is False
 
+    def test_smallest_sweep_passes(self, capsys):
+        # the null-space round trip used to start at rank 3 and find no kets at --n-max 2
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "2")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_pinned_check_list(self, capsys):
         """Ordered (suite, check id, status) of the whole sweep at --n-max 3."""
         code, out, _ = run(capsys, "--format", "structured", "verify", "--n-max", "3")

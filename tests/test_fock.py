@@ -157,7 +157,13 @@ class TestSectors:
         for s in enumerate_sector(3, (2, 1)):
             assert tuple(sum(row) for row in s.occ) == (2, 1)
 
-    @pytest.mark.parametrize("n,totals", [(3.0, (1, 0)), (3, (1.0, 0)), (3, (True, 0)), (3, ("1", 0))])
+    @pytest.mark.parametrize(
+        "n,totals",
+        [(3.0, (1, 0)), (3, (1.0, 0)), (3, (True, 0)), (3, ("1", 0))]
+        # invalid values as well as inexact types: sector_size used to count
+        # rank 1 as 1, (3, (1, 2, 3)) as 180 and (3, (-1, 0)) as 0
+        + [(1, ()), (0, ()), (3, (1,)), (3, (1, 2, 3)), (3, (-1, 0)), (2, (-2,))],
+    )
     def test_inexact_rank_or_total_rejected(self, n, totals):
         # a rank of 3.0 used to come back in every state, and dumps_ket wrote "N": 3.0
         with pytest.raises(ValueError):

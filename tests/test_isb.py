@@ -12,6 +12,7 @@ from sunisb import isb
 from sunisb.algebra import invariant_action
 from sunisb.fock import (
     FockState,
+    Ket,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -232,11 +233,83 @@ class TestChainSum:
 
         monkeypatch.setattr(isb, "invariant_action", counted)
         state = FockState(6, ((1,) * 6,) * 5)
-        assert isb._create_on_basis(k, 1, state)
+        assert isb._create_on_basis(k, 1, state)[0]
         assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
         calls.clear()
-        assert isb._annihilate_on_basis(k, 1, state, 5)
+        assert isb._annihilate_on_basis(k, 1, state, 5)[0]
         assert len(calls) == (6 - k) * (5 - k) // 2  # one L[j,i] per pair i < j of rows k..5
+
+
+@st.composite
+def multi_term_kets(draw):
+    """A ket of rank N <= 5 with up to three basis states and mixed int/Fraction coefficients."""
+    n = draw(st.integers(2, 5))
+    cap = 2 if n <= 4 else 1
+    occs = st.lists(st.lists(st.integers(0, cap), min_size=n, max_size=n), min_size=n - 1, max_size=n - 1)
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7)).filter(bool)
+    terms = draw(st.dictionaries(occs.map(lambda occ: FockState(n, occ)), coeffs, min_size=1, max_size=3))
+    return Ket(n, terms), draw(st.integers(1, n - 1)), draw(st.integers(1, n))
+
+
+def state_by_state(oracle, k, alpha, psi):
+    """The linear extension of a basis-state oracle: the sum of c_s * oracle(s)."""
+    out = zero_ket(psi.n)
+    for state, coeff in psi.terms.items():
+        out = out + oracle(k, alpha, state) * coeff
+    return out
+
+
+class TestIntegerLadders:
+    """The ladders run on ints over one denominator per basis image, and divide once per output term."""
+
+    @given(multi_term_kets())
+    def test_creation_is_linear_in_the_chain_formula(self, case):
+        psi, k, alpha = case
+        got = outcome(isb_create, k, alpha, psi)
+        assert got == outcome(state_by_state, chain_create, k, alpha, psi)
+
+    @given(multi_term_kets())
+    def test_annihilation_is_linear_in_the_chain_formula(self, case):
+        psi, k, alpha = case
+        got = outcome(isb_annihilate, k, alpha, psi)
+        assert got == outcome(state_by_state, chain_annihilate, k, alpha, psi)
+
+    def test_shared_dressing_denominators_multiply(self):
+        # totals (1, 2, 2) after raising row 3: F(3,1) = F(3,2) = -1/2, so the
+        # two-link chain carries 1/4; one denominator of lcm(2, 2) = 2 would lose it
+        state = FockState(4, ((1, 0, 0, 0), (2, 0, 0, 0), (1, 0, 0, 0)))
+        image = isb_create(3, 2, basis_ket(state))
+        assert image == Ket(
+            4,
+            {
+                FockState(4, ((0, 1, 0, 0), (2, 0, 0, 0), (2, 0, 0, 0))): Fraction(1, 4),
+                FockState(4, ((1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0))): Fraction(1, 4),
+                FockState(4, ((1, 0, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0))): Fraction(-1, 2),
+            },
+        )
+        assert image == chain_create(3, 2, state)
+
+    def test_exact_outputs_are_ints(self):
+        psi = Ket(3, {FockState(3, ((1, 0, 0), (0, 0, 0))): Fraction(3, 2)})
+        image = isb_create(1, 1, psi * 2)
+        assert [type(c) for c in image.terms.values()] == [int]
+        assert image == apply_create(1, 1, psi) * 2
+
+    def test_row_sums_see_only_int_coefficients(self, monkeypatch):
+        seen = []
+
+        def recorded(i, j, psi):
+            seen.extend(type(c) for c in psi.terms.values())
+            return invariant_action(i, j, psi)
+
+        monkeypatch.setattr(isb, "invariant_action", recorded)
+        isb._create_terms.cache_clear()
+        psi = build_monomial(IrrepLabel(4, (2, 1, 1)), ((1, 2), (3,), (4,)))
+        assert any(isinstance(c, Fraction) for c in psi.terms.values())
+        for k in (1, 2, 3):
+            assert isb_create(k, 1, psi) == state_by_state(chain_create, k, 1, psi)
+            assert isb_annihilate(k, 2, psi) == state_by_state(chain_annihilate, k, 2, psi)
+        assert seen and set(seen) == {int}
 
 
 class TestIterative:
