@@ -2,7 +2,7 @@
 
 The same code path handles every rank: enumerate the labels, build
 the monomials, count dimensions by closed product, by constraint null
-space, and by Gram rank, and read off the Casimir scalar.  A ket can
+space, and by monomial rank, and read off the Casimir scalar.  A ket can
 leave the process as a JSON document at any point.
 """
 
@@ -18,7 +18,7 @@ from sunisb import (
 )
 
 print("== all labels with at most 3 boxes, ranks 2..5 ==\n")
-print(f"{'rank':>4}  {'rows':<14} {'dim':>4} {'null':>4} {'gram':>4}  casimir")
+print(f"{'rank':>4}  {'rows':<14} {'dim':>4} {'null':>4} {'mono':>4}  casimir")
 for n in range(2, 6):
     for label in iter_labels(n, 3):
         w = weyl_dimension(label)

@@ -21,10 +21,10 @@ from sunisb import (
 label = IrrepLabel(3, (2, 1))
 
 print("== the [2,1] octet at rank 3 ==\n")
-print("dimension, three independent ways:")
+print("dimension, three ways:")
 print(f"  closed product        : {weyl_dimension(label)}")
 print(f"  constraint null space : {nullspace_dimension(label)}")
-print(f"  monomial Gram rank    : {monomial_rank(label)}")
+print(f"  monomial rank         : {monomial_rank(label)}")
 
 print("\none monomial in full, colors (1,1;2):")
 psi = build_monomial(label, ((1, 1), (2,)))

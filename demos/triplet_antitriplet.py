@@ -32,7 +32,7 @@ print(f"  {format_ket(psi)}")
 print("\nsame-color case picks up the full subtraction:")
 print(f"  {format_ket(traceless_state(1, 1, (1,), (1,)))}")
 
-print("\ndimensions of the (n, m) family, counted by Gram rank:")
+print("\ndimensions of the (n, m) family, counted by rank:")
 for n, m in ((1, 0), (0, 1), (1, 1), (2, 1), (2, 2)):
     print(f"  ({n},{m}): dimension {ab_dimension(n, m)}, casimir {ab_casimir_eigenvalue(n, m)}")
 

@@ -286,7 +286,7 @@ def _dimension_triple(label: IrrepLabel) -> tuple[int, int, int]:
 
 
 def suite_dimensions(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
-    """Three independent dimension computations agree label by label."""
+    """Three dimension computations agree label by label (two share ``linalg.rank``)."""
     n_max = 5 if n_max is None else n_max
     max_quanta = 5 if max_quanta is None else max_quanta
     records = []

@@ -6,25 +6,25 @@ ordered monomial: all dressed row-1 creation operators applied to
 vacuum first, then row 2, and so on (the order matters; within one row
 it does not).
 
-Three mutually independent dimension computations cross-check the
-construction:
+Three dimension computations cross-check the construction:
 
 * ``weyl_dimension``: the Weyl product formula, pure arithmetic;
 * ``nullspace_dimension``: brute force, the dimension of the common
   null space of the constraint bilinears a+[i].a[i+1] on the full
   occupation sector;
-* ``monomial_rank``: the rank of the monomial family under the
-  factorial-weighted inner product.
+* ``monomial_rank``: the rank of the monomial family's coefficient
+  vectors over the (independent) basis states.
 
-The constraint bilinears preserve the per-color totals of a state, so
-the null-space and rank eliminations split into independent
-color-weight blocks; that is what keeps them small.  All block and
-basis orders are fixed by the lexicographic state order, so every
-result here is deterministic.
+The last two share one sparse exact eliminator, ``linalg.rank`` and
+``linalg.nullspace``; the Weyl formula shares nothing with them, so a
+fault in the eliminator still breaks the triple.  The constraint
+bilinears preserve the per-color totals of a state, so both
+eliminations split into independent color-weight blocks; that is what
+keeps them small.  All block and basis orders are fixed by the
+lexicographic state order, so every result here is deterministic.
 
-Shared helpers: ``gram_rank(kets)`` serves both dimension-by-rank
-routines in integer arithmetic, and ``scalar_on(op, kets)`` both
-Casimir eigenvalues and the ``casimir`` and ``multiplicity`` suites.
+Shared helper: ``scalar_on(op, kets)`` serves both Casimir eigenvalues
+and the ``casimir`` and ``multiplicity`` suites.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from .algebra import casimir2_op, invariant_action
@@ -42,7 +41,6 @@ from .fock import (
     basis_ket,
     color_totals,
     enumerate_sector,
-    factorial_weight,
     vacuum,
 )
 from .isb import isb_create
@@ -159,51 +157,44 @@ def constraint_residual(psi: Ket) -> ConstraintReport:
     return ConstraintReport(not violated, violated)
 
 
-def _weight_blocks(n: int, totals: Iterable[int]) -> dict:
+def _constraint_blocks(n: int, totals: Iterable[int]) -> Iterator[tuple[list, list[dict]]]:
+    """Per color-weight block, in sorted order: its states and their constraint images.
+
+    An image is a sparse vector keyed by (constraint, image state).
+    """
     blocks: dict = {}
     for state in enumerate_sector(n, totals):
         blocks.setdefault(color_totals(state), []).append(state)
-    return blocks
-
-
-def _constraint_rows(n: int, states: list) -> list[list[int]]:
-    # stacked matrix of all fundamental constraints on one weight block;
-    # row keys are (constraint, image state), columns follow `states`
-    rows: dict = {}
-    width = len(states)
-    for j, s in enumerate(states):
-        for i in range(1, n - 1):
-            image = invariant_action(i, i + 1, basis_ket(s))
-            for t, c in image.terms.items():
-                key = (i, t)
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = [0] * width
-                row[j] = c
-    return list(rows.values())
+    for weight in sorted(blocks):
+        states = blocks[weight]
+        images = [
+            {
+                (i, t): c
+                for i in range(1, n - 1)
+                for t, c in invariant_action(i, i + 1, basis_ket(s)).terms.items()
+            }
+            for s in states
+        ]
+        yield states, images
 
 
 def nullspace_dimension(label: IrrepLabel) -> int:
     """Dimension of the common constraint null space on the label's sector."""
-    blocks = _weight_blocks(label.n, label.rows)
-    total = 0
-    for weight in sorted(blocks):
-        states = blocks[weight]
-        total += len(states) - rank(_constraint_rows(label.n, states))
-    return total
+    return sum(
+        len(states) - rank(images) for states, images in _constraint_blocks(label.n, label.rows)
+    )
 
 
 def nullspace_basis(label: IrrepLabel) -> list[Ket]:
     """Exact basis of the constraint null space, in deterministic order.
 
     Vectors are primitive integer combinations of sector basis states,
-    grouped by color weight.
+    grouped by color weight: per block, one per state whose image
+    depends on the images of the states before it.
     """
-    blocks = _weight_blocks(label.n, label.rows)
     out = []
-    for weight in sorted(blocks):
-        states = blocks[weight]
-        for vec in nullspace(_constraint_rows(label.n, states), len(states)):
+    for states, images in _constraint_blocks(label.n, label.rows):
+        for vec in nullspace(images):
             out.append(Ket(label.n, {states[j]: c for j, c in enumerate(vec) if c}))
     return out
 
@@ -216,38 +207,19 @@ def _index_weight(n: int, idx) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def gram_rank(kets: list[Ket]) -> int:
-    """Dimension of the span of kets: their Gram rank, as the inner product is positive definite.
-
-    Kets are scaled to integer coefficients first: G becomes D G D, D invertible diagonal.
-    """
-    scaled = []
-    for k in kets:
-        scale = lcm(*(c.denominator for c in k.terms.values()))
-        scaled.append({s: c.numerator * (scale // c.denominator) for s, c in k.terms.items()})
-    weighted = [{s: c * factorial_weight(s) for s, c in k.items()} for k in scaled]
-    size = len(kets)
-    gram = [[0] * size for _ in range(size)]
-    for a in range(size):
-        wa = weighted[a]
-        for b in range(a, size):
-            tb = scaled[b]
-            gram[a][b] = gram[b][a] = sum(c * tb[s] for s, c in wa.items() if s in tb)
-    return rank(gram)
-
-
 def monomial_rank(label: IrrepLabel) -> int:
-    """Rank of the deduplicated monomial family, via factorial-weighted Gram matrices.
+    """Rank of the deduplicated monomial family: the rank of its coefficient vectors.
 
-    Monomials of different color weight are orthogonal, so the Gram
-    matrix splits into one ``gram_rank`` block per weight.
+    The basis states are independent, so this is the dimension of the
+    family's span.  Monomials of different color weight share no
+    state, so the rank is a sum of one ``linalg.rank`` per weight block.
+    Zero monomials count as dependent.
     """
-    groups: dict = {}
+    blocks: dict = {}
     for idx in distinct_multi_indices(label):
         ket = build_monomial(label, idx)
-        if ket.terms:
-            groups.setdefault(_index_weight(label.n, idx), []).append(ket)
-    return sum(gram_rank(groups[weight]) for weight in sorted(groups))
+        blocks.setdefault(_index_weight(label.n, idx), []).append(ket.terms)
+    return sum(rank(block) for block in blocks.values())
 
 
 def scalar_on(op: Callable[[Ket], Ket], kets: Iterable[Ket]) -> Fraction:

@@ -1,111 +1,87 @@
-"""Exact linear algebra: fraction-free elimination over the integers.
+"""Exact linear algebra: one incremental sparse fraction-free eliminator.
 
-Callers split their systems into color-weight blocks before coming
-here, so the dense matrices below stay small.  Every input matrix has
-int entries: callers clear denominators themselves (``irreps.gram_rank``
-scales each ket to integer coefficients before forming its Gram
-matrix).  Pivoting is first-nonzero, which keeps every result
-deterministic.
+A vector is a dict from any hashable key to an exact ``int`` or
+``Fraction``; absent keys are zero.  Callers split their systems into
+color-weight blocks before coming here, which bounds how many pivot
+rows each vector is reduced against.
+
+Vectors are taken one at a time, in order.  Each is scaled to
+integers and reduced against the independent vectors before it; one
+that reduces to zero is dependent, and its integer relation over the
+earlier vectors is unique up to scale.  So the rank, the set of
+dependent vectors and the primitive null vectors do not depend on
+which keys serve as pivots: every result is deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from typing import Hashable, Iterable, Iterator, Mapping
 
-__all__ = ["row_echelon", "rank", "nullspace"]
+__all__ = ["rank", "nullspace"]
 
 
-def row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free row echelon form.
+def _relations(vectors: Iterable[Mapping[Hashable, object]]) -> Iterator[dict[int, int] | None]:
+    """Yield, per vector in order, None if it is independent of the vectors before it.
 
-    Returns (echelon matrix, pivot column indices).  Input entries must
-    be ints; all intermediate divisions are exact.
+    Otherwise yield its relation: a primitive dict from vector position
+    to int, summing the vectors to zero, whose entry at the lowest
+    position is positive.
     """
-    m = [row[:] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        pivot = m[r][c]
-        top = m[r]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            factor = row[c]
-            if factor:
-                for j in range(c, ncols):
-                    row[j] = (pivot * row[j] - factor * top[j]) // prev
-            elif prev != 1:
-                for j in range(c, ncols):
-                    row[j] = (pivot * row[j]) // prev
-            elif pivot != 1:
-                for j in range(c, ncols):
-                    row[j] = pivot * row[j]
-        prev = pivot
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    pivots: list[tuple[Hashable, dict, dict[int, int]]] = []
+    for pos, vector in enumerate(vectors):
+        scale = lcm(*(c.denominator for c in vector.values()))
+        row = {k: c.numerator * (scale // c.denominator) for k, c in vector.items() if c}
+        rel = {pos: scale}
+        # Each pivot row holds no pivot key of an earlier row, so eliminating
+        # the keys in insertion order never brings an eliminated key back.
+        for key, prow, prel in pivots:
+            b = row.get(key)
+            if b is None:
+                continue
+            a = prow[key]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = _combine(row, a, prow, b)
+            rel = _combine(rel, a, prel, b)
+        g = gcd(*row.values(), *rel.values())
+        if g > 1:
+            row = {k: c // g for k, c in row.items()}
+            rel = {k: c // g for k, c in rel.items()}
+        if row:
+            pivots.append((next(iter(row)), row, rel))
+            yield None
+        else:
+            yield {k: -c for k, c in rel.items()} if rel[min(rel)] < 0 else rel
 
 
-def rank(rows: list[list[int]]) -> int:
-    if not rows:
-        return 0
-    return len(row_echelon(rows)[1])
+def _combine(x: dict, a: int, y: dict, b: int) -> dict:
+    """a*x - b*y, with zero entries dropped; x is consumed."""
+    out = x if a == 1 else {k: a * c for k, c in x.items()}
+    for k, c in y.items():
+        value = out.get(k, 0) - b * c
+        if value:
+            out[k] = value
+        else:
+            out.pop(k, None)
+    return out
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    scale = lcm(*(f.denominator for f in vec))
-    ints = [int(f * scale) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+def rank(vectors: Iterable[Mapping[Hashable, object]]) -> int:
+    """Dimension of the span of the vectors."""
+    return sum(rel is None for rel in _relations(vectors))
 
 
-def nullspace(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {x : M x = 0} as primitive integer vectors.
+def nullspace(vectors: Iterable[Mapping[Hashable, object]]) -> list[tuple[int, ...]]:
+    """Basis of {x : sum_j x_j v_j = 0} as primitive integer tuples.
 
-    One basis vector per free column, in column order; deterministic
-    back-substitution over exact rationals.
+    One tuple per vector that depends on the vectors before it, in
+    order, with its first nonzero entry positive.  Read the vectors as
+    matrix columns: these are the null vectors of that matrix with one
+    free column each, as a dense elimination with first-nonzero
+    pivoting would give them.
     """
-    if not rows:
-        return [tuple(1 if j == f else 0 for j in range(ncols)) for f in range(ncols)]
-    ech, pivots = row_echelon(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            row = ech[r]
-            s = Fraction(0)
-            for j in range(c + 1, ncols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            x[c] = -s / row[c]
-        basis.append(_primitive(x))
-    return basis
-
+    vectors = list(vectors)
+    size = len(vectors)
+    relations = (rel for rel in _relations(vectors) if rel is not None)
+    return [tuple(rel.get(j, 0) for j in range(size)) for rel in relations]

@@ -29,7 +29,7 @@ Provided:
   exactly.
 
 Shared generic helpers: ``fock._bilinear``,
-``algebra.casimir_op``, ``irreps.gram_rank`` and ``irreps.scalar_on``.
+``algebra.casimir_op``, ``linalg.rank`` and ``irreps.scalar_on``.
 Both dressed creations are one routine, ``_dressed_create``; it, the
 traceless states and the sp(2,R) triple are compositions of the
 whole-ket ladders ``pair_create`` and ``pair_annihilate``.
@@ -55,7 +55,8 @@ from .fock import (
     vacuum,
     zero_ket,
 )
-from .irreps import IrrepLabel, casimir_eigenvalue, gram_rank, nullspace_dimension, scalar_on
+from .irreps import IrrepLabel, casimir_eigenvalue, nullspace_dimension, scalar_on
+from .linalg import rank
 
 __all__ = [
     "A_ROW",
@@ -287,9 +288,9 @@ def _distinct_families(n: int, m: int):
 
 
 def ab_dimension(n: int, m: int) -> int:
-    """Rank of the traceless family, via the factorial-weighted Gram matrix."""
+    """Rank of the traceless family's coefficient vectors; zero states count as dependent."""
     kets = (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
-    return gram_rank([k for k in kets if k.terms])
+    return rank(k.terms for k in kets)
 
 
 def ab_casimir_eigenvalue(n: int, m: int) -> Fraction:

@@ -1,8 +1,9 @@
 """Verification suites: how much work a sweep repeats."""
 
+import re
 from collections import Counter
 
-from sunisb import algebra, checks, su3x
+from sunisb import algebra, checks, irreps, su3x
 from sunisb.checks import run_suite
 from sunisb.fock import sector_size
 
@@ -112,3 +113,15 @@ def test_pair_algebra_witness_takes_each_ladder_image_once(monkeypatch):
     states = sum(sector_size(3, (ta, q - ta)) for q in range(4) for ta in range(q + 1))
     # k+, k- and k0 of each state, then the six products of the three commutators
     assert len(applied) == 9 * states
+
+
+def test_dimension_triple_catches_a_fault_in_the_shared_eliminator(monkeypatch):
+    # nullspace_dimension and monomial_rank share linalg.rank; the Weyl formula does not
+    real = irreps.rank
+    monkeypatch.setattr(irreps, "rank", lambda vectors: max(real(vectors) - 1, 0))
+    records = run_suite("dimensions", n_max=3)
+    assert records and not any(r.passed for r in records)
+    for r in records:
+        # both witness forms name the Weyl, null-space and rank values first
+        weyl, null, rank = (int(x) for x in re.findall(r"\d+", r.witness)[:3])
+        assert not weyl == null == rank, r.witness

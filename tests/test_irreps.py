@@ -1,14 +1,28 @@
 """Representation labels: monomials, dimensions, null spaces, Casimir scalars."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sunisb.algebra import casimir2_op, casimir_op, generator_action, invariant_action
-from sunisb.fock import FockState, Ket, basis_ket, enumerate_sector, inner_product, vacuum, zero_ket
+from sunisb.checks import iter_labels
+from sunisb.fock import (
+    FockState,
+    Ket,
+    basis_ket,
+    color_totals,
+    dumps_ket,
+    enumerate_sector,
+    factorial_weight,
+    inner_product,
+    vacuum,
+    zero_ket,
+)
 from sunisb.irreps import (
     AlgebraViolationError,
     IrrepLabel,
@@ -17,14 +31,46 @@ from sunisb.irreps import (
     casimir_eigenvalue,
     constraint_residual,
     distinct_multi_indices,
-    gram_rank,
     monomial_rank,
     nullspace_basis,
     nullspace_dimension,
     scalar_on,
     weyl_dimension,
 )
-from sunisb.linalg import rank
+from sunisb.linalg import nullspace, rank
+from sunisb.su3x import _distinct_families, ab_dimension, traceless_state
+from test_linalg import gauss_rank
+
+
+def gram_rank(kets):
+    """Oracle: the rank of the factorial-weighted Gram matrix of kets.
+
+    The inner product is positive definite, so this is the dimension of
+    their span.  Kets are scaled to integer coefficients first: G
+    becomes D G D, D invertible diagonal.
+    """
+    scaled = []
+    for k in kets:
+        scale = lcm(*(c.denominator for c in k.terms.values()))
+        scaled.append({s: c.numerator * (scale // c.denominator) for s, c in k.terms.items()})
+    weighted = [{s: c * factorial_weight(s) for s, c in k.items()} for k in scaled]
+    size = len(kets)
+    gram = [[0] * size for _ in range(size)]
+    for a in range(size):
+        wa = weighted[a]
+        for b in range(a, size):
+            tb = scaled[b]
+            gram[a][b] = gram[b][a] = sum(c * tb[s] for s, c in wa.items() if s in tb)
+    return gauss_rank(gram, size)
+
+
+def blocked_gram_rank(kets, weight):
+    """The oracle summed over blocks of nonzero kets of equal ``weight(first state)``."""
+    blocks: dict = {}
+    for k in kets:
+        if k.terms:
+            blocks.setdefault(weight(next(iter(k.terms))), []).append(k)
+    return sum(gram_rank(block) for block in blocks.values())
 
 
 class TestIrrepLabel:
@@ -125,19 +171,12 @@ class TestNullspace:
 
     def test_blocked_equals_dense(self):
         """Color-weight blocking must not change the computed null space."""
-        from sunisb.fock import basis_ket, enumerate_sector
-        from sunisb.linalg import nullspace as dense_nullspace
-
         label = IrrepLabel(3, (2, 1))
         states = enumerate_sector(3, label.rows)
-        # dense constraint matrix over the whole sector, one row per image state
-        by_image: dict = {}
-        for pos, s in enumerate(states):
-            image = invariant_action(1, 2, basis_ket(s))
-            for t, c in image.terms.items():
-                by_image.setdefault(t, [0] * len(states))[pos] = c
-        dense = dense_nullspace(list(by_image.values()), len(states))
-        assert len(dense) == nullspace_dimension(label)
+        # one image vector per state over the whole sector, keyed by image state
+        images = [invariant_action(1, 2, basis_ket(s)).terms for s in states]
+        whole = nullspace(images)
+        assert len(whole) == len(states) - rank(images) == nullspace_dimension(label)
 
     def test_basis_vectors_are_constrained(self):
         label = IrrepLabel(4, (1, 1, 0))
@@ -151,15 +190,20 @@ class TestNullspace:
     def test_basis_is_independent(self):
         label = IrrepLabel(3, (1, 1))
         basis = nullspace_basis(label)
-        states = sorted({s for psi in basis for s in psi.terms}, key=lambda s: s.occ)
-        index = {s: pos for pos, s in enumerate(states)}
-        mat = []
-        for psi in basis:
-            row = [0] * len(states)
-            for s, c in psi.terms.items():
-                row[index[s]] = c
-            mat.append(row)
-        assert rank(mat) == len(basis)
+        assert rank(psi.terms for psi in basis) == len(basis)
+
+    def test_basis_documents_pinned(self):
+        # SHA-256 over the serialized bases, in order: the choice of
+        # eliminator must not change a single document byte
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 6):
+            for label in iter_labels(n, 5 if n < 5 else 4):
+                for psi in nullspace_basis(label):
+                    digest.update(dumps_ket(psi).encode())
+                    count += 1
+        assert count == 975
+        assert digest.hexdigest() == "5e63ebd7202cc9cd10d2945a7ca6455801852fa1d0692efaff6f89fd39750871"
 
 
 def labels_up_to(n: int, boxes: int):
@@ -239,28 +283,49 @@ class TestCasimir:
             scalar_on(casimir2_op(3), kets)
 
 
+ket_families = st.integers(2, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.dictionaries(
+                st.tuples(*[st.tuples(*[st.integers(0, 2)] * n)] * (n - 1)),
+                st.fractions(-4, 4, max_denominator=5).filter(bool),
+                min_size=1,
+                max_size=3,
+            ),
+            st.fractions(-7, 7, max_denominator=7).filter(bool),
+        ),
+        max_size=5,
+    ).map(lambda family: (n, family))
+)
+
+
+def family_kets(data):
+    n, family = data
+    kets = [Ket(n, {FockState(n, occ): c for occ, c in terms.items()}) for terms, _ in family]
+    return kets, [scale for _, scale in family]
+
+
+def ab_weight(state):
+    """The su(3) weight, a-count minus b-count per color: each trace subtraction keeps it."""
+    a, b = state.occ
+    return tuple(x - y for x, y in zip(a, b))
+
+
 class TestGramRank:
-    @given(
-        st.integers(2, 3).flatmap(
-            lambda n: st.lists(
-                st.tuples(
-                    st.dictionaries(
-                        st.tuples(*[st.tuples(*[st.integers(0, 2)] * n)] * (n - 1)),
-                        st.fractions(-4, 4, max_denominator=5).filter(bool),
-                        min_size=1,
-                        max_size=3,
-                    ),
-                    st.fractions(-7, 7, max_denominator=7).filter(bool),
-                ),
-                max_size=5,
-            ).map(lambda family: (n, family))
-        )
-    )
+    """``linalg.rank`` on ket coefficient vectors against the Gram-rank oracle."""
+
+    @given(ket_families)
     def test_rank_ignores_nonzero_scaling(self, data):
-        n, family = data
-        kets = [Ket(n, {FockState(n, occ): c for occ, c in terms.items()}) for terms, _ in family]
-        scaled = [psi * scale for psi, (_, scale) in zip(kets, family)]
-        assert gram_rank(scaled) == gram_rank(kets)
+        kets, scales = family_kets(data)
+        scaled = [psi * scale for psi, scale in zip(kets, scales)]
+        assert rank(psi.terms for psi in scaled) == rank(psi.terms for psi in kets)
+
+    @given(ket_families)
+    def test_rank_matches_gram_oracle(self, data):
+        kets, scales = family_kets(data)
+        # the scaled kets repeat the directions of the first ones
+        family = kets + [psi * scale for psi, scale in zip(kets, scales)][::2]
+        assert rank(psi.terms for psi in family) == gram_rank(family)
 
     def test_hand_built_family(self):
         e = [basis_ket(s) for s in enumerate_sector(3, (2, 0))[:3]]
@@ -272,9 +337,23 @@ class TestGramRank:
             half * Fraction(5, 9) + e[2],  # dependent
             e[1] * Fraction(1, 3),
         ]
-        assert gram_rank(family) == 3
-        assert gram_rank(family[:2]) == 1
-        assert gram_rank(family[:3]) == 2
+        for oracle in (gram_rank, lambda kets: rank(psi.terms for psi in kets)):
+            assert oracle(family) == 3
+            assert oracle(family[:2]) == 1
+            assert oracle(family[:3]) == 2
+
+    @pytest.mark.parametrize(
+        "key", [key for key in sorted(DIMENSIONS) if key[0] <= 4 and sum(key[1]) <= 4], ids=str
+    )
+    def test_monomial_rank_matches_gram_oracle(self, key):
+        label = IrrepLabel(*key)
+        monomials = [build_monomial(label, idx) for idx in distinct_multi_indices(label)]
+        assert monomial_rank(label) == blocked_gram_rank(monomials, color_totals)
+
+    @pytest.mark.parametrize("n, m", list(product(range(4), repeat=2)))
+    def test_ab_dimension_matches_gram_oracle(self, n, m):
+        kets = [traceless_state(n, m, a, b) for a, b in _distinct_families(n, m)]
+        assert ab_dimension(n, m) == blocked_gram_rank(kets, ab_weight)
 
 
 @given(st.sampled_from(sorted(DIMENSIONS)))

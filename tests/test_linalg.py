@@ -1,4 +1,4 @@
-"""Fraction-free elimination against a plain Gaussian oracle."""
+"""The sparse fraction-free eliminator against a plain Gaussian oracle."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,7 +6,7 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sunisb.linalg import nullspace, rank, row_echelon
+from sunisb.linalg import nullspace, rank
 
 
 def gauss_rank(rows, ncols):
@@ -32,7 +32,11 @@ matrices = st.integers(1, 5).flatmap(
     lambda ncols: st.tuples(
         st.just(ncols),
         st.lists(
-            st.lists(st.integers(min_value=-5, max_value=5), min_size=ncols, max_size=ncols),
+            st.lists(
+                st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4),
+                min_size=ncols,
+                max_size=ncols,
+            ),
             min_size=0,
             max_size=6,
         ),
@@ -40,18 +44,24 @@ matrices = st.integers(1, 5).flatmap(
 )
 
 
+def columns(rows, ncols):
+    """The matrix's columns as sparse vectors keyed by row index, zeros dropped."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
 @given(matrices)
 def test_rank_matches_gaussian_oracle(data):
     ncols, rows = data
-    assert rank(rows) == gauss_rank(rows, ncols)
+    assert rank(columns(rows, ncols)) == gauss_rank(rows, ncols)
 
 
 @given(matrices)
 def test_nullspace_properties(data):
     ncols, rows = data
-    vectors = nullspace(rows, ncols)
+    vectors = nullspace(columns(rows, ncols))
     assert len(vectors) == ncols - gauss_rank(rows, ncols)
     for v in vectors:
+        assert len(v) == ncols
         assert all(isinstance(x, int) for x in v)
         assert any(v)
         assert gcd(*v) == 1 if len(v) > 1 else abs(v[0]) == 1
@@ -60,16 +70,15 @@ def test_nullspace_properties(data):
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
     # mutual independence
-    assert rank([list(v) for v in vectors]) == len(vectors)
+    assert rank(dict(enumerate(v)) for v in vectors) == len(vectors)
 
 
-def test_row_echelon_pivots():
-    mat, pivots = row_echelon([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
-    assert len(pivots) == 2
-    assert rank([[0, 1, 2], [0, 2, 4], [1, 0, 0]]) == 2
+def test_hand_built_pivots():
+    vectors = [{2: 1}, {0: 1, 1: 2}, {0: 2, 1: 4}]
+    assert nullspace(vectors) == [(0, 2, -1)]
+    assert rank(vectors) == 2
 
 
-def test_empty_matrix_nullspace_is_identity_sized():
-    vectors = nullspace([], 3)
-    assert len(vectors) == 3
-    assert rank(vectors) == 3
+def test_empty_and_zero_vectors():
+    assert nullspace([]) == []
+    assert nullspace([{}, {0: 1}, {}]) == [(1, 0, 0), (0, 0, 1)]
