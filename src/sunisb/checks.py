@@ -1,11 +1,18 @@
 """Verification suites: every algebraic claim as an executable sweep.
 
 Each suite checks one family of exact identities over a bounded state
-space and returns CheckRecord values instead of asserting, so the test
-suite and the command line can share them.  All sweeps are
-deterministic; the default bounds are the ones the acceptance tests
-run with, and every suite accepts wider (or narrower) bounds through
-the same two keyword arguments.
+space.  It asserts nothing: it yields ``(check_id, witness)`` pairs,
+where ``witness`` is None for a passed check and otherwise describes
+the check's first failure.  ``run_suite`` turns the pairs into
+``CheckRecord`` values, so the test suite and the command line share
+them.  All sweeps are deterministic.
+
+Every suite takes the same two keyword bounds: ``n_max``, the largest
+rank N, and ``max_quanta``, the most boxes (or quanta) per sweep.  A
+suite's keyword defaults are its default bounds, the ones the
+acceptance tests run with; ``run_suite`` passes on only the bounds
+that are not None.  ``octet``, ``traceless`` and ``iterative`` check
+fixed samples and ignore both bounds, and ``sp2r`` ignores ``n_max``.
 
 Registry ``SUITES``:
 
@@ -76,6 +83,9 @@ __all__ = ["CheckRecord", "SUITES", "iter_labels", "run_suite"]
 
 _COLORS = (1, 2, 3)
 
+# what every suite yields: (check id, first failure or None)
+Checks = Iterator[tuple[str, str | None]]
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -84,11 +94,6 @@ class CheckRecord:
     check_id: str
     passed: bool
     witness: str | None = None
-
-
-def _record(check_id: str, witness: str | None) -> CheckRecord:
-    """The record of a check whose first failure is ``witness``; None means it passed."""
-    return CheckRecord(check_id, witness is None, witness)
 
 
 def _ordered_totals(length: int, max_entry: int):
@@ -102,6 +107,17 @@ def iter_labels(n: int, max_quanta: int) -> Iterator[IrrepLabel]:
     for rows in _ordered_totals(n - 1, max_quanta):
         if sum(rows) <= max_quanta:
             yield IrrepLabel(n, rows)
+
+
+def _labels(n_max: int, max_quanta: int) -> Iterator[IrrepLabel]:
+    """The labels of every rank 2 to n_max with at most max_quanta boxes, rank by rank."""
+    for n in range(2, n_max + 1):
+        yield from iter_labels(n, max_quanta)
+
+
+def _tag(label: IrrepLabel) -> str:
+    """The check-id fragment that names a label."""
+    return f"N={label.n},rows={label.rows}"
 
 
 def _all_states(n: int, max_quanta: int):
@@ -186,17 +202,15 @@ def _enumeration_witness(n: int, max_quanta: int) -> str | None:
     return None
 
 
-def suite_fock(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_fock(n_max: int = 4, max_quanta: int = 6) -> Checks:
     """Oscillator layer: canonical commutators, adjointness, sector enumeration."""
-    n_max = 4 if n_max is None else n_max
-    max_quanta = 6 if max_quanta is None else max_quanta
     ranks = range(2, n_max + 1)
-    records = [_record(f"canonical-commutators[N={n}]", _commutator_witness(n)) for n in ranks]
-    records += [_record(f"ladder-adjointness[N={n}]", _adjointness_witness(n)) for n in ranks]
-    records += [
-        _record(f"sector-enumeration[N={n}]", _enumeration_witness(n, max_quanta)) for n in ranks
-    ]
-    return records
+    for n in ranks:
+        yield f"canonical-commutators[N={n}]", _commutator_witness(n)
+    for n in ranks:
+        yield f"ladder-adjointness[N={n}]", _adjointness_witness(n)
+    for n in ranks:
+        yield f"sector-enumeration[N={n}]", _enumeration_witness(n, max_quanta)
 
 
 # --- algebra ------------------------------------------------------------
@@ -234,19 +248,13 @@ def _generator_commutant_witness(n: int, max_quanta: int) -> str | None:
     return None
 
 
-def suite_algebra(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_algebra(n_max: int = 4, max_quanta: int = 4) -> Checks:
     """Exact operator identities of the invariant bilinears, state by state."""
-    n_max = 4 if n_max is None else n_max
-    max_quanta = 4 if max_quanta is None else max_quanta
     ranks = range(2, n_max + 1)
-    records = [
-        _record(f"bilinear-algebra[N={n}]", _bilinear_algebra_witness(n, max_quanta)) for n in ranks
-    ]
-    records += [
-        _record(f"generator-commutant[N={n}]", _generator_commutant_witness(n, max_quanta))
-        for n in ranks
-    ]
-    return records
+    for n in ranks:
+        yield f"bilinear-algebra[N={n}]", _bilinear_algebra_witness(n, max_quanta)
+    for n in ranks:
+        yield f"generator-commutant[N={n}]", _generator_commutant_witness(n, max_quanta)
 
 
 # --- constraints --------------------------------------------------------
@@ -260,15 +268,10 @@ def _constraint_witness(label: IrrepLabel) -> str | None:
     return None
 
 
-def suite_constraints(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_constraints(n_max: int = 5, max_quanta: int = 5) -> Checks:
     """Every monomial of every color assignment is killed by every constraint."""
-    n_max = 5 if n_max is None else n_max
-    max_quanta = 5 if max_quanta is None else max_quanta
-    return [
-        _record(f"constraint-null[N={n},rows={label.rows}]", _constraint_witness(label))
-        for n in range(2, n_max + 1)
-        for label in iter_labels(n, max_quanta)
-    ]
+    for label in _labels(n_max, max_quanta):
+        yield f"constraint-null[{_tag(label)}]", _constraint_witness(label)
 
 
 # --- dimensions ---------------------------------------------------------
@@ -285,22 +288,18 @@ def _dimension_triple(label: IrrepLabel) -> tuple[int, int, int]:
     return weyl_dimension(label), nullspace_dimension(label), monomial_rank(label)
 
 
-def suite_dimensions(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_dimensions(n_max: int = 5, max_quanta: int = 5) -> Checks:
     """Three dimension computations agree label by label (two share ``linalg.rank``)."""
-    n_max = 5 if n_max is None else n_max
-    max_quanta = 5 if max_quanta is None else max_quanta
-    records = []
-    triples: dict[tuple[int, tuple[int, ...]], tuple[int, int, int]] = {}
-    for n in range(2, n_max + 1):
-        for label in iter_labels(n, max_quanta):
-            weyl, null, rank = triples[(n, label.rows)] = _dimension_triple(label)
-            witness = None if weyl == null == rank else f"weyl={weyl} nullspace={null} rank={rank}"
-            records.append(_record(f"dimension-triple[N={n},rows={label.rows}]", witness))
+    triples: dict[IrrepLabel, tuple[int, int, int]] = {}
+    for label in _labels(n_max, max_quanta):
+        weyl, null, rank = triples[label] = _dimension_triple(label)
+        witness = None if weyl == null == rank else f"weyl={weyl} nullspace={null} rank={rank}"
+        yield f"dimension-triple[{_tag(label)}]", witness
     for (n, rows), expected in _SPOT_DIMENSIONS.items():
-        triple = triples.get((n, rows)) or _dimension_triple(IrrepLabel(n, rows))
+        label = IrrepLabel(n, rows)
+        triple = triples.get(label) or _dimension_triple(label)
         witness = None if triple == (expected,) * 3 else f"{triple} != {expected}"
-        records.append(_record(f"spot-dimension[N={n},rows={rows}]", witness))
-    return records
+        yield f"spot-dimension[{_tag(label)}]", witness
 
 
 # --- octet --------------------------------------------------------------
@@ -320,10 +319,11 @@ def _octet_witness(beta: int) -> str | None:
     return None
 
 
-def suite_octet(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_octet(n_max: int | None = None, max_quanta: int | None = None) -> Checks:
     """The rank-3 [2,1] monomial against its fully expanded three-term form."""
     # bounds are not applicable: this is one fixed identity, all 27 color choices
-    return [_record(f"octet-expansion[beta={beta}]", _octet_witness(beta)) for beta in _COLORS]
+    for beta in _COLORS:
+        yield f"octet-expansion[beta={beta}]", _octet_witness(beta)
 
 
 # --- traceless ----------------------------------------------------------
@@ -345,7 +345,7 @@ def _contraction_witness(n: int, m: int, table: dict) -> str | None:
     return None
 
 
-def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> Checks:
     """Explicit trace-subtracted states equal the dressed monomials, and are traceless."""
     # every (n, m, colors) state built once, shared by both checks
     tables = {
@@ -355,13 +355,10 @@ def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> 
         }
         for n, m in _BV_CASES
     }
-    records = [
-        _record(
-            f"bv-equals-isb[({n},{m})]",
-            _first_colors(n, m, lambda a, b: tables[n, m][a, b] != su3x.isb_monomial(a, b)),
+    for n, m in _BV_CASES:
+        yield f"bv-equals-isb[({n},{m})]", _first_colors(
+            n, m, lambda a, b: tables[n, m][a, b] != su3x.isb_monomial(a, b)
         )
-        for n, m in _BV_CASES
-    ]
 
     spots = (
         ((1, 1, 1), Fraction(-1, 3)),
@@ -372,47 +369,43 @@ def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> 
         (f"coefficient({n},{m},{r})", su3x.trace_coeff(n, m, r), expected)
         for (n, m, r), expected in spots
     )
-    records.append(_record("trace-coefficients", _spot_witness(coefficients)))
+    yield "trace-coefficients", _spot_witness(coefficients)
 
-    records += [
-        _record(f"trace-contraction[({n},{m})]", _contraction_witness(n, m, tables[n, m]))
-        for n, m in _BV_CASES
-    ]
+    for n, m in _BV_CASES:
+        yield f"trace-contraction[({n},{m})]", _contraction_witness(n, m, tables[n, m])
 
     bare = su3x.trace_contract(su3x.bare_state, (1,), (1,), 1, 1)
-    witness = None if bare.terms else "the bare monomial contraction vanished"
-    records.append(_record("trace-contraction-negative-control", witness))
-    return records
+    yield "trace-contraction-negative-control", (
+        None if bare.terms else "the bare monomial contraction vanished"
+    )
 
 
 # --- recurrence ---------------------------------------------------------
 
 
-def suite_recurrence(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
-    """Closed forms of the dressing coefficients and their downward recurrence."""
-    n_max = 6 if n_max is None else n_max
-    max_entry = 6 if max_quanta is None else max_quanta
-    records = []
+def suite_recurrence(n_max: int = 6, max_quanta: int = 6) -> Checks:
+    """Closed forms of the dressing coefficients and their downward recurrence.
+
+    ``max_quanta`` bounds each row total, not their sum.
+    """
     for n in range(4, n_max + 1):
-        ok = verify_recurrence(n - 1, list(_ordered_totals(n - 1, max_entry)))
-        records.append(
-            _record(f"chain-recurrence[N={n}]", None if ok else "closed form broke its recurrence")
-        )
+        ok = verify_recurrence(n - 1, list(_ordered_totals(n - 1, max_quanta)))
+        yield f"chain-recurrence[N={n}]", None if ok else "closed form broke its recurrence"
 
     annihilation = (
         (f"H[{i},{k}] at totals={totals}", annihilation_coeff(i, k, totals),
          Fraction(1, totals[k - 1] - totals[i - 1] + 1 + (i - k)))
         for length in range(2, max(n_max - 1, 2) + 1)
-        for totals in _ordered_totals(length, max_entry)
+        for totals in _ordered_totals(length, max_quanta)
         for k in range(1, length + 1)
         for i in range(k + 1, length + 1)
     )
-    records.append(_record("annihilation-closed-form", _spot_witness(annihilation)))
+    yield "annihilation-closed-form", _spot_witness(annihilation)
 
     first_steps = [
         (f"F[2,1] at totals={totals}", creation_coeff(2, 1, totals),
          Fraction(-1, totals[0] - totals[1] + 2))
-        for totals in _ordered_totals(2, max_entry)
+        for totals in _ordered_totals(2, max_quanta)
     ]
     first_steps += [
         ("F[2,1](2,1)", creation_coeff(2, 1, (2, 1)), Fraction(-1, 3)),
@@ -420,16 +413,16 @@ def suite_recurrence(n_max: int | None = None, max_quanta: int | None = None) ->
         ("F[3,2](2,1,0)", creation_coeff(3, 2, (2, 1, 0)), Fraction(-1, 3)),
         ("F[3,1](2,1,0)", creation_coeff(3, 1, (2, 1, 0)), Fraction(-1, 5)),
     ]
-    records.append(_record("first-step-coefficients", _spot_witness(first_steps)))
+    yield "first-step-coefficients", _spot_witness(first_steps)
 
     def damaged(k, i, totals):
         value = creation_coeff(k, i, totals)
         return value * 2 if i == 1 else value
 
     broke = not verify_recurrence(3, list(_ordered_totals(3, 2)), coeff=damaged)
-    witness = None if broke else "a damaged closed form still satisfied the recurrence"
-    records.append(_record("recurrence-negative-control", witness))
-    return records
+    yield "recurrence-negative-control", (
+        None if broke else "a damaged closed form still satisfied the recurrence"
+    )
 
 
 # --- iterative ----------------------------------------------------------
@@ -451,14 +444,12 @@ def _iterative_witnesses(totals: tuple[int, ...]) -> tuple[str | None, str | Non
     return gluing, constrained
 
 
-def suite_iterative(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_iterative(n_max: int | None = None, max_quanta: int | None = None) -> Checks:
     """The rank-4 gluing construction equals the closed-form dressed creation."""
-    records = []
     for totals in _ITERATIVE_SECTORS:
         gluing, constrained = _iterative_witnesses(totals)
-        records.append(_record(f"iterative-gluing[{totals}]", gluing))
-        records.append(_record(f"dressed-image-constrained[{totals}]", constrained))
-    return records
+        yield f"iterative-gluing[{totals}]", gluing
+        yield f"dressed-image-constrained[{totals}]", constrained
 
 
 # --- multiplicity -------------------------------------------------------
@@ -495,23 +486,17 @@ def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str |
     return offdiagonal, None
 
 
-def suite_multiplicity(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_multiplicity(n_max: int = 4, max_quanta: int = 4) -> Checks:
     """Invariant bilinears of dressed operators carry no new quantum numbers.
 
     Off-diagonal products annihilate every constrained state; diagonal
     products act as one exact scalar per sector, i.e. as functions of
     the number operators alone.
     """
-    n_max = 4 if n_max is None else n_max
-    max_quanta = 4 if max_quanta is None else max_quanta
-    records = []
-    for n in range(2, n_max + 1):
-        for label in iter_labels(n, max_quanta):
-            offdiagonal, diagonal = _multiplicity_witnesses(n, nullspace_basis(label))
-            tag = f"N={n},rows={label.rows}"
-            records.append(_record(f"offdiagonal-invariants[{tag}]", offdiagonal))
-            records.append(_record(f"diagonal-invariant-scalars[{tag}]", diagonal))
-    return records
+    for label in _labels(n_max, max_quanta):
+        offdiagonal, diagonal = _multiplicity_witnesses(label.n, nullspace_basis(label))
+        yield f"offdiagonal-invariants[{_tag(label)}]", offdiagonal
+        yield f"diagonal-invariant-scalars[{_tag(label)}]", diagonal
 
 
 # --- commutators --------------------------------------------------------
@@ -549,19 +534,12 @@ def _ab_commutator_witness(n: int, m: int) -> str | None:
     return None
 
 
-def suite_commutators(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_commutators(n_max: int = 4, max_quanta: int = 4) -> Checks:
     """Dressed creation operators commute where they must."""
-    n_max = 4 if n_max is None else n_max
-    max_quanta = 4 if max_quanta is None else max_quanta
-    records = [
-        _record(f"same-row-creation-commutators[N={n},rows={label.rows}]", _same_row_witness(label))
-        for n in range(2, n_max + 1)
-        for label in iter_labels(n, max_quanta)
-    ]
-    records += [
-        _record(f"ab-cross-commutators[({n},{m})]", _ab_commutator_witness(n, m)) for n, m in _BV_CASES
-    ]
-    return records
+    for label in _labels(n_max, max_quanta):
+        yield f"same-row-creation-commutators[{_tag(label)}]", _same_row_witness(label)
+    for n, m in _BV_CASES:
+        yield f"ab-cross-commutators[({n},{m})]", _ab_commutator_witness(n, m)
 
 
 # --- sp2r ---------------------------------------------------------------
@@ -581,16 +559,14 @@ def _pair_algebra_witness(max_quanta: int) -> str | None:
     return None
 
 
-def suite_sp2r(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
+def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
     """The noncompact pair algebra holds exactly; traceless states sit at the bottom."""
-    max_quanta = 6 if max_quanta is None else max_quanta
-    records = [_record("pair-algebra-relations", _pair_algebra_witness(max_quanta))]
+    yield "pair-algebra-relations", _pair_algebra_witness(max_quanta)
     for n in range(3):
         for m in range(3):
-            witness = _first_colors(
+            yield f"lowest-weight[({n},{m})]", _first_colors(
                 n, m, lambda a, b: su3x.pair_annihilate(su3x.traceless_state(n, m, a, b)).terms
             )
-            records.append(_record(f"lowest-weight[({n},{m})]", witness))
 
     base = su3x.traceless_state(1, 1, (1,), (2,))
     lifted = su3x.pair_create(base)
@@ -598,8 +574,7 @@ def suite_sp2r(n_max: int | None = None, max_quanta: int | None = None) -> list[
     broken = bool(su3x.pair_annihilate(lifted).terms)
     ok = bool(lifted.terms) and covariant and broken
     witness = f"lifted nonzero={bool(lifted.terms)} covariant={covariant} leaves-bottom={broken}"
-    records.append(_record("tower-negative-control", None if ok else witness))
-    return records
+    yield "tower-negative-control", None if ok else witness
 
 
 # --- casimir ------------------------------------------------------------
@@ -616,24 +591,24 @@ def _casimir_match_witness(label: IrrepLabel, c2) -> str | None:
     return None if mono == null else f"monomial scalar {mono} != null-space scalar {null}"
 
 
-def suite_casimir(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
-    """Casimir scalars: rank-2 closed form, and monomials vs null-space basis."""
-    n_max = 4 if n_max is None else n_max
+def suite_casimir(n_max: int = 4, max_quanta: int | None = None) -> Checks:
+    """Casimir scalars: rank-2 closed form, and monomials vs null-space basis.
+
+    Without ``max_quanta``, the box bound is chosen per rank: 5 at N=3,
+    4 at N=4 and 3 above.
+    """
     rank2 = (
         (f"q={q}", casimir_eigenvalue(IrrepLabel(2, (q,))), Fraction(q, 2) * (Fraction(q, 2) + 1))
         for q in range(6)
     )
-    records = [_record("casimir-closed-form-rank2", _spot_witness(rank2))]
+    yield "casimir-closed-form-rank2", _spot_witness(rank2)
 
     default_bounds = {3: 5, 4: 4}
     for n in range(3, n_max + 1):
         bound = default_bounds.get(n, 3) if max_quanta is None else max_quanta
         c2 = casimir2_op(n)
-        records += [
-            _record(f"casimir-match[N={n},rows={label.rows}]", _casimir_match_witness(label, c2))
-            for label in iter_labels(n, bound)
-        ]
-    return records
+        for label in iter_labels(n, bound):
+            yield f"casimir-match[{_tag(label)}]", _casimir_match_witness(label, c2)
 
 
 # --- serialization ------------------------------------------------------
@@ -641,20 +616,17 @@ def suite_casimir(n_max: int | None = None, max_quanta: int | None = None) -> li
 
 def _serialization_families(n_max: int, max_quanta: int):
     monomials = []
-    for n in range(2, min(n_max, 4) + 1):
-        for label in iter_labels(n, max_quanta):
-            monomials.extend(build_monomial(label, idx) for idx in distinct_multi_indices(label))
+    for label in _labels(min(n_max, 4), max_quanta):
+        monomials.extend(build_monomial(label, idx) for idx in distinct_multi_indices(label))
     big = IrrepLabel(5, (2, 1, 1, 1))
     for pos, idx in enumerate(distinct_multi_indices(big)):
         if pos % 311 == 0:
             monomials.append(build_monomial(big, idx))
     yield "monomials", monomials
 
-    null_kets = []  # at rank 2 there are no constraints: the null space is the whole sector
-    for n in range(2, min(n_max, 4) + 1):
-        for label in iter_labels(n, min(max_quanta, 3)):
-            null_kets.extend(nullspace_basis(label))
-    yield "nullspace-basis", null_kets
+    # at rank 2 there are no constraints: the null space is the whole sector
+    labels = _labels(min(n_max, 4), min(max_quanta, 3))
+    yield "nullspace-basis", [psi for label in labels for psi in nullspace_basis(label)]
 
     trace = []
     for n, m in _BV_CASES:
@@ -689,17 +661,21 @@ def _round_trip_witness(family: str, kets: list[Ket]) -> str | None:
     return None
 
 
-def suite_serialization(n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
-    """Every producible ket survives document and byte round trips exactly."""
-    n_max = 4 if n_max is None else n_max
-    max_quanta = 4 if max_quanta is None else max_quanta
-    return [
-        _record(f"round-trip[{family}]", _round_trip_witness(family, kets))
-        for family, kets in _serialization_families(n_max, max_quanta)
-    ]
+def suite_serialization(n_max: int = 4, max_quanta: int = 4) -> Checks:
+    """Every producible ket survives document and byte round trips exactly.
+
+    The bounds govern only the ``monomials`` family (ranks up to
+    min(n_max, 4)) and the ``nullspace-basis`` family (at most 3 boxes
+    besides).  The rank-5 monomial sample, the rank-3 traceless and
+    pair-ladder kets, the rank-4 iterative images and the zero ket are
+    fixed samples, built at any bound: bounding them by rank would
+    leave ``iterative-images`` empty, so failing, at n_max=3.
+    """
+    for family, kets in _serialization_families(n_max, max_quanta):
+        yield f"round-trip[{family}]", _round_trip_witness(family, kets)
 
 
-SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
+SUITES: dict[str, Callable[..., Checks]] = {
     "fock": suite_fock,
     "algebra": suite_algebra,
     "constraints": suite_constraints,
@@ -717,9 +693,11 @@ SUITES: dict[str, Callable[..., list[CheckRecord]]] = {
 
 
 def run_suite(name: str, n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
-    """Run one registered suite by name."""
+    """Run one registered suite by name; a bound left None takes the suite's default."""
     try:
         suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}") from None
-    return suite(n_max=n_max, max_quanta=max_quanta)
+    bounds = {"n_max": n_max, "max_quanta": max_quanta}
+    checks = suite(**{key: value for key, value in bounds.items() if value is not None})
+    return [CheckRecord(check_id, witness is None, witness) for check_id, witness in checks]

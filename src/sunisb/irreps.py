@@ -199,26 +199,21 @@ def nullspace_basis(label: IrrepLabel) -> list[Ket]:
     return out
 
 
-def _index_weight(n: int, idx) -> tuple[int, ...]:
-    counts = [0] * n
-    for row in idx:
-        for alpha in row:
-            counts[alpha - 1] += 1
-    return tuple(counts)
-
-
 def monomial_rank(label: IrrepLabel) -> int:
     """Rank of the deduplicated monomial family: the rank of its coefficient vectors.
 
     The basis states are independent, so this is the dimension of the
-    family's span.  Monomials of different color weight share no
-    state, so the rank is a sum of one ``linalg.rank`` per weight block.
-    Zero monomials count as dependent.
+    family's span.  Dressed creations move quanta between rows, never
+    between colors, so every state of a monomial has its index's color
+    weight; monomials of different weight share no state, and the rank
+    is a sum of one ``linalg.rank`` per weight block.  Zero monomials
+    add nothing to a rank and are left out.
     """
     blocks: dict = {}
     for idx in distinct_multi_indices(label):
-        ket = build_monomial(label, idx)
-        blocks.setdefault(_index_weight(label.n, idx), []).append(ket.terms)
+        terms = build_monomial(label, idx).terms
+        if terms:
+            blocks.setdefault(color_totals(next(iter(terms))), []).append(terms)
     return sum(rank(block) for block in blocks.values())
 
 

@@ -3,12 +3,18 @@
 Every check runs in exact rational arithmetic with zero tolerance; a
 criterion passes only if every one of its checks passes.  Run with
 ``pytest -v`` (test names carry the verdicts) or ``pytest -s`` to see
-the printed lines.
+the printed lines.  Each criterion's ordered check ids and statuses
+must also match ``data/verify_default.json``, the pinned list at the
+default bounds.
 """
 
+import json
 import time
+from pathlib import Path
 
 from sunisb.checks import run_suite
+
+PINNED = json.loads((Path(__file__).parent / "data" / "verify_default.json").read_text())
 
 
 def _run(num: int, title: str, suite: str, budget_s: float | None = None) -> None:
@@ -20,6 +26,8 @@ def _run(num: int, title: str, suite: str, budget_s: float | None = None) -> Non
     print(f"criterion {num:02d} {title}: {verdict} ({len(records)} checks, {elapsed:.1f}s)")
     detail = "; ".join(f"{r.check_id}: {r.witness}" for r in failed[:4])
     assert not failed, f"criterion {num:02d} failed: {detail}"
+    got = [[suite, r.check_id, "pass" if r.passed else "fail"] for r in records]
+    assert got == [row for row in PINNED if row[0] == suite], f"criterion {num:02d}: check list moved"
     if budget_s is not None:
         assert elapsed <= budget_s, f"criterion {num:02d} exceeded {budget_s}s ({elapsed:.1f}s)"
 

@@ -1,11 +1,48 @@
-"""Verification suites: how much work a sweep repeats."""
+"""Verification suites: how much work a sweep repeats, and how bounds reach them."""
 
 import re
 from collections import Counter
 
+import pytest
+
 from sunisb import algebra, checks, irreps, su3x
-from sunisb.checks import run_suite
+from sunisb.checks import CheckRecord, iter_labels, run_suite
 from sunisb.fock import sector_size
+
+
+def test_run_suite_builds_records_and_passes_on_only_given_bounds(monkeypatch):
+    seen = []
+
+    def suite(**bounds):
+        seen.append(bounds)
+        yield "kept", None
+        yield "broken", "first failure"
+
+    monkeypatch.setitem(checks.SUITES, "probe", suite)
+    assert run_suite("probe", max_quanta=0) == [
+        CheckRecord("kept", True, None),
+        CheckRecord("broken", False, "first failure"),
+    ]
+    run_suite("probe")
+    assert seen == [{"max_quanta": 0}, {}]
+
+
+@pytest.mark.parametrize(
+    "name, bounds",
+    [
+        ("recurrence", {"n_max": 6, "max_quanta": 6}),
+        ("serialization", {"n_max": 4, "max_quanta": 4}),
+        ("sp2r", {"max_quanta": 6}),
+    ],
+)
+def test_explicit_default_bounds_equal_omitted_ones(name, bounds):
+    records = run_suite(name, **bounds)
+    assert records and records == run_suite(name)
+
+
+def test_casimir_box_bound_is_per_rank_unless_given():
+    assert len(run_suite("casimir", n_max=3)) == 1 + len(list(iter_labels(3, 5)))
+    assert len(run_suite("casimir", n_max=3, max_quanta=2)) == 1 + len(list(iter_labels(3, 2)))
 
 
 def test_casimir_suite_images_each_state_once_per_rank(monkeypatch):
