@@ -35,6 +35,8 @@ from .fock import (
     FockState,
     Ket,
     _accumulate,
+    _check_color,
+    _check_row,
     _moved,
     _raw_ket,
     _recolored,
@@ -71,16 +73,6 @@ class LinearOp:
     def __repr__(self) -> str:
         name = self.label or "?"
         return f"<LinearOp {name} on rank {self.n}>"
-
-
-def _check_row(n: int, i: int) -> None:
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"oscillator type must lie in 1..{n - 1}, got {i}")
-
-
-def _check_color(n: int, alpha: int) -> None:
-    if not 1 <= alpha <= n:
-        raise IndexError(f"color must lie in 1..{n}, got {alpha}")
 
 
 def invariant_action(i: int, j: int, psi: Ket) -> Ket:

@@ -11,7 +11,8 @@ Every suite takes the same two keyword bounds: ``n_max``, the largest
 rank N, and ``max_quanta``, the most boxes (or quanta) per sweep.  A
 suite's keyword defaults are its default bounds, the ones the
 acceptance tests run with; ``run_suite`` passes on only the bounds
-that are not None.  ``octet``, ``traceless`` and ``iterative`` check
+that are not None, and raises ``ValueError`` for a negative or
+non-``int`` one.  ``octet``, ``traceless`` and ``iterative`` check
 fixed samples and ignore both bounds, and ``sp2r`` ignores ``n_max``.
 
 Registry ``SUITES``:
@@ -44,6 +45,7 @@ from .fock import (
     Ket,
     _bilinear,
     _compositions,
+    _exact_int,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -693,11 +695,18 @@ SUITES: dict[str, Callable[..., Checks]] = {
 
 
 def run_suite(name: str, n_max: int | None = None, max_quanta: int | None = None) -> list[CheckRecord]:
-    """Run one registered suite by name; a bound left None takes the suite's default."""
+    """Run one registered suite by name; a bound left None takes the suite's default.
+
+    A bound given must be a non-negative ``int``, else ``ValueError``.
+    """
     try:
         suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}") from None
     bounds = {"n_max": n_max, "max_quanta": max_quanta}
-    checks = suite(**{key: value for key, value in bounds.items() if value is not None})
+    given = {key: value for key, value in bounds.items() if value is not None}
+    for key, value in given.items():
+        if _exact_int(value, key) < 0:
+            raise ValueError(f"{key} must be non-negative, got {value}")
+    checks = suite(**given)
     return [CheckRecord(check_id, witness is None, witness) for check_id, witness in checks]

@@ -7,52 +7,31 @@ Four subcommands:
 * ``verify``       run verification suites, exit 0 only if all checks pass
 * ``compare-su3``  rank-3 two-row labels in both oscillator languages
 
-Every number printed is exact; ``--format structured`` switches the
-output to JSON for scripting.
+Each subcommand returns a JSON document, its plain-text line(s) and a
+verdict; ``main`` prints the one ``--format`` asks for, to stdout or
+to ``--out``, and exits 0 on a good verdict, 1 on a bad one and 2 on
+bad input or an ``--out`` it cannot write.  Every number printed is exact.  A ``verify`` document
+reports per suite the bounds that ran: each one given, or else the
+suite's keyword default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import su3x
-from .checks import SUITES, CheckRecord, run_suite
-from .fock import dumps_ket
+from .checks import SUITES, run_suite
+from .fock import dumps_ket, ket_to_document
 from .irreps import IrrepLabel, build_monomial, monomial_rank, nullspace_dimension, weyl_dimension
 
-__all__ = ["Report", "main"]
+__all__ = ["main"]
 
-
-@dataclass(frozen=True)
-class Report:
-    """One suite run: its records, wall time, and the bounds it ran with."""
-
-    suite: str
-    records: tuple[CheckRecord, ...]
-    elapsed_ms: int
-    config: dict
-
-    @property
-    def passed(self) -> bool:
-        """True when every check passed; a suite that ran no checks fails."""
-        return bool(self.records) and all(r.passed for r in self.records)
-
-    def to_document(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-            "config": dict(self.config),
-            "checks": [
-                {"id": r.check_id, "status": "pass" if r.passed else "fail", "witness": r.witness}
-                for r in self.records
-            ],
-        }
+Result = tuple[object, str, bool]
 
 
 def _parse_rows(text: str) -> tuple[int, ...]:
@@ -76,106 +55,83 @@ def _parse_index(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-
-
-def _cmd_dim(args: argparse.Namespace) -> int:
+def _cmd_dim(args: argparse.Namespace) -> Result:
     label = IrrepLabel(args.n, _parse_rows(args.rows))
     weyl = weyl_dimension(label)
     null = nullspace_dimension(label)
     rank = monomial_rank(label)
     agree = weyl == null == rank
-    if args.format == "structured":
-        text = json.dumps(
-            {
-                "n": label.n,
-                "rows": list(label.rows),
-                "weyl": weyl,
-                "nullspace": null,
-                "monomial_rank": rank,
-                "agree": agree,
-            },
-            indent=1,
-        )
-    else:
-        text = f"{weyl} {null} {rank} {'agree' if agree else 'disagree'}"
-    _emit(text, args.out)
-    return 0 if agree else 1
+    document = {
+        "n": label.n,
+        "rows": list(label.rows),
+        "weyl": weyl,
+        "nullspace": null,
+        "monomial_rank": rank,
+        "agree": agree,
+    }
+    return document, f"{weyl} {null} {rank} {'agree' if agree else 'disagree'}", agree
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> Result:
     label = IrrepLabel(args.n, _parse_rows(args.rows))
-    index = _parse_index(args.idx)
-    psi = build_monomial(label, index)
-    _emit(dumps_ket(psi), args.out)
-    return 0
+    psi = build_monomial(label, _parse_index(args.idx))
+    # the ket document is the output in both formats
+    return ket_to_document(psi), dumps_ket(psi), True
 
 
-def _format_plain_reports(reports: list[Report]) -> str:
-    lines = []
-    for report in reports:
-        for record in report.records:
+def _cmd_verify(args: argparse.Namespace) -> Result:
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    given = {"n_max": args.n_max, "max_quanta": args.max_quanta}
+    documents, lines = [], []
+    for name in names:
+        start = time.perf_counter()
+        records = run_suite(name, **given)
+        elapsed = int((time.perf_counter() - start) * 1000)
+        # a suite that ran no checks fails
+        passed = bool(records) and all(r.passed for r in records)
+        defaults = inspect.signature(SUITES[name]).parameters
+        config = {key: defaults[key].default if value is None else value for key, value in given.items()}
+        documents.append(
+            {
+                "suite": name,
+                "passed": passed,
+                "elapsed_ms": elapsed,
+                "config": config,
+                "checks": [
+                    {"id": r.check_id, "status": "pass" if r.passed else "fail", "witness": r.witness}
+                    for r in records
+                ],
+            }
+        )
+        for record in records:
             if not record.passed:
                 witness = f" ({record.witness})" if record.witness else ""
                 lines.append(f"FAIL {record.check_id}{witness}")
-        good = sum(r.passed for r in report.records)
-        status = "ok" if report.passed else "FAILED"
-        lines.append(
-            f"suite {report.suite}: {good}/{len(report.records)} checks, "
-            f"{status}, {report.elapsed_ms} ms"
-        )
-    return "\n".join(lines)
+        good = sum(r.passed for r in records)
+        status = "ok" if passed else "FAILED"
+        lines.append(f"suite {name}: {good}/{len(records)} checks, {status}, {elapsed} ms")
+    return documents, "\n".join(lines), all(document["passed"] for document in documents)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    bounds = {"n_max": args.n_max, "max_quanta": args.max_quanta}
-    reports = []
-    for name in names:
-        start = time.perf_counter()
-        records = run_suite(name, **bounds)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        reports.append(Report(name, tuple(records), elapsed, bounds))
-    if args.format == "structured":
-        text = json.dumps([report.to_document() for report in reports], indent=1)
-    else:
-        text = _format_plain_reports(reports)
-    _emit(text, args.out)
-    return 0 if all(report.passed for report in reports) else 1
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    label = IrrepLabel(args.n, _parse_rows(args.rows))
-    if label.n != 3:
-        raise ValueError("the two-language comparison is a rank-3 construction")
+def _cmd_compare(args: argparse.Namespace) -> Result:
+    label = IrrepLabel(3, _parse_rows(args.rows))
     result = su3x.compare_languages(label)
-    if args.format == "structured":
-        text = json.dumps(
-            {
-                "rows": list(label.rows),
-                "nm": list(result.nm),
-                "two_triplet_dimension": result.two_triplet_dimension,
-                "ab_dimension": result.ab_dimension,
-                "two_triplet_casimir": str(result.two_triplet_casimir),
-                "ab_casimir": str(result.ab_casimir),
-                "agree": result.agree,
-            },
-            indent=1,
-        )
-    else:
-        verdict = "agree" if result.agree else "disagree"
-        text = (
-            f"[{label.rows[0]},{label.rows[1]}] ~ {result.nm}: "
-            f"dimension {result.two_triplet_dimension} vs {result.ab_dimension}, "
-            f"casimir {result.two_triplet_casimir} vs {result.ab_casimir}: {verdict}"
-        )
-    _emit(text, args.out)
-    return 0 if result.agree else 1
+    document = {
+        "rows": list(label.rows),
+        "nm": list(result.nm),
+        "two_triplet_dimension": result.two_triplet_dimension,
+        "ab_dimension": result.ab_dimension,
+        "two_triplet_casimir": str(result.two_triplet_casimir),
+        "ab_casimir": str(result.ab_casimir),
+        "agree": result.agree,
+    }
+    verdict = "agree" if result.agree else "disagree"
+    text = (
+        f"[{label.rows[0]},{label.rows[1]}] ~ {result.nm}: "
+        f"dimension {result.two_triplet_dimension} vs {result.ab_dimension}, "
+        f"casimir {result.two_triplet_casimir} vs {result.ab_casimir}: {verdict}"
+    )
+    return document, text, result.agree
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     compare = sub.add_parser("compare-su3", help="rank-3 label in both oscillator languages")
-    compare.add_argument("--n", type=int, default=3)
     compare.add_argument("--rows", required=True)
     compare.set_defaults(func=_cmd_compare)
     return parser
@@ -219,10 +174,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, IndexError) as err:
+        document, plain, ok = args.func(args)
+        text = json.dumps(document, indent=1) if args.format == "structured" else plain
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except (ValueError, IndexError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

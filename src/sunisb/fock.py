@@ -241,11 +241,20 @@ def basis_ket(state: FockState) -> Ket:
     return _raw_ket(state.n, {state: 1})
 
 
-def _check_slot(n: int, i: int, alpha: int) -> None:
-    if not 1 <= i <= n - 1:
+# an index is an int in range: a float or bool one raises here, not as a TypeError deeper in
+def _check_row(n: int, i: int) -> None:
+    if type(i) is not int or not 1 <= i <= n - 1:
         raise IndexError(f"oscillator type must lie in 1..{n - 1}, got {i}")
-    if not 1 <= alpha <= n:
+
+
+def _check_color(n: int, alpha: int) -> None:
+    if type(alpha) is not int or not 1 <= alpha <= n:
         raise IndexError(f"color must lie in 1..{n}, got {alpha}")
+
+
+def _check_slot(n: int, i: int, alpha: int) -> None:
+    _check_row(n, i)
+    _check_color(n, alpha)
 
 
 def apply_create(i: int, alpha: int, psi: Ket) -> Ket:

@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator
 from .algebra import casimir2_op, invariant_action
 from .fock import (
     Ket,
+    _check_rank,
     _exact_int,
     basis_ket,
     color_totals,
@@ -71,8 +72,7 @@ class IrrepLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(_exact_int(r, "row length") for r in self.rows))
-        if _exact_int(self.n, "group rank") < 2:
-            raise ValueError(f"group rank must be at least 2, got {self.n}")
+        _check_rank(self.n)
         if len(self.rows) != self.n - 1:
             raise ValueError(f"need {self.n - 1} row lengths for rank {self.n}")
         if any(r < 0 for r in self.rows):

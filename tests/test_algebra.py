@@ -1,5 +1,6 @@
 """Bilinear invariants, group generators, and the quadratic Casimir."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sunisb.algebra import casimir2_op, generator_action, invariant_action
-from sunisb.fock import FockState, basis_ket, enumerate_sector, vacuum, zero_ket
+from sunisb.fock import FockState, apply_create, basis_ket, enumerate_sector, vacuum, zero_ket
 
 
 def states(n: int, per_slot_max: int = 2):
@@ -77,6 +78,18 @@ def test_generator_is_traceless():
             for a in range(1, n + 1):
                 total = total + generator_action(a, a, basis_ket(s))
             assert not total.terms
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_inexact_index_rejected(bad):
+    # on the vacuum no term is touched, so only the index check can reject it
+    for act in (
+        lambda: generator_action(bad, 1, vacuum(3)),
+        lambda: invariant_action(1, bad, vacuum(3)),
+        lambda: apply_create(1, bad, vacuum(3)),
+    ):
+        with pytest.raises(IndexError, match=re.escape(f"got {bad}")):
+            act()
 
 
 def test_generator_action_on_vacuum():

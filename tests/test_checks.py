@@ -40,6 +40,24 @@ def test_explicit_default_bounds_equal_omitted_ones(name, bounds):
     assert records and records == run_suite(name)
 
 
+@pytest.mark.parametrize(
+    "name, bounds, message",
+    [
+        # a negative bound sweeps no states, or negative row totals, and would pass vacuously
+        ("sp2r", {"max_quanta": -1}, "max_quanta must be non-negative, got -1"),
+        ("recurrence", {"max_quanta": -2}, "max_quanta must be non-negative, got -2"),
+        ("casimir", {"n_max": 3, "max_quanta": -1}, "max_quanta must be non-negative, got -1"),
+        ("fock", {"n_max": -1}, "n_max must be non-negative, got -1"),
+        ("fock", {"n_max": 2.5}, "n_max must be an int, got 2.5"),
+        ("fock", {"max_quanta": True}, "max_quanta must be an int, got True"),
+        ("octet", {"n_max": "3"}, "n_max must be an int, got '3'"),
+    ],
+)
+def test_negative_or_inexact_bound_is_rejected(name, bounds, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(name, **bounds)
+
+
 def test_casimir_box_bound_is_per_rank_unless_given():
     assert len(run_suite("casimir", n_max=3)) == 1 + len(list(iter_labels(3, 5)))
     assert len(run_suite("casimir", n_max=3, max_quanta=2)) == 1 + len(list(iter_labels(3, 2)))

@@ -1,10 +1,13 @@
 """Command line behavior: output shapes, exit codes, file output."""
 
 import json
+import re
 from pathlib import Path
 
+import pytest
+
 from sunisb.cli import main
-from sunisb.fock import loads_ket
+from sunisb.fock import dumps_ket, loads_ket
 from sunisb.irreps import IrrepLabel, build_monomial
 
 DATA = Path(__file__).parent / "data"
@@ -90,6 +93,20 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)[0]["passed"] is False
 
+    def test_config_reports_the_bounds_that_ran(self, capsys):
+        # an omitted bound reports the suite's keyword default; casimir's None is its per-rank rule
+        _, out, _ = run(capsys, "--format", "structured", "verify", "--suite", "fock")
+        assert json.loads(out)[0]["config"] == {"n_max": 4, "max_quanta": 6}
+        _, out, _ = run(capsys, "--format", "structured", "verify", "--suite", "casimir", "--n-max", "3")
+        assert json.loads(out)[0]["config"] == {"n_max": 3, "max_quanta": None}
+
+    def test_negative_bound_exit_2(self, capsys):
+        # with no states to check, the pair algebra would pass vacuously
+        code, out, err = run(capsys, "verify", "--suite", "sp2r", "--max-quanta", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_quanta must be non-negative, got -1\n"
+
     def test_smallest_sweep_passes(self, capsys):
         # the null-space round trip used to start at rank 3 and find no kets at --n-max 2
         code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "2")
@@ -104,8 +121,6 @@ class TestVerify:
         assert got == json.loads((DATA / "verify_n_max_3.json").read_text())
 
     def test_unknown_suite_rejected(self, capsys):
-        import pytest
-
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
         capsys.readouterr()
@@ -127,9 +142,15 @@ class TestCompare:
         assert doc["two_triplet_dimension"] == 15
 
     def test_wrong_rank_exit_2(self, capsys):
-        code, _, err = run(capsys, "compare-su3", "--n", "4", "--rows", "1,1,0")
+        code, _, err = run(capsys, "compare-su3", "--rows", "1,1,0")
         assert code == 2
         assert "error" in err
+
+    def test_rank_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-su3", "--n", "3", "--rows", "2,1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -138,3 +159,42 @@ def test_out_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().strip() == "3 3 3 agree"
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.txt"
+    code, out, err = run(capsys, "--out", str(target), "dim", "--n", "2", "--rows", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+OUT_CASES = [
+    ("dim", "--n", "3", "--rows", "2,1"),
+    ("build", "--n", "3", "--rows", "2,1", "--idx", "1,1/2"),
+    ("verify", "--suite", "octet"),
+    ("compare-su3", "--rows", "2,1"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("argv", OUT_CASES, ids=lambda argv: argv[0])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, fmt, argv):
+    code, out, _ = run(capsys, "--format", fmt, *argv)
+    target = tmp_path / "result"
+    assert main(["--format", fmt, "--out", str(target), *argv]) == code == 0
+    assert capsys.readouterr().out == ""
+    written = target.read_text(encoding="utf-8")
+    if fmt == "structured":
+        json.loads(written)
+    if argv[0] == "verify":
+        # the elapsed time is the one field that differs between two runs
+        out, written = (re.sub(r"\d+ ms|\"elapsed_ms\": \d+", "T", text) for text in (out, written))
+    assert written == out
+
+
+def test_build_prints_the_ket_document_in_both_formats(capsys):
+    argv = ("build", "--n", "3", "--rows", "2,1", "--idx", "1,1/2")
+    expected = dumps_ket(build_monomial(IrrepLabel(3, (2, 1)), ((1, 1), (2,))))
+    assert run(capsys, *argv)[1] == expected
+    assert run(capsys, "--format", "structured", *argv)[1] == expected

@@ -170,6 +170,11 @@ class TestGenerators:
             for b in COLORS:
                 assert not ab_generator_action(a, b, vacuum(3)).terms
 
+    @pytest.mark.parametrize("alpha, beta, bad", [(4, 1, 4), (1, 0, 0), (1.5, 1, 1.5)])
+    def test_names_the_bad_color(self, alpha, beta, bad):
+        with pytest.raises(IndexError, match=f"color must lie in 1..3, got {bad}$"):
+            ab_generator_action(alpha, beta, vacuum(3))
+
 
 class TestPairAlgebra:
     def test_relations_on_vacuum(self):
