@@ -1,11 +1,12 @@
 """Verification suites: how much work a sweep repeats, and how bounds reach them."""
 
+import json
 import re
 from collections import Counter
 
 import pytest
 
-from sunisb import algebra, checks, irreps, su3x
+from sunisb import algebra, checks, fock, irreps, su3x
 from sunisb.checks import CheckRecord, iter_labels, run_suite
 from sunisb.fock import sector_size
 
@@ -180,3 +181,29 @@ def test_dimension_triple_catches_a_fault_in_the_shared_eliminator(monkeypatch):
         # both witness forms name the Weyl, null-space and rank values first
         weyl, null, rank = (int(x) for x in re.findall(r"\d+", r.witness)[:3])
         assert not weyl == null == rank, r.witness
+
+
+def _dumps_without_last_term(psi):
+    doc = fock.ket_to_document(psi)
+    doc["terms"] = doc["terms"][:-1]
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _document_with_first_coefficient_negated(psi):
+    doc = fock.ket_to_document(psi)
+    if doc["terms"]:
+        doc["terms"][0]["num"] = str(-int(doc["terms"][0]["num"]))
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, tampered",
+    [("dumps_ket", _dumps_without_last_term), ("ket_to_document", _document_with_first_coefficient_negated)],
+)
+def test_serialization_suite_fails_on_a_tampered_document(monkeypatch, name, tampered):
+    monkeypatch.setattr(checks, name, tampered)
+    records = run_suite("serialization", n_max=3)
+    failed = [r for r in records if not r.passed]
+    # every family but the zero ket holds a ket of more than one term
+    assert [r.check_id for r in records if r.passed] == ["round-trip[zero-ket]"]
+    assert len(failed) == 5 and all("round trip" in r.witness for r in failed)

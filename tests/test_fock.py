@@ -2,11 +2,12 @@
 
 import copy
 import json
+import textwrap
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sunisb.fock import (
@@ -92,6 +93,12 @@ class TestKet:
     def test_inexact_coefficients_rejected(self, coeff):
         with pytest.raises(ValueError):
             Ket(2, {FockState(2, ((1, 0),)): coeff})
+
+    @pytest.mark.parametrize("op", [lambda k: k * True, lambda k: True * k, lambda k: k / True])
+    def test_bool_scalar_rejected(self, op):
+        # a bool coefficient is refused on construction, so it is refused as a scalar too
+        with pytest.raises(TypeError):
+            op(basis_ket(FockState(2, ((1, 0),))))
 
     def test_exact_coefficients_accepted_and_summed(self):
         s = FockState(2, ((1, 0),))
@@ -185,6 +192,14 @@ def kets(n: int):
 ket_documents = st.integers(2, 4).flatmap(kets).map(ket_to_document)
 
 
+def wide_kets(n: int):
+    """Kets whose documents stress the writer: two-digit occupations, 40-digit coefficients."""
+    big = st.integers(-(10**40), 10**40)
+    coeffs = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**40)))
+    terms = st.dictionaries(occupations(n, 12).map(lambda occ: FockState(n, occ)), coeffs, max_size=5)
+    return terms.map(lambda terms: Ket(n, terms))
+
+
 def _drop_key(doc, draw):
     target = draw(st.sampled_from([doc, doc["terms"][0]]))
     del target[draw(st.sampled_from(sorted(target)))]
@@ -263,6 +278,62 @@ class TestSerialization:
         assert dumps_ket(loads_ket(text)) == text
         assert text.endswith("\n")
 
+    @given(st.integers(2, 6).flatmap(wide_kets))
+    @example(zero_ket(2))
+    @example(zero_ket(6))
+    def test_text_is_the_indented_json_of_the_document(self, psi):
+        assert dumps_ket(psi) == json.dumps(ket_to_document(psi), indent=1) + "\n"
+
+    def test_literal_bytes(self):
+        s = FockState(3, ((0, 1, 0), (2, 0, 0)))
+        t = FockState(3, ((1, 0, 0), (0, 0, 10)))
+        psi = basis_ket(t) * Fraction(5, 12) + basis_ket(s) * -3
+        expected = textwrap.dedent(
+            """\
+            {
+             "N": 3,
+             "convention": "unnormalized-monomial",
+             "terms": [
+              {
+               "occ": [
+                [
+                 0,
+                 1,
+                 0
+                ],
+                [
+                 2,
+                 0,
+                 0
+                ]
+               ],
+               "num": "-3",
+               "den": "1"
+              },
+              {
+               "occ": [
+                [
+                 1,
+                 0,
+                 0
+                ],
+                [
+                 0,
+                 0,
+                 10
+                ]
+               ],
+               "num": "5",
+               "den": "12"
+              }
+             ]
+            }
+            """
+        )
+        assert dumps_ket(psi) == expected
+        empty = '{\n "N": 3,\n "convention": "unnormalized-monomial",\n "terms": []\n}\n'
+        assert dumps_ket(zero_ket(3)) == empty
+
     def test_document_shape(self):
         psi = basis_ket(FockState(2, ((1, 0),))) * Fraction(-1, 2)
         doc = ket_to_document(psi)
@@ -313,3 +384,4 @@ def test_format_ket_readable():
     psi = basis_ket(FockState(3, ((1, 1, 0), (1, 0, 0)))) * Fraction(-2, 3)
     assert format_ket(psi) == "-2/3 |1 1 0 / 1 0 0>"
     assert format_ket(zero_ket(3)) == "0"
+    assert format_ket(basis_ket(FockState(2, ((0, 2),))) * 3) == "3 |0 2>"
