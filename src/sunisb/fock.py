@@ -429,9 +429,10 @@ def ket_from_document(doc: dict) -> Ket:
 def dumps_ket(psi: Ket) -> str:
     """``json.dumps(ket_to_document(psi), indent=1)`` plus a newline, byte for byte.
 
-    The text is written directly, each distinct occupation row formatted
-    once per call: before Python 3.13 ``json.dumps`` with an indent runs
-    its pure-Python encoder, not the C one.
+    The text is written directly: before Python 3.13 ``json.dumps`` with
+    an indent runs its pure-Python encoder, not the C one.  Each distinct
+    occupation row is formatted once per call, since the terms of a
+    dressed monomial share most of their rows.
     """
     record = '  {\n   "occ": [\n%s\n   ],\n   "num": "%d",\n   "den": "%d"\n  }'
     rows: dict = {}
