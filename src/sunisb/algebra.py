@@ -22,8 +22,13 @@ matter:
   (1/2) sum_ab Q[a,b] Q[b,a].
 
 Shared helpers: ``casimir_op(n, action, label)`` builds that Casimir
-from any generator action, here and in ``su3x``, memoizing basis images
-per operator; ``LinearOp`` and the Casimir sum use ``fock._accumulate``.
+from any generator action, here and in ``su3x``.  It sums the
+off-diagonal products Q[a,b] Q[b,a], a != b, which are integer on a
+basis state, and adds the diagonal products as the squares of the
+scalars by which each Q[a,a] multiplies that state.  Each basis image
+is kept as ints over one denominator, in a memo that lives as long as
+the operator.  ``LinearOp`` applies such images through
+``fock._rational_sum``, the integer kernel of the dressed ladders.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .fock import (
     _check_row,
     _moved,
     _raw_ket,
+    _rational_sum,
     _recolored,
     basis_ket,
     total_occupations,
@@ -53,11 +59,17 @@ __all__ = [
 
 
 class LinearOp:
-    """A linear map on kets, defined by its action on basis states."""
+    """A linear map on kets, defined by integer images of basis states.
+
+    ``on_basis(state)`` returns ``(terms, den)``: the image of the state
+    is the sum of coeff / den |s> over the (s, coeff) pairs of terms,
+    every coeff an ``int``.  A ket is mapped by ``fock._rational_sum``,
+    which divides once per output state.
+    """
 
     __slots__ = ("n", "label", "_on_basis")
 
-    def __init__(self, n: int, on_basis: Callable[[FockState], Ket], label: str | None = None):
+    def __init__(self, n: int, on_basis: Callable[[FockState], tuple], label: str | None = None):
         self.n = n
         self._on_basis = on_basis
         self.label = label
@@ -65,10 +77,7 @@ class LinearOp:
     def __call__(self, psi: Ket) -> Ket:
         if psi.n != self.n:
             raise ValueError("operator and ket have different group ranks")
-        acc: dict = {}
-        for state, coeff in psi.terms.items():
-            _accumulate(acc, self._on_basis(state).terms.items(), coeff)
-        return _raw_ket(self.n, acc)
+        return _rational_sum(self.n, ((c, *self._on_basis(s)) for s, c in psi.terms.items()))
 
     def __repr__(self) -> str:
         name = self.label or "?"
@@ -133,20 +142,37 @@ def casimir_op(n: int, action: Callable[[int, int, Ket], Ket], label: str) -> Li
 
     ``action(alpha, beta, psi)`` applies the Weyl-basis generator
     Q[alpha, beta]; both oscillator languages build their Casimir here.
-    Each state's image is computed once and kept for the operator's life.
+    A state's image is taken in two parts.  The N(N-1) off-diagonal
+    products Q[a,b] Q[b,a], a != b, carry no trace term, so on a basis
+    state their coefficients are ints.  A diagonal generator Q[a,a]
+    multiplies a basis state by a scalar d_a, so the N diagonal products
+    add sum_a d_a^2 to the state itself: N actions, not 2N.  The image
+    is kept as ints over one denominator, 2 * denominator(sum_a d_a^2),
+    computed once per state and memoized for the operator's life.
+    So ``action(alpha, alpha, .)`` must be diagonal on basis states, as
+    it is in both languages.
     """
     colors = range(1, n + 1)
     images: dict = {}
 
-    def act(state: FockState) -> Ket:
+    def act(state: FockState) -> tuple:
         image = images.get(state)
         if image is None:
             base = basis_ket(state)
             acc: dict = {}
+            squares = 0
             for alpha in colors:
                 for beta in colors:
-                    _accumulate(acc, action(alpha, beta, action(beta, alpha, base)).terms.items())
-            image = images[state] = _raw_ket(n, acc) * Fraction(1, 2)
+                    if beta != alpha:
+                        product = action(alpha, beta, action(beta, alpha, base))
+                        _accumulate(acc, product.terms.items())
+                d = action(alpha, alpha, base).terms.get(state, 0)
+                squares += d * d
+            den = squares.denominator
+            if den != 1:
+                acc = {s: c * den for s, c in acc.items()}
+            _accumulate(acc, ((state, squares.numerator),))
+            image = images[state] = (acc.items(), 2 * den)
         return image
 
     return LinearOp(n, act, label)

@@ -7,10 +7,11 @@ Four subcommands:
 * ``verify``       run verification suites, exit 0 only if all checks pass
 * ``compare-su3``  rank-3 two-row labels in both oscillator languages
 
-Each subcommand returns a JSON document, its plain-text line(s) and a
-verdict; ``main`` prints the one ``--format`` asks for, to stdout or
-to ``--out``, and exits 0 on a good verdict, 1 on a bad one and 2 on
-bad input or an ``--out`` it cannot write.  Every number printed is exact.  A ``verify`` document
+Each subcommand returns a JSON document (``build``: its JSON text),
+its plain-text line(s) and a verdict; ``main`` prints the one
+``--format`` asks for, to stdout or to ``--out``, and exits 0 on a good
+verdict, 1 on a bad one and 2 on bad input or an ``--out`` it cannot
+write.  Every number printed is exact.  A ``verify`` document
 reports per suite the bounds that ran: each one given, or else the
 suite's keyword default.
 """
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from . import su3x
 from .checks import SUITES, run_suite
-from .fock import dumps_ket, ket_to_document
+from .fock import dumps_ket
 from .irreps import IrrepLabel, build_monomial, monomial_rank, nullspace_dimension, weyl_dimension
 
 __all__ = ["main"]
@@ -75,8 +76,9 @@ def _cmd_dim(args: argparse.Namespace) -> Result:
 def _cmd_build(args: argparse.Namespace) -> Result:
     label = IrrepLabel(args.n, _parse_rows(args.rows))
     psi = build_monomial(label, _parse_index(args.idx))
-    # the ket document is the output in both formats
-    return ket_to_document(psi), dumps_ket(psi), True
+    # the ket document is the output in both formats, written by fock alone
+    text = dumps_ket(psi)
+    return text, text, True
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
@@ -175,7 +177,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         document, plain, ok = args.func(args)
-        text = json.dumps(document, indent=1) if args.format == "structured" else plain
+        if args.format == "plain":
+            text = plain
+        else:
+            text = document if isinstance(document, str) else json.dumps(document, indent=1)
         if not text.endswith("\n"):
             text += "\n"
         if args.out is None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -221,6 +221,26 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
         else:
             acc.pop(state, None)
     return acc
+
+
+def _rational_sum(n: int, pieces) -> Ket:
+    """The ket sum of coeff * terms / den over (coeff, terms, den) pieces, terms over ints.
+
+    Every coefficient is brought to one common denominator, the integer
+    products are summed, and each output coefficient is divided once:
+    an ``int`` when the division is exact, a ``Fraction`` otherwise.
+    The dressed ladders of ``isb`` and the Casimir of ``algebra`` apply
+    their integer basis images here.
+    """
+    pieces = list(pieces)
+    common = lcm(*(c.denominator * den for c, _, den in pieces))
+    acc: dict = {}
+    for c, terms, den in pieces:
+        _accumulate(acc, terms, c.numerator * (common // (c.denominator * den)))
+    if common != 1:
+        for state, v in acc.items():
+            acc[state] = v // common if v % common == 0 else Fraction(v, common)
+    return _raw_ket(n, acc)
 
 
 def _raw_ket(n: int, terms: dict) -> Ket:

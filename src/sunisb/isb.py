@@ -54,14 +54,14 @@ at rank 4 and row totals (1, 2, 1), A+[3] takes both d_1 and d_2 as
 2, and its two-link chain carries 1/4.  Applied to a ket, the basis
 images and the input coefficients share one common denominator, and
 each output coefficient is divided once: an ``int`` when exact, a
-``Fraction`` otherwise.
+``Fraction`` otherwise.  That sum is ``fock._rational_sum``, which the
+Casimir of ``algebra`` shares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable
 
 from .algebra import invariant_action
@@ -71,6 +71,7 @@ from .fock import (
     _bumped,
     _check_slot,
     _raw_ket,
+    _rational_sum,
     apply_create,
     basis_ket,
     total_occupations,
@@ -113,24 +114,6 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
     Always the exact negative of ``creation_coeff(i, k, totals)``.
     """
     return -creation_coeff(i, k, totals)
-
-
-def _rational_sum(n: int, pieces) -> Ket:
-    """The ket sum of coeff * terms / den over (coeff, terms, den) pieces, terms over ints.
-
-    Every coefficient is brought to one common denominator, the integer
-    products are summed, and each output coefficient is divided once:
-    an ``int`` when the division is exact, a ``Fraction`` otherwise.
-    """
-    pieces = list(pieces)
-    common = lcm(*(c.denominator * den for c, _, den in pieces))
-    acc: dict = {}
-    for c, terms, den in pieces:
-        _accumulate(acc, terms, c.numerator * (common // (c.denominator * den)))
-    if common != 1:
-        for state, v in acc.items():
-            acc[state] = v // common if v % common == 0 else Fraction(v, common)
-    return _raw_ket(n, acc)
 
 
 def _create_on_basis(k: int, alpha: int, state) -> tuple:

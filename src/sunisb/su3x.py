@@ -28,8 +28,9 @@ Provided:
   realizations at [n_1, n_2] <-> (n, m) = (n_1 - n_2, n_2), compared
   exactly.
 
-Shared generic helpers: ``fock._bilinear``,
-``algebra.casimir_op``, ``linalg.rank`` and ``irreps.scalar_on``.
+Shared generic helpers: ``fock._bilinear``, ``algebra.casimir_op``
+(integer images over one denominator per state, applied by
+``fock._rational_sum``), ``linalg.rank`` and ``irreps.scalar_on``.
 Both dressed creations are one routine, ``_dressed_create``; it, the
 traceless states and the sp(2,R) triple are compositions of the
 whole-ket ladders ``pair_create`` and ``pair_annihilate``.

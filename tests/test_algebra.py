@@ -4,11 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sunisb.algebra import casimir2_op, generator_action, invariant_action
-from sunisb.fock import FockState, apply_create, basis_ket, enumerate_sector, vacuum, zero_ket
+from sunisb.fock import FockState, Ket, apply_create, basis_ket, enumerate_sector, vacuum, zero_ket
+from sunisb.su3x import ab_casimir2_op, ab_generator_action
 
 
 def states(n: int, per_slot_max: int = 2):
@@ -120,3 +121,36 @@ class TestCasimir:
 
     def test_vacuum_annihilated(self):
         assert not casimir2_op(3)(vacuum(3))
+
+
+def reference_casimir(action, psi: Ket) -> Ket:
+    """(1/2) sum_ab Q[a,b] Q[b,a] psi, summed as whole Fraction kets."""
+    colors = range(1, psi.n + 1)
+    total = zero_ket(psi.n)
+    for a in colors:
+        for b in colors:
+            total = total + action(a, b, action(b, a, psi))
+    return total * Fraction(1, 2)
+
+
+coefficients = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+
+def kets(n: int):
+    # zero coefficients are drawn too; the ket prunes them
+    return st.dictionaries(states(n), coefficients, max_size=4).map(lambda terms: Ket(n, terms))
+
+
+class TestCasimirOracle:
+    """The integer Casimir images against the whole-ket definition, exactly."""
+
+    @given(st.integers(2, 4).flatmap(kets))
+    @example(zero_ket(2))
+    @example(zero_ket(4))
+    def test_two_triplet_language(self, psi):
+        assert casimir2_op(psi.n)(psi) == reference_casimir(generator_action, psi)
+
+    @given(kets(3))
+    @example(zero_ket(3))
+    def test_triplet_antitriplet_language(self, psi):
+        assert ab_casimir2_op()(psi) == reference_casimir(ab_generator_action, psi)

@@ -193,8 +193,26 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys, fmt, argv):
     assert written == out
 
 
-def test_build_prints_the_ket_document_in_both_formats(capsys):
-    argv = ("build", "--n", "3", "--rows", "2,1", "--idx", "1,1/2")
-    expected = dumps_ket(build_monomial(IrrepLabel(3, (2, 1)), ((1, 1), (2,))))
-    assert run(capsys, *argv)[1] == expected
-    assert run(capsys, "--format", "structured", *argv)[1] == expected
+BUILD_CASES = [
+    (3, (2, 1), ((1, 1), (2,))),
+    (4, (2, 1, 1), ((1, 2), (3,), (4,))),
+    (5, (2, 2, 1, 0), ((1, 2), (3, 4), (5,), ())),
+]
+
+
+def test_build_prints_the_ket_document_in_both_formats(tmp_path, capsys, monkeypatch):
+    # fock alone writes the ket layout: the JSON encoder is never reached
+    def encoder_called(*args, **kwargs):
+        raise AssertionError("build encoded its document with json.dumps")
+
+    monkeypatch.setattr(json, "dumps", encoder_called)
+    target = tmp_path / "ket.json"
+    for n, rows, idx in BUILD_CASES:
+        expected = dumps_ket(build_monomial(IrrepLabel(n, rows), idx))
+        argv = ["build", "--n", str(n), "--rows", ",".join(map(str, rows))]
+        argv += ["--idx", "/".join(",".join(map(str, group)) for group in idx)]
+        for fmt in ("plain", "structured"):
+            assert run(capsys, "--format", fmt, *argv) == (0, expected, "")
+            assert main(["--format", fmt, "--out", str(target), *argv]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_bytes() == expected.encode("utf-8")

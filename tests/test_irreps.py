@@ -247,7 +247,7 @@ class TestCasimir:
     @pytest.mark.parametrize(
         "label",
         [IrrepLabel(n, rows) for n in (2, 3, 4) for rows in labels_up_to(n, 4)]
-        + [IrrepLabel(5, (4, 1, 0, 0)), IrrepLabel(5, (3, 2, 0, 0))],
+        + [IrrepLabel(5, (4, 1, 0, 0)), IrrepLabel(5, (3, 2, 0, 0)), IrrepLabel(5, (3, 2, 1, 0))],
         ids=str,
     )
     def test_matches_closed_form(self, label):
@@ -269,10 +269,29 @@ class TestCasimir:
         distinct = {s for psi in monomials for s in psi.terms}
         assert sum(len(psi.terms) for psi in monomials) > len(distinct)  # states do repeat
         op = casimir_op(3, counted, "C2")
+        # one image: two actions for each of the N(N-1) off-diagonal pairs, one per diagonal
+        per_image = 2 * 3 * 2 + 3
         assert scalar_on(op, monomials) == 3
-        assert len(calls) <= 2 * 3**2 * len(distinct)
+        assert len(calls) == per_image * len(distinct)
         assert scalar_on(op, monomials) == 3
-        assert len(calls) <= 2 * 3**2 * len(distinct)
+        assert len(calls) == per_image * len(distinct)
+
+    @pytest.mark.parametrize(
+        "perturbed",
+        [
+            # one off-diagonal coefficient: Q[1,2] doubled
+            lambda a, b, psi: generator_action(a, b, psi) * (2 if (a, b) == (1, 2) else 1),
+            # one diagonal (trace) term: Q[1,1] shifted by 1/3
+            lambda a, b, psi: generator_action(a, b, psi) + psi * Fraction(1 if a == b == 1 else 0, 3),
+        ],
+        ids=["off-diagonal", "diagonal"],
+    )
+    def test_perturbed_generator_breaks_the_scalar(self, perturbed):
+        label = IrrepLabel(3, (2, 1))
+        monomials = [build_monomial(label, idx) for idx in distinct_multi_indices(label)]
+        assert scalar_on(casimir_op(3, generator_action, "C2"), monomials) == 3
+        with pytest.raises(AlgebraViolationError):
+            scalar_on(casimir_op(3, perturbed, "C2"), monomials)
 
     def test_failure_position_survives_repeated_states(self):
         label = IrrepLabel(3, (2, 1))

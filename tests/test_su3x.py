@@ -146,6 +146,10 @@ class TestCasimir:
         assert ab_casimir_eigenvalue(1, 0) == Fraction(4, 3)
         assert ab_casimir_eigenvalue(0, 1) == Fraction(4, 3)
 
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(5) for m in range(5 - n)])
+    def test_closed_form(self, n, m):
+        assert ab_casimir_eigenvalue(n, m) == Fraction(n * n + m * m + n * m + 3 * n + 3 * m, 3)
+
     def test_operator_matches_eigenvalue(self):
         value = ab_casimir_eigenvalue(1, 1)
         c2 = ab_casimir2_op()
