@@ -40,11 +40,11 @@ from .fock import (
     FockState,
     Ket,
     _accumulate,
+    _apply_images,
     _check_color,
     _check_row,
     _moved,
     _raw_ket,
-    _rational_sum,
     _recolored,
     basis_ket,
     total_occupations,
@@ -63,7 +63,7 @@ class LinearOp:
 
     ``on_basis(state)`` returns ``(terms, den)``: the image of the state
     is the sum of coeff / den |s> over the (s, coeff) pairs of terms,
-    every coeff an ``int``.  A ket is mapped by ``fock._rational_sum``,
+    every coeff an ``int``.  A ket is mapped by ``fock._apply_images``,
     which divides once per output state.
     """
 
@@ -77,7 +77,7 @@ class LinearOp:
     def __call__(self, psi: Ket) -> Ket:
         if psi.n != self.n:
             raise ValueError("operator and ket have different group ranks")
-        return _rational_sum(self.n, ((c, *self._on_basis(s)) for s, c in psi.terms.items()))
+        return _apply_images(psi, self._on_basis)
 
     def __repr__(self) -> str:
         name = self.label or "?"

@@ -43,9 +43,10 @@ from . import su3x
 from .algebra import casimir2_op, generator_action, invariant_action
 from .fock import (
     Ket,
-    _bilinear,
+    _accumulate,
     _compositions,
     _exact_int,
+    _raw_ket,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -455,6 +456,14 @@ def suite_iterative(n_max: int | None = None, max_quanta: int | None = None) -> 
 
 
 # --- multiplicity -------------------------------------------------------
+
+
+def _bilinear(outer, i: int, inner, j: int, psi: Ket) -> Ket:
+    """Color-contracted bilinear: the sum over gamma of outer(i, gamma, inner(j, gamma, psi))."""
+    acc: dict = {}
+    for gamma in range(1, psi.n + 1):
+        _accumulate(acc, outer(i, gamma, inner(j, gamma, psi)).terms.items())
+    return _raw_ket(psi.n, acc)
 
 
 def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str | None]:

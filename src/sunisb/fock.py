@@ -229,8 +229,8 @@ def _rational_sum(n: int, pieces) -> Ket:
     Every coefficient is brought to one common denominator, the integer
     products are summed, and each output coefficient is divided once:
     an ``int`` when the division is exact, a ``Fraction`` otherwise.
-    The dressed ladders of ``isb`` and the Casimir of ``algebra`` apply
-    their integer basis images here.
+    Every ladder and operator kept as integer basis images sums here,
+    through ``_apply_images``.
     """
     pieces = list(pieces)
     common = lcm(*(c.denominator * den for c, _, den in pieces))
@@ -241,6 +241,11 @@ def _rational_sum(n: int, pieces) -> Ket:
         for state, v in acc.items():
             acc[state] = v // common if v % common == 0 else Fraction(v, common)
     return _raw_ket(n, acc)
+
+
+def _apply_images(psi: Ket, on_basis, *args) -> Ket:
+    """The linear extension to psi of ``on_basis(*args, state) -> (terms, den)``, terms over ints."""
+    return _rational_sum(psi.n, ((c, *on_basis(*args, s)) for s, c in psi.terms.items()))
 
 
 def _raw_ket(n: int, terms: dict) -> Ket:
@@ -297,14 +302,6 @@ def apply_annihilate(i: int, alpha: int, psi: Ket) -> Ket:
         if m:
             out[_bumped(s, i, alpha, -1)] = m * c
     return _raw_ket(psi.n, out)
-
-
-def _bilinear(outer, i: int, inner, j: int, psi: Ket) -> Ket:
-    """Color-contracted bilinear: the sum over gamma of outer(i, gamma, inner(j, gamma, psi))."""
-    acc: dict = {}
-    for gamma in range(1, psi.n + 1):
-        _accumulate(acc, outer(i, gamma, inner(j, gamma, psi)).terms.items())
-    return _raw_ket(psi.n, acc)
 
 
 def total_occupations(state: FockState) -> tuple[int, ...]:

@@ -55,7 +55,8 @@ at rank 4 and row totals (1, 2, 1), A+[3] takes both d_1 and d_2 as
 images and the input coefficients share one common denominator, and
 each output coefficient is divided once: an ``int`` when exact, a
 ``Fraction`` otherwise.  That sum is ``fock._rational_sum``, which the
-Casimir of ``algebra`` shares.
+Casimir of ``algebra``, the ladders of ``su3x`` and the rank-4 gluing
+route ``isb_create_iterative`` share.
 """
 
 from __future__ import annotations
@@ -68,12 +69,10 @@ from .algebra import invariant_action
 from .fock import (
     Ket,
     _accumulate,
+    _apply_images,
     _bumped,
     _check_slot,
     _raw_ket,
-    _rational_sum,
-    apply_create,
-    basis_ket,
     total_occupations,
 )
 
@@ -152,10 +151,10 @@ def _create_terms(k: int, alpha: int, state) -> tuple:
 def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
     """Apply the dressed creation operator of row k, color alpha."""
     _check_slot(psi.n, k, alpha)
-    return _rational_sum(psi.n, ((c, *_create_terms(k, alpha, s)) for s, c in psi.terms.items()))
+    return _apply_images(psi, _create_terms, k, alpha)
 
 
-def _annihilate_on_basis(k: int, alpha: int, state, top: int) -> tuple:
+def _annihilate_on_basis(k: int, alpha: int, top: int, state) -> tuple:
     # E_top C_top, ..., E_k C_k of the module docstring's nested row form, over ints;
     # E_i is the product of the dressing denominators h_j = 1/H(j,k), i < j <= top
     if k >= top or sum(state.occ[k - 1]) == 0:
@@ -187,15 +186,34 @@ def _annihilate_on_basis(k: int, alpha: int, state, top: int) -> tuple:
     return acc.items(), scale
 
 
-def _annihilate(k: int, alpha: int, psi: Ket, top: int) -> Ket:
-    _check_slot(psi.n, k, alpha)
-    pieces = ((c, *_annihilate_on_basis(k, alpha, s, top)) for s, c in psi.terms.items())
-    return _rational_sum(psi.n, pieces)
-
-
 def isb_annihilate(k: int, alpha: int, psi: Ket) -> Ket:
     """Apply the dressed annihilation operator of row k, color alpha."""
-    return _annihilate(k, alpha, psi, psi.n - 1)
+    _check_slot(psi.n, k, alpha)
+    return _apply_images(psi, _annihilate_on_basis, k, alpha, psi.n - 1)
+
+
+def _iterative_on_basis(alpha: int, state) -> tuple:
+    # isb_create_iterative's formula on a basis state, over ints: G2 = -1/d2 and
+    # G1 = -(d1a + 1)/(d1a d1b), A+[2]^a over e2, the a+[3].A[1] images over f
+    t = total_occupations(state)
+    d2 = t[1] - t[2] + 1
+    d1a = t[0] - t[1] + 1
+    d1b = t[0] - t[2] + 2
+    if d2 == 0 or d1a == 0 or d1b == 0:
+        raise SingularCoefficientError(f"singular gluing coefficient at totals {t}")
+    # (a+[3].A[2]) A+[2]^a: A[2] capped at row 2 is the plain a[2], so this is L[3,2]
+    terms2, e2 = _create_terms(2, alpha, state)
+    row2 = invariant_action(3, 2, _raw_ket(4, dict(terms2)))
+    # (a+[3].A[1]) a+[1]^a, A+[1] being bare; f depends on the row totals alone
+    raised = _bumped(state, 1, alpha, 1)
+    row1 = [_annihilate_on_basis(1, gamma, 2, raised) for gamma in range(1, 5)]
+    f = row1[0][1]
+    den = d2 * d1a * d1b * e2 * f
+    acc = {_bumped(state, 3, alpha, 1): den}
+    _accumulate(acc, row2.terms.items(), -d1a * d1b * f)
+    for gamma, (terms, _) in enumerate(row1, 1):
+        _accumulate(acc, ((_bumped(s, 3, gamma, 1), c) for s, c in terms), -(d1a + 1) * d2 * e2)
+    return acc.items(), den
 
 
 def isb_create_iterative(alpha: int, psi: Ket) -> Ket:
@@ -213,34 +231,13 @@ def isb_create_iterative(alpha: int, psi: Ket) -> Ket:
 
     both evaluated at the input totals with row 3 raised by one.  On
     constraint-space states this agrees exactly with the closed-form
-    chain expansion.
+    chain expansion.  The formula is the definition; it is evaluated
+    as ints over one denominator per basis state, like the ladders.
     """
     if psi.n != 4:
         raise ValueError("the iterative construction is specific to rank 4")
     _check_slot(4, 3, alpha)
-    acc: dict = {}
-    for state, coeff in psi.terms.items():
-        t = total_occupations(state)
-        ta = (t[0], t[1], t[2] + 1)
-        d2 = ta[1] - ta[2] + 2
-        d1a = ta[0] - ta[1] + 1
-        d1b = ta[0] - ta[2] + 3
-        if d2 == 0 or d1a == 0 or d1b == 0:
-            raise SingularCoefficientError(
-                f"singular gluing coefficient at totals {tuple(t)}"
-            )
-        g2 = Fraction(-1, d2)
-        g1 = Fraction(-(ta[0] - ta[1] + 2), d1a * d1b)
-        _accumulate(acc, ((_bumped(state, 3, alpha, 1), coeff),))
-        # (a+[3].A[2]) A+[2]^a with the rank-3 dressed operators, and
-        # (a+[3].A[1]) A+[1]^a, where A+[1] is bare
-        v2 = _rational_sum(4, ((1, *_create_terms(2, alpha, state)),))
-        v1 = basis_ket(_bumped(state, 1, alpha, 1))
-        for row, v, g in ((2, v2, g2), (1, v1, g1)):
-            for gamma in range(1, 5):
-                image = apply_create(3, gamma, _annihilate(row, gamma, v, 2))
-                _accumulate(acc, image.terms.items(), coeff * g)
-    return _raw_ket(4, acc)
+    return _apply_images(psi, _iterative_on_basis, alpha)
 
 
 def verify_recurrence(k_max: int, totals_grid: Iterable[Iterable[int]], coeff=creation_coeff) -> bool:

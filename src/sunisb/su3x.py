@@ -28,12 +28,13 @@ Provided:
   realizations at [n_1, n_2] <-> (n, m) = (n_1 - n_2, n_2), compared
   exactly.
 
-Shared generic helpers: ``fock._bilinear``, ``algebra.casimir_op``
-(integer images over one denominator per state, applied by
-``fock._rational_sum``), ``linalg.rank`` and ``irreps.scalar_on``.
-Both dressed creations are one routine, ``_dressed_create``; it, the
-traceless states and the sp(2,R) triple are compositions of the
-whole-ket ladders ``pair_create`` and ``pair_annihilate``.
+Shared generic helpers: ``fock._rational_sum``, ``algebra.casimir_op``,
+``linalg.rank`` and ``irreps.scalar_on``.  The pair ladders and both
+dressed creations (one routine, ``_dressed_create``) keep one integer
+image per basis state over one denominator, as the Casimir does; a ket
+is mapped by ``fock._rational_sum``, which divides each output
+coefficient once.  The traceless states are compositions of the pair
+ladders.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ from typing import Callable, Sequence
 
 from .algebra import LinearOp, casimir_op
 from .fock import (
+    FockState,
     Ket,
-    _bilinear,
+    _apply_images,
+    _bumped,
     _check_color,
     _raw_ket,
     _recolored,
-    apply_annihilate,
+    _unchecked_state,
     apply_create,
     total_occupations,
     vacuum,
@@ -112,14 +115,25 @@ def trace_coeff(n: int, m: int, r: int) -> Fraction:
     return Fraction((-1) ** r, den)
 
 
+def _paired(state: FockState, g: int, delta: int) -> FockState:
+    # one quantum of color g + 1 added to (delta 1) or taken from (delta -1) both rows
+    a, b = state.occ
+    return _unchecked_state(3, (a[:g] + (a[g] + delta,) + a[g + 1 :], b[:g] + (b[g] + delta,) + b[g + 1 :]))
+
+
+def _pair_annihilate_on_basis(state: FockState) -> tuple:
+    a, b = state.occ
+    return [(_paired(state, g, -1), a[g] * b[g]) for g in range(3) if a[g] and b[g]], 1
+
+
 def pair_create(psi: Ket) -> Ket:
     """Apply the invariant pair creation a+.b+ (color summed)."""
-    return _bilinear(apply_create, A_ROW, apply_create, B_ROW, psi)
+    return _apply_images(psi, lambda s: ([(_paired(s, g, 1), 1) for g in range(3)], 1))
 
 
 def pair_annihilate(psi: Ket) -> Ket:
     """Apply the invariant pair annihilation a.b (color summed)."""
-    return _bilinear(apply_annihilate, A_ROW, apply_annihilate, B_ROW, psi)
+    return _apply_images(psi, _pair_annihilate_on_basis)
 
 
 def traceless_state(n: int, m: int, alphas: Sequence[int], betas: Sequence[int]) -> Ket:
@@ -180,11 +194,6 @@ def trace_contract(
     return acc
 
 
-def _by_pair_weight(psi: Ket, scale: Callable[[int], Fraction]) -> Ket:
-    """Scale each basis state by scale(N_a + N_b + 3), a function of the number operators."""
-    return _raw_ket(3, {s: c * scale(sum(total_occupations(s)) + 3) for s, c in psi.terms.items()})
-
-
 def sp2r_ops() -> tuple[Callable[[Ket], Ket], ...]:
     """The noncompact triple (k_plus, k_minus, k_zero), as functions on kets.
 
@@ -197,9 +206,23 @@ def sp2r_ops() -> tuple[Callable[[Ket], Ket], ...]:
     """
 
     def k_zero(psi: Ket) -> Ket:
-        return _by_pair_weight(psi, lambda w: Fraction(w, 2))
+        return _raw_ket(3, {s: c * Fraction(sum(total_occupations(s)) + 3, 2) for s, c in psi.terms.items()})
 
     return pair_create, pair_annihilate, k_zero
+
+
+def _dressed_on_basis(row: int, color: int, state: FockState) -> tuple:
+    # w a+[row]^c s - m (a+.b+)(s lowered in the other row), over w = N_a + N_b + 2 of s;
+    # the pair of color c lands on the bare raise, which so gets w - m
+    other = B_ROW if row == A_ROW else A_ROW
+    raised = _bumped(state, row, color, 1)
+    m = state.occ[other - 1][color - 1]
+    if not m:
+        return ((raised, 1),), 1
+    w = sum(map(sum, state.occ)) + 2
+    lowered = _bumped(state, other, color, -1)
+    terms = [(_paired(lowered, g, 1), -m) for g in range(3) if g != color - 1]
+    return terms + [(raised, w - m)], w
 
 
 def _dressed_create(row: int, color: int, psi: Ket) -> Ket:
@@ -209,12 +232,12 @@ def _dressed_create(row: int, color: int, psi: Ket) -> Ket:
     a+.b+.  Its coefficient 1/(N_a + N_b + 1) is a function of number
     operators written left of the operator part, so it is evaluated on
     the totals after the net raise by one quantum; on the lowered state
-    that is 1/(N_a + N_b + 3).
+    that is 1/(N_a + N_b + 3), and on the input state 1/(N_a + N_b + 2).
+    Each basis state's image is ints over that one denominator, and the
+    images are summed by ``fock._rational_sum``.
     """
     _check_color(3, color)
-    other = B_ROW if row == A_ROW else A_ROW
-    lowered = _by_pair_weight(apply_annihilate(other, color, psi), lambda w: Fraction(1, w))
-    return apply_create(row, color, psi) - pair_create(lowered)
+    return _apply_images(psi, _dressed_on_basis, row, color)
 
 
 def dressed_create_a(alpha: int, psi: Ket) -> Ket:

@@ -3,10 +3,11 @@
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from sunisb import algebra, checks, fock, irreps, su3x
+from sunisb import algebra, checks, fock, irreps, isb, su3x
 from sunisb.checks import CheckRecord, iter_labels, run_suite
 from sunisb.fock import sector_size
 
@@ -207,3 +208,57 @@ def test_serialization_suite_fails_on_a_tampered_document(monkeypatch, name, tam
     # every family but the zero ket holds a ket of more than one term
     assert [r.check_id for r in records if r.passed] == ["round-trip[zero-ket]"]
     assert len(failed) == 5 and all("round trip" in r.witness for r in failed)
+
+
+def test_fock_suite_matches_the_pinned_default_list():
+    # the twelve acceptance criteria compare every other suite's default ids with this file
+    pinned = json.loads((Path(__file__).parent / "data" / "verify_default.json").read_text())
+    got = [["fock", r.check_id, "pass" if r.passed else "fail"] for r in run_suite("fock")]
+    assert got == [row for row in pinned if row[0] == "fock"]
+    assert len(got) == 9
+
+
+@pytest.mark.parametrize(
+    "shift, suite, bounds, broken",
+    [
+        # (w + 1) a+ s - m (a+.b+) s' over w: the bare raise weighted one too many
+        (0, "commutators", {"n_max": 3}, "ab-cross-commutators["),
+        # the same over w + 1: the trace weight 1/(N_a + N_b + 4) in place of 1/(N_a + N_b + 3);
+        # a weight 1/(N_a + N_b + c) keeps every commutator whatever c, the traceless states pin c
+        (1, "traceless", {}, "bv-equals-isb["),
+    ],
+)
+def test_wrong_dressed_weight_fails_its_suite(monkeypatch, shift, suite, bounds, broken):
+    records = run_suite(suite, **bounds)
+    assert records and all(r.passed for r in records)
+    original = su3x._dressed_on_basis
+
+    def wrong(row, color, state):
+        terms, w = original(row, color, state)
+        if w == 1:  # no trace term
+            return terms, w
+        raised = fock._bumped(state, row, color, 1)
+        return [(s, c + 1 if s == raised else c) for s, c in terms], w + shift
+
+    monkeypatch.setattr(su3x, "_dressed_on_basis", wrong)
+    failed = {r.check_id for r in run_suite(suite, **bounds) if not r.passed}
+    assert failed == {r.check_id for r in records if r.check_id.startswith(broken)}
+    assert len(failed) == 4
+
+
+def test_perturbed_gluing_coefficient_fails_the_iterative_suite(monkeypatch):
+    records = run_suite("iterative")
+    assert records and all(r.passed for r in records)
+    original = isb._annihilate_on_basis
+
+    def g1_doubled(k, alpha, top, state):
+        # at rank 4 only the gluing route caps an annihilation at row 2: its G1 branch
+        terms, den = original(k, alpha, top, state)
+        if state.n == 4 and top == 2:
+            terms = [(s, 2 * c) for s, c in terms]
+        return terms, den
+
+    monkeypatch.setattr(isb, "_annihilate_on_basis", g1_doubled)
+    failed = [r.check_id for r in run_suite("iterative") if not r.passed]
+    assert failed == [r.check_id for r in records if r.check_id.startswith("iterative-gluing[")]
+    assert len(failed) == 3

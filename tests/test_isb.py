@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sunisb import isb
@@ -68,8 +68,8 @@ def chain_create(k, alpha, state):
     )
 
 
-def chain_annihilate(k, alpha, state):
-    """A[k]_a from the module docstring: chains k < i_1 < ... < i_r <= N-1."""
+def chain_annihilate(k, alpha, state, top=None):
+    """A[k]_a from the module docstring: chains k < i_1 < ... < i_r <= top, top N-1 unless given."""
     if not sum(state.occ[k - 1]):
         return apply_annihilate(k, alpha, basis_ket(state))  # empty row k: no chain terms
     totals = list(total_occupations(state))
@@ -77,7 +77,7 @@ def chain_annihilate(k, alpha, state):
     return chain_sum(
         state,
         k,
-        range(k + 1, state.n),
+        range(k + 1, (state.n - 1 if top is None else top) + 1),
         lambda i: annihilation_coeff(i, k, totals),
         lambda chain: list(zip(chain, (k,) + chain)),
         lambda i, psi: apply_annihilate(i, alpha, psi),
@@ -236,7 +236,7 @@ class TestChainSum:
         assert isb._create_on_basis(k, 1, state)[0]
         assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
         calls.clear()
-        assert isb._annihilate_on_basis(k, 1, state, 5)[0]
+        assert isb._annihilate_on_basis(k, 1, 5, state)[0]
         assert len(calls) == (6 - k) * (5 - k) // 2  # one L[j,i] per pair i < j of rows k..5
 
 
@@ -312,7 +312,71 @@ class TestIntegerLadders:
         assert seen and set(seen) == {int}
 
 
+def gluing_reference(alpha, psi):
+    """The gluing formula of ``isb_create_iterative``'s docstring on whole kets, state by state.
+
+    The rank-3 operators (chains capped at row 2) are the chain sums above.
+    """
+    out = zero_ket(4)
+    for state, coeff in psi.terms.items():
+        t = total_occupations(state)
+        n1, n2, n3 = t[0], t[1], t[2] + 1
+        if 0 in (n2 - n3 + 2, n1 - n2 + 1, n1 - n3 + 3):
+            raise SingularCoefficientError(f"singular gluing coefficient at totals {t}")
+        g2 = Fraction(-1, n2 - n3 + 2)
+        g1 = Fraction(-(n1 - n2 + 2), (n1 - n2 + 1) * (n1 - n3 + 3))
+        out = out + apply_create(3, alpha, basis_ket(state)) * coeff
+        bare = apply_create(1, alpha, basis_ket(state))  # A+[1] is the bare creation
+        for g, row, created in ((g2, 2, chain_create(2, alpha, state)), (g1, 1, bare)):
+            for gamma in range(1, 5):
+                lowered = zero_ket(4)
+                for s, c in created.terms.items():
+                    lowered = lowered + chain_annihilate(row, gamma, s, top=2) * c
+                out = out + apply_create(3, gamma, lowered) * (coeff * g)
+    return out
+
+
+def outcome_text(operator, *args):
+    try:
+        return operator(*args)
+    except SingularCoefficientError as err:
+        return "singular", str(err)
+
+
+@st.composite
+def rank4_kets(draw):
+    """Up to three rank-4 basis states, unordered totals included, with int or
+    Fraction coefficients of both signs."""
+    occs = st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4), min_size=3, max_size=3)
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7)).filter(bool)
+    return Ket(4, draw(st.dictionaries(occs.map(lambda occ: FockState(4, occ)), coeffs, max_size=3)))
+
+
+# totals (0, 0, 0): every gluing and dressing denominator is nonzero
+_REGULAR = FockState(4, ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)))
+# totals (0, 1, 2): n_2 - n_3 + 2 = 0 once row 3 is raised
+_SINGULAR_GLUING = FockState(4, ((0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0)))
+# totals (0, 2, 0): no gluing pole, but the a+[3].A[1] branch meets H(2,1) = 1/(n_1 - n_2 + 2); the
+# A+[2] pole n_2 = n_1 + 1 is also a pole of G1, so the gluing check always raises first there
+_SINGULAR_DRESSING = FockState(4, ((0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0)))
+
+
 class TestIterative:
+    @given(rank4_kets(), st.integers(1, 4))
+    @example(zero_ket(4), 1)
+    @example(Ket(4, {_REGULAR: 3, _SINGULAR_GLUING: Fraction(-2, 5)}), 2)
+    @example(Ket(4, {_SINGULAR_DRESSING: -1}), 3)
+    def test_equals_the_whole_ket_formula(self, psi, alpha):
+        assert outcome_text(isb_create_iterative, alpha, psi) == outcome_text(gluing_reference, alpha, psi)
+
+    def test_exact_outputs_are_ints(self):
+        # the image of this state carries sixths: six times the state has an integer image
+        psi = basis_ket(FockState(4, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 0)))) * 6
+        image = isb_create_iterative(1, psi)
+        assert len(image.terms) == 4 and {type(c) for c in image.terms.values()} == {int}
+        assert image == gluing_reference(1, psi)
+        assert isb_create_iterative(1, psi * Fraction(1, 6)) == image * Fraction(1, 6)
+
     def test_matches_closed_form(self):
         for totals in ((1, 1, 0), (2, 1, 0)):
             for psi in nullspace_basis(IrrepLabel(4, totals)):

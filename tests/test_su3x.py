@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sunisb.fock import FockState, Ket, apply_annihilate, apply_create, basis_ket, vacuum, zero_ket
@@ -30,6 +30,15 @@ from sunisb.su3x import (
 COLORS = (1, 2, 3)
 
 
+def pair_reference(ladder, psi):
+    """The color-summed pair ladder from ``fock`` primitives alone:
+    the sum over gamma of ladder(1, gamma, ladder(2, gamma, psi))."""
+    total = zero_ket(3)
+    for gamma in COLORS:
+        total = total + ladder(1, gamma, ladder(2, gamma, psi))
+    return total
+
+
 def pairing_sum(n, m, alphas, betas):
     """The definition of a traceless state: one term per pairing of r upper with r lower positions."""
     total = bare_state(alphas, betas)
@@ -44,7 +53,7 @@ def pairing_sum(n, m, alphas, betas):
                     [b for p, b in enumerate(betas) if p not in lowers],
                 )
                 for _ in range(r):
-                    term = pair_create(term)
+                    term = pair_reference(apply_create, term)
                 total = total + term * trace_coeff(n, m, r)
     return total
 
@@ -58,7 +67,7 @@ def dressed_oracle(row, color, psi):
         one = basis_ket(state) * coeff
         weight = Fraction(1, sum(map(sum, state.occ)) + 2)
         total = total + apply_create(row, color, one)
-        total = total - pair_create(apply_annihilate(other, color, one)) * weight
+        total = total - pair_reference(apply_create, apply_annihilate(other, color, one)) * weight
     return total
 
 
@@ -193,6 +202,19 @@ class TestPairAlgebra:
         psi = bare_state((1, 2), (3,)) + bare_state((1,), ()) * Fraction(2, 7)
         assert k0(psi) == bare_state((1, 2), (3,)) * 3 + bare_state((1,), ()) * Fraction(4, 7)
 
+    @given(rank3_kets())
+    @example(zero_ket(3))
+    def test_ladders_equal_the_fock_references(self, psi):
+        assert pair_create(psi) == pair_reference(apply_create, psi)
+        assert pair_annihilate(psi) == pair_reference(apply_annihilate, psi)
+
+    def test_exact_outputs_are_ints(self):
+        psi = bare_state((1, 2), (2, 3)) * 2 - bare_state((3,), (3,))
+        for ladder, fock_ladder in ((pair_create, apply_create), (pair_annihilate, apply_annihilate)):
+            image = ladder(psi)
+            assert image.terms and {type(c) for c in image.terms.values()} == {int}
+            assert image == pair_reference(fock_ladder, psi)
+
     def test_lowest_weight_states(self):
         for n, m in ((1, 1), (2, 1)):
             for alphas in product(COLORS, repeat=n):
@@ -214,6 +236,16 @@ class TestDressedOperators:
     def test_equal_the_state_by_state_formula(self, psi, color):
         assert dressed_create_a(color, psi) == dressed_oracle(1, color, psi)
         assert dressed_create_b(color, psi) == dressed_oracle(2, color, psi)
+
+    def test_exact_outputs_are_ints(self):
+        # a+ on b+_1|0>: the image (2 |a1 b1> - |a2 b2> - |a3 b3>)/3, exact on three times the state
+        psi = bare_state((), (1,)) * 3
+        for create, row in ((dressed_create_a, 1), (dressed_create_b, 2)):
+            image = create(1, psi)
+            assert {type(c) for c in image.terms.values()} == {int}
+            assert image == dressed_oracle(row, 1, psi)
+        expected = bare_state((1,), (1,)) * 2 - bare_state((2,), (2,)) - bare_state((3,), (3,))
+        assert dressed_create_a(1, psi) == expected
 
     def test_color_checked(self):
         for create in (dressed_create_a, dressed_create_b):
