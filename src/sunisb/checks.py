@@ -66,6 +66,7 @@ from .irreps import (
     all_multi_indices,
     build_monomial,
     casimir_eigenvalue,
+    constraint_residual,
     distinct_multi_indices,
     monomial_rank,
     nullspace_basis,
@@ -146,15 +147,6 @@ def _first_colors(n: int, m: int, broken: Callable[[tuple, tuple], object]) -> s
     return None
 
 
-def _violated(psi: Ket) -> tuple[int, int] | None:
-    """The first constraint (i, j), i < j, whose bilinear L[i,j] does not annihilate psi."""
-    for i in range(1, psi.n):
-        for j in range(i + 1, psi.n):
-            if invariant_action(i, j, psi).terms:
-                return i, j
-    return None
-
-
 # --- fock ---------------------------------------------------------------
 
 
@@ -166,10 +158,12 @@ def _commutator_witness(n: int) -> str | None:
     slots = _slots(n)
     for state in _all_states(n, 2):
         psi = basis_ket(state)
+        up = {(j, beta): apply_create(j, beta, psi) for j, beta in slots}
+        down = {(i, alpha): apply_annihilate(i, alpha, psi) for i, alpha in slots}
         for i, alpha in slots:
             for j, beta in slots:
-                left = apply_annihilate(i, alpha, apply_create(j, beta, psi))
-                right = apply_create(j, beta, apply_annihilate(i, alpha, psi))
+                left = apply_annihilate(i, alpha, up[j, beta])
+                right = apply_create(j, beta, down[i, alpha])
                 expect = psi if (i, alpha) == (j, beta) else zero_ket(n)
                 if left - right != expect:
                     return f"slots ({i},{alpha}),({j},{beta}) at occ={state.occ}"
@@ -177,20 +171,22 @@ def _commutator_witness(n: int) -> str | None:
 
 
 def _adjointness_witness(n: int) -> str | None:
-    slots = _slots(n)
-    by_quanta: dict[int, list] = {}
-    for state in _all_states(n, 3):
-        by_quanta.setdefault(sum(sum(row) for row in state.occ), []).append(state)
-    for q, pool in sorted(by_quanta.items()):
-        for s in pool:
-            ks = basis_ket(s)
-            for t in by_quanta.get(q + 1, ()):
-                kt = basis_ket(t)
-                for i, alpha in slots:
-                    up = inner_product(apply_create(i, alpha, ks), kt)
-                    down = inner_product(ks, apply_annihilate(i, alpha, kt))
-                    if up != down:
-                        return f"slot ({i},{alpha}): <a+ s|t>={up} but <s|a t>={down}"
+    # per slot, the matrices <t|a+ s> and <s|a t>: one image per s of <= 2 quanta, per t of <= 3
+    sources, targets = list(_all_states(n, 2)), list(_all_states(n, 3))
+    for i, alpha in _slots(n):
+        raised, lowered = {}, {}
+        for s in sources:
+            image = apply_create(i, alpha, basis_ket(s))
+            for t in image.terms:
+                raised[s, t] = inner_product(image, basis_ket(t))
+        for t in targets:
+            image = apply_annihilate(i, alpha, basis_ket(t))
+            for s in image.terms:
+                lowered[s, t] = inner_product(basis_ket(s), image)
+        for s, t in (*raised, *lowered):
+            up, down = raised.get((s, t), 0), lowered.get((s, t), 0)
+            if up != down:
+                return f"slot ({i},{alpha}): <a+ s|t>={up} but <s|a t>={down} at s={s.occ}, t={t.occ}"
     return None
 
 
@@ -265,9 +261,9 @@ def suite_algebra(n_max: int = 4, max_quanta: int = 4) -> Checks:
 
 def _constraint_witness(label: IrrepLabel) -> str | None:
     for idx in all_multi_indices(label):
-        pair = _violated(build_monomial(label, idx))
-        if pair is not None:
-            return f"idx={idx} survives L[{pair[0]},{pair[1]}]"
+        violated = constraint_residual(build_monomial(label, idx)).violated
+        if violated:
+            return f"idx={idx} survives L[{violated[0][0]},{violated[0][1]}]"
     return None
 
 
@@ -441,9 +437,9 @@ def _iterative_witnesses(totals: tuple[int, ...]) -> tuple[str | None, str | Non
             closed = isb_create(3, alpha, psi)
             if gluing is None and isb_create_iterative(alpha, psi) != closed:
                 gluing = f"basis[{b}] alpha={alpha}"
-            pair = _violated(closed) if constrained is None else None
-            if pair is not None:
-                constrained = f"basis[{b}] alpha={alpha} survives L[{pair[0]},{pair[1]}]"
+            violated = constraint_residual(closed).violated if constrained is None else ()
+            if violated:
+                constrained = f"basis[{b}] alpha={alpha} survives L[{violated[0][0]},{violated[0][1]}]"
     return gluing, constrained
 
 
@@ -456,14 +452,6 @@ def suite_iterative(n_max: int | None = None, max_quanta: int | None = None) -> 
 
 
 # --- multiplicity -------------------------------------------------------
-
-
-def _bilinear(outer, i: int, inner, j: int, psi: Ket) -> Ket:
-    """Color-contracted bilinear: the sum over gamma of outer(i, gamma, inner(j, gamma, psi))."""
-    acc: dict = {}
-    for gamma in range(1, psi.n + 1):
-        _accumulate(acc, outer(i, gamma, inner(j, gamma, psi)).terms.items())
-    return _raw_ket(psi.n, acc)
 
 
 def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str | None]:
@@ -479,14 +467,17 @@ def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str |
         raised = {(j, g): isb_create(j, g, psi) for j in rows for g in colors}
         for i in rows:
             for j in rows:
-                create_annihilate = _bilinear(isb_create, i, lambda k, g, _: lowered[k, g], j, psi)
-                annihilate_create = _bilinear(isb_annihilate, i, lambda k, g, _: raised[k, g], j, psi)
+                # the color-contracted products, each summed over gamma
+                create_annihilate, annihilate_create = {}, {}
+                for g in colors:
+                    _accumulate(create_annihilate, isb_create(i, g, lowered[j, g]).terms.items())
+                    _accumulate(annihilate_create, isb_annihilate(i, g, raised[j, g]).terms.items())
                 if i == j:
-                    diagonal[id(psi), i, "A+.A"] = create_annihilate
-                    diagonal[id(psi), i, "A.A+"] = annihilate_create
-                elif offdiagonal is None and create_annihilate.terms:
+                    diagonal[id(psi), i, "A+.A"] = _raw_ket(n, create_annihilate)
+                    diagonal[id(psi), i, "A.A+"] = _raw_ket(n, annihilate_create)
+                elif offdiagonal is None and create_annihilate:
                     offdiagonal = f"A+[{i}].A[{j}] on basis[{b}]"
-                elif offdiagonal is None and annihilate_create.terms:
+                elif offdiagonal is None and annihilate_create:
                     offdiagonal = f"A[{i}].A+[{j}] on basis[{b}]"
     for i in rows:
         for tag in ("A+.A", "A.A+"):

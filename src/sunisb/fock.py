@@ -20,6 +20,9 @@ threads.
 ``json.dumps(ket_to_document(psi), indent=1)`` plus a newline, but
 directly: before Python 3.13 an indented ``json.dumps`` runs the
 pure-Python encoder, several times slower than the direct writer.
+
+Kets are summed by two private kernels, ``_accumulate`` for (state,
+coeff) pairs and ``_apply_images`` for integer basis images.
 """
 
 from __future__ import annotations
@@ -210,7 +213,8 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     """Add scale * coeff into acc for every (state, coeff) of terms, in place; return acc.
 
     States whose total reaches zero are dropped.  This is the package's
-    one accumulate-and-prune loop: kets, operators and ladders sum here.
+    one accumulate-and-prune loop, save ``algebra.invariant_action``'s
+    inline one (see its comment): kets, operators and ladders sum here.
     """
     # only an int scale is tested for 1: comparing a Fraction to 1 costs more than it saves
     unit = type(scale) is int and scale == 1
@@ -223,16 +227,17 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     return acc
 
 
-def _rational_sum(n: int, pieces) -> Ket:
-    """The ket sum of coeff * terms / den over (coeff, terms, den) pieces, terms over ints.
+def _apply_images(psi: Ket, on_basis, *args) -> Ket:
+    """The linear extension to psi of ``on_basis(*args, state) -> (terms, den)``, terms over ints.
 
-    Every coefficient is brought to one common denominator, the integer
+    The image of a basis state is the sum of coeff / den |s> over the
+    (s, coeff) pairs of terms.  Every input coefficient and image
+    denominator is brought to one common denominator, the integer
     products are summed, and each output coefficient is divided once:
     an ``int`` when the division is exact, a ``Fraction`` otherwise.
-    Every ladder and operator kept as integer basis images sums here,
-    through ``_apply_images``.
+    Every ladder and operator kept as integer basis images sums here.
     """
-    pieces = list(pieces)
+    pieces = [(c, *on_basis(*args, s)) for s, c in psi.terms.items()]
     common = lcm(*(c.denominator * den for c, _, den in pieces))
     acc: dict = {}
     for c, terms, den in pieces:
@@ -240,12 +245,7 @@ def _rational_sum(n: int, pieces) -> Ket:
     if common != 1:
         for state, v in acc.items():
             acc[state] = v // common if v % common == 0 else Fraction(v, common)
-    return _raw_ket(n, acc)
-
-
-def _apply_images(psi: Ket, on_basis, *args) -> Ket:
-    """The linear extension to psi of ``on_basis(*args, state) -> (terms, den)``, terms over ints."""
-    return _rational_sum(psi.n, ((c, *on_basis(*args, s)) for s, c in psi.terms.items()))
+    return _raw_ket(psi.n, acc)
 
 
 def _raw_ket(n: int, terms: dict) -> Ket:

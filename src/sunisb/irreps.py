@@ -87,10 +87,10 @@ class AlgebraViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Outcome of a constraint check: which bilinears failed to annihilate."""
+    """Outcome of a constraint check: the (i, j), i < j, whose a+[i].a[j] did not annihilate."""
 
     satisfied: bool
-    violated: tuple[int, ...]
+    violated: tuple[tuple[int, int], ...]
 
     def __bool__(self) -> bool:
         return self.satisfied
@@ -150,9 +150,10 @@ def weyl_dimension(label: IrrepLabel) -> int:
 
 
 def constraint_residual(psi: Ket) -> ConstraintReport:
-    """Check that every constraint bilinear a+[i].a[i+1] annihilates psi."""
+    """Check that every lowering bilinear a+[i].a[j], i < j, annihilates psi."""
+    n = psi.n
     violated = tuple(
-        i for i in range(1, psi.n - 1) if invariant_action(i, i + 1, psi).terms
+        (i, j) for i in range(1, n) for j in range(i + 1, n) if invariant_action(i, j, psi).terms
     )
     return ConstraintReport(not violated, violated)
 

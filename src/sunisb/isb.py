@@ -54,7 +54,7 @@ at rank 4 and row totals (1, 2, 1), A+[3] takes both d_1 and d_2 as
 2, and its two-link chain carries 1/4.  Applied to a ket, the basis
 images and the input coefficients share one common denominator, and
 each output coefficient is divided once: an ``int`` when exact, a
-``Fraction`` otherwise.  That sum is ``fock._rational_sum``, which the
+``Fraction`` otherwise.  That sum is ``fock._apply_images``, which the
 Casimir of ``algebra``, the ladders of ``su3x`` and the rank-4 gluing
 route ``isb_create_iterative`` share.
 """

@@ -28,13 +28,13 @@ Provided:
   realizations at [n_1, n_2] <-> (n, m) = (n_1 - n_2, n_2), compared
   exactly.
 
-Shared generic helpers: ``fock._rational_sum``, ``algebra.casimir_op``,
-``linalg.rank`` and ``irreps.scalar_on``.  The pair ladders and both
-dressed creations (one routine, ``_dressed_create``) keep one integer
-image per basis state over one denominator, as the Casimir does; a ket
-is mapped by ``fock._rational_sum``, which divides each output
-coefficient once.  The traceless states are compositions of the pair
-ladders.
+Shared generic helpers: ``fock._apply_images``, ``fock._accumulate``,
+``algebra.casimir_op``, ``linalg.rank`` and ``irreps.scalar_on``.  The
+pair ladders and both dressed creations (one routine,
+``_dressed_create``) keep one integer image per basis state over one
+denominator, as the Casimir does; a ket is mapped by
+``fock._apply_images``, which divides each output coefficient once.
+The traceless states are compositions of the pair ladders.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .algebra import LinearOp, casimir_op
 from .fock import (
     FockState,
     Ket,
+    _accumulate,
     _apply_images,
     _bumped,
     _check_color,
@@ -234,7 +235,7 @@ def _dressed_create(row: int, color: int, psi: Ket) -> Ket:
     the totals after the net raise by one quantum; on the lowered state
     that is 1/(N_a + N_b + 3), and on the input state 1/(N_a + N_b + 2).
     Each basis state's image is ints over that one denominator, and the
-    images are summed by ``fock._rational_sum``.
+    images are summed by ``fock._apply_images``.
     """
     _check_color(3, color)
     return _apply_images(psi, _dressed_on_basis, row, color)
@@ -270,34 +271,20 @@ def ab_generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     """
     _check_color(3, alpha)
     _check_color(3, beta)
-    # summed inline: via fock._accumulate this ran 6% slower on single-term kets (Python 3.11)
-    acc: dict = {}
+    terms = []
     for state, coeff in psi.terms.items():
         ma = state.occ[A_ROW - 1][beta - 1]
         if ma:
-            s2 = _recolored(state, A_ROW, beta, alpha)
-            total = acc.get(s2, 0) + ma * coeff
-            if total:
-                acc[s2] = total
-            elif s2 in acc:
-                del acc[s2]
+            terms.append((_recolored(state, A_ROW, beta, alpha), ma * coeff))
         mb = state.occ[B_ROW - 1][alpha - 1]
         if mb:
-            s2 = _recolored(state, B_ROW, alpha, beta)
-            total = acc.get(s2, 0) - mb * coeff
-            if total:
-                acc[s2] = total
-            elif s2 in acc:
-                del acc[s2]
+            terms.append((_recolored(state, B_ROW, alpha, beta), -mb * coeff))
         if alpha == beta:
             na, nb = total_occupations(state)
+            # a zero Fraction would turn an int coefficient into a Fraction
             if na != nb:
-                total = acc.get(state, 0) - Fraction(na - nb, 3) * coeff
-                if total:
-                    acc[state] = total
-                elif state in acc:
-                    del acc[state]
-    return _raw_ket(3, acc)
+                terms.append((state, -Fraction(na - nb, 3) * coeff))
+    return _raw_ket(3, _accumulate({}, terms))
 
 
 def ab_casimir2_op() -> LinearOp:

@@ -8,7 +8,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sunisb.algebra import casimir2_op, generator_action, invariant_action
-from sunisb.fock import FockState, Ket, apply_create, basis_ket, enumerate_sector, vacuum, zero_ket
+from sunisb.fock import (
+    FockState,
+    Ket,
+    apply_annihilate,
+    apply_create,
+    basis_ket,
+    enumerate_sector,
+    total_occupations,
+    vacuum,
+    zero_ket,
+)
 from sunisb.su3x import ab_casimir2_op, ab_generator_action
 
 
@@ -136,9 +146,9 @@ def reference_casimir(action, psi: Ket) -> Ket:
 coefficients = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
 
 
-def kets(n: int):
+def kets(n: int, coeffs=coefficients):
     # zero coefficients are drawn too; the ket prunes them
-    return st.dictionaries(states(n), coefficients, max_size=4).map(lambda terms: Ket(n, terms))
+    return st.dictionaries(states(n), coeffs, max_size=4).map(lambda terms: Ket(n, terms))
 
 
 class TestCasimirOracle:
@@ -154,3 +164,63 @@ class TestCasimirOracle:
     @example(zero_ket(3))
     def test_triplet_antitriplet_language(self, psi):
         assert ab_casimir2_op()(psi) == reference_casimir(ab_generator_action, psi)
+
+
+def reference_generator(alpha, beta, psi: Ket) -> Ket:
+    """Q[alpha,beta] psi as whole kets: sum_i a+[i]^alpha a[i]_beta psi - delta(alpha,beta) quanta/N psi."""
+    n = psi.n
+    total = zero_ket(n)
+    for i in range(1, n):
+        total = total + apply_create(i, alpha, apply_annihilate(i, beta, psi))
+    if alpha == beta:
+        total = total - Ket(n, {s: c * Fraction(sum(total_occupations(s)), n) for s, c in psi.terms.items()})
+    return total
+
+
+def reference_ab_generator(alpha, beta, psi: Ket) -> Ket:
+    """a+^alpha a_beta psi - b+_beta b^alpha psi - delta(alpha,beta) (N_a - N_b)/3 psi, as whole kets."""
+    total = apply_create(1, alpha, apply_annihilate(1, beta, psi))
+    total = total - apply_create(2, beta, apply_annihilate(2, alpha, psi))
+    if alpha == beta:
+        trace = {s: c * Fraction(na - nb, 3) for s, c in psi.terms.items() for na, nb in [total_occupations(s)]}
+        total = total - Ket(3, trace)
+    return total
+
+
+def generator_cases(n: int):
+    colors = st.integers(1, n)
+    return st.tuples(kets(n), colors, colors)
+
+
+def offdiagonal_int_cases(n: int):
+    # beta is alpha shifted by 1..n-1 colors, so never alpha
+    return st.tuples(kets(n, st.integers(-9, 9)), st.integers(1, n), st.integers(1, n - 1)).map(
+        lambda case: (case[0], case[1], (case[1] + case[2] - 1) % n + 1)
+    )
+
+
+class TestGeneratorOracle:
+    """Both generators against whole-ket definitions from the ``fock`` ladders, exactly."""
+
+    @given(st.integers(2, 4).flatmap(generator_cases))
+    @example((zero_ket(2), 1, 1))
+    @example((zero_ket(4), 2, 3))
+    def test_two_triplet_language(self, case):
+        psi, alpha, beta = case
+        assert generator_action(alpha, beta, psi) == reference_generator(alpha, beta, psi)
+
+    @given(generator_cases(3))
+    @example((zero_ket(3), 1, 1))
+    @example((zero_ket(3), 1, 2))
+    def test_triplet_antitriplet_language(self, case):
+        psi, alpha, beta = case
+        assert ab_generator_action(alpha, beta, psi) == reference_ab_generator(alpha, beta, psi)
+
+    @given(st.integers(2, 4).flatmap(offdiagonal_int_cases))
+    def test_offdiagonal_images_of_int_kets_stay_int(self, case):
+        psi, alpha, beta = case
+        images = [generator_action(alpha, beta, psi)]
+        if psi.n == 3:
+            images.append(ab_generator_action(alpha, beta, psi))
+        for image in images:
+            assert all(type(c) is int for c in image.terms.values())

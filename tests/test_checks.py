@@ -3,6 +3,7 @@
 import json
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -262,3 +263,127 @@ def test_perturbed_gluing_coefficient_fails_the_iterative_suite(monkeypatch):
     failed = [r.check_id for r in run_suite("iterative") if not r.passed]
     assert failed == [r.check_id for r in records if r.check_id.startswith("iterative-gluing[")]
     assert len(failed) == 3
+
+
+# --- negative controls: each suite, perturbed at one operator, fails exactly where expected
+
+
+def _rows(check_id):
+    """The diagram rows a label check id names."""
+    return tuple(map(int, re.findall(r"\d+", check_id.split("rows=")[1])))
+
+
+def _failures_when_perturbed(monkeypatch, suite, module, name, perturb):
+    """(unperturbed records, failing ids once module.name is replaced by perturb(original))."""
+    records = run_suite(suite, n_max=3)
+    assert records and all(r.passed for r in records)
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    return records, [r.check_id for r in run_suite(suite, n_max=3) if not r.passed]
+
+
+def _annihilate_overcounting(original):
+    # (m + 1) coeff in place of m coeff once the occupation m exceeds 1
+    def annihilate(i, alpha, psi):
+        terms = {}
+        for s, c in psi.terms.items():
+            m = s.occ[i - 1][alpha - 1]
+            if m:
+                terms[fock._bumped(s, i, alpha, -1)] = (m + 1 if m > 1 else m) * c
+        return fock.Ket(psi.n, terms)
+
+    return annihilate
+
+
+def _unweighted_inner_product(original):
+    return lambda phi, psi: Fraction(sum(c * psi.terms.get(s, 0) for s, c in phi.terms.items()))
+
+
+@pytest.mark.parametrize(
+    "name, perturb, broken",
+    [
+        ("apply_annihilate", _annihilate_overcounting, ("canonical-commutators[", "ladder-adjointness[")),
+        ("inner_product", _unweighted_inner_product, ("ladder-adjointness[",)),
+    ],
+)
+def test_fock_suite_fails_on_a_wrong_ladder_or_weight(monkeypatch, name, perturb, broken):
+    records, failed = _failures_when_perturbed(monkeypatch, "fock", checks, name, perturb)
+    assert failed == [r.check_id for r in records if r.check_id.startswith(broken)]
+    assert set(failed) >= {"ladder-adjointness[N=2]", "ladder-adjointness[N=3]"}
+
+
+def _l12_doubled(original):
+    return lambda i, j, psi: original(i, j, psi) * 2 if (i, j) == (1, 2) else original(i, j, psi)
+
+
+def _offdiagonal_recolors_row_one_only(original):
+    def generator(alpha, beta, psi):
+        if alpha == beta:
+            return original(alpha, beta, psi)
+        terms = {}
+        for s, c in psi.terms.items():
+            m = s.occ[0][beta - 1]
+            if m:
+                terms[fock._recolored(s, 1, beta, alpha)] = m * c
+        return fock.Ket(psi.n, terms)
+
+    return generator
+
+
+@pytest.mark.parametrize(
+    "name, perturb, broken",
+    [
+        # a scaled Q[1,2], or Q[1,1] shifted by a constant, still commutes with every L[i,j]
+        ("invariant_action", _l12_doubled, ["bilinear-algebra[N=3]"]),
+        ("generator_action", _offdiagonal_recolors_row_one_only, ["generator-commutant[N=3]"]),
+    ],
+)
+def test_algebra_suite_fails_on_a_wrong_bilinear_or_generator(monkeypatch, name, perturb, broken):
+    _, failed = _failures_when_perturbed(monkeypatch, "algebra", checks, name, perturb)
+    assert failed == broken
+
+
+def test_constraints_suite_fails_on_bare_monomials(monkeypatch):
+    def bare(original):
+        def build(label, idx):
+            psi = fock.vacuum(label.n)
+            for row, colors in enumerate(idx, start=1):
+                for alpha in colors:
+                    psi = fock.apply_create(row, alpha, psi)
+            return psi
+
+        return build
+
+    records, failed = _failures_when_perturbed(monkeypatch, "constraints", checks, "build_monomial", bare)
+    # a bare monomial violates L[1,2] as soon as row 2 holds a box
+    assert failed == [r.check_id for r in records if _rows(r.check_id)[1:] > (0,)]
+    assert len(failed) == 6
+
+
+def test_multiplicity_suite_fails_on_a_doubled_creation(monkeypatch):
+    def doubled(original):
+        return lambda k, alpha, psi: original(k, alpha, psi) * 2 if alpha == 1 else original(k, alpha, psi)
+
+    records, failed = _failures_when_perturbed(monkeypatch, "multiplicity", checks, "isb_create", doubled)
+    # the diagonal products stop being one scalar on any box; the off-diagonal ones, which
+    # exist from rank 3, stop vanishing from two boxes
+    expected = [
+        r.check_id
+        for r in records
+        if (r.check_id.startswith("diagonal-invariant-scalars[") and sum(_rows(r.check_id)) >= 1)
+        or (r.check_id.startswith("offdiagonal-invariants[N=3,") and sum(_rows(r.check_id)) >= 2)
+    ]
+    assert failed == expected
+    assert len(failed) == 19
+
+
+def test_casimir_suite_fails_on_a_shifted_diagonal_generator(monkeypatch):
+    def shifted(original):
+        def generator(alpha, beta, psi):
+            image = original(alpha, beta, psi)
+            return image + psi * Fraction(1, 7) if alpha == beta else image
+
+        return generator
+
+    # the shift adds the constant N/49 to the Casimir, so only the rank-2 closed form sees it
+    _, failed = _failures_when_perturbed(monkeypatch, "casimir", algebra, "generator_action", shifted)
+    assert failed == ["casimir-closed-form-rank2"]

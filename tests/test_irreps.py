@@ -14,6 +14,7 @@ from sunisb.checks import iter_labels
 from sunisb.fock import (
     FockState,
     Ket,
+    apply_create,
     basis_ket,
     color_totals,
     dumps_ket,
@@ -145,6 +146,12 @@ class TestMonomials:
             report = constraint_residual(psi)
             assert report
             assert not report.violated
+
+    def test_residual_names_every_violated_lowering_bilinear(self):
+        # a row-3 quantum survives L[1,3] and L[2,3]; L[1,2] finds row 2 empty
+        report = constraint_residual(apply_create(3, 1, vacuum(4)))
+        assert not report
+        assert report.violated == ((1, 3), (2, 3))
 
     def test_index_validation(self):
         label = IrrepLabel(3, (2, 1))

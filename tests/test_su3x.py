@@ -7,7 +7,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sunisb.fock import FockState, Ket, apply_annihilate, apply_create, basis_ket, vacuum, zero_ket
+from sunisb import su3x
+from sunisb.fock import (
+    FockState,
+    Ket,
+    apply_annihilate,
+    apply_create,
+    basis_ket,
+    total_occupations,
+    vacuum,
+    zero_ket,
+)
 from sunisb.irreps import IrrepLabel
 from sunisb.su3x import (
     ab_casimir2_op,
@@ -276,3 +286,23 @@ class TestLanguageComparison:
     def test_rejects_other_ranks(self):
         with pytest.raises(ValueError):
             compare_languages(IrrepLabel(4, (1, 0, 0)))
+
+    def test_wrong_trace_weight_breaks_the_casimir_agreement(self, monkeypatch):
+        rows = ((2, 0), (4, 1), (6, 3))
+        assert all(compare_languages(IrrepLabel(3, r)).agree for r in rows)
+        original = su3x.ab_generator_action
+
+        def half_weight(alpha, beta, psi):
+            # (N_a - N_b)/2 in place of (N_a - N_b)/3 on the diagonal
+            image = original(alpha, beta, psi)
+            if alpha != beta:
+                return image
+            extra = {s: c * Fraction(na - nb, 6) for s, c in psi.terms.items() for na, nb in [total_occupations(s)]}
+            return image - Ket(3, extra)
+
+        monkeypatch.setattr(su3x, "ab_generator_action", half_weight)
+        result = compare_languages(IrrepLabel(3, (2, 0)))
+        assert (result.two_triplet_casimir, result.ab_casimir) == (Fraction(10, 3), Fraction(7, 2))
+        assert not compare_languages(IrrepLabel(3, (4, 1))).agree
+        # at (n, m) = (3, 3) the trace term vanishes on every state: N_a = N_b
+        assert compare_languages(IrrepLabel(3, (6, 3))).agree
