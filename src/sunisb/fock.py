@@ -213,8 +213,7 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     """Add scale * coeff into acc for every (state, coeff) of terms, in place; return acc.
 
     States whose total reaches zero are dropped.  This is the package's
-    one accumulate-and-prune loop, save ``algebra.invariant_action``'s
-    inline one (see its comment): kets, operators and ladders sum here.
+    one accumulate-and-prune loop: kets, operators and ladders sum here.
     """
     # only an int scale is tested for 1: comparing a Fraction to 1 costs more than it saves
     unit = type(scale) is int and scale == 1

@@ -87,7 +87,11 @@ class AlgebraViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Outcome of a constraint check: the (i, j), i < j, whose a+[i].a[j] did not annihilate."""
+    """Outcome of a constraint check: the (i, j), i < j, whose a+[i].a[j] did not annihilate.
+
+    ``violated`` holds (i, j) pairs over every lowering bilinear; it
+    used to hold the row indices i of the adjacent ones, L[i, i+1], only.
+    """
 
     satisfied: bool
     violated: tuple[tuple[int, int], ...]
@@ -150,7 +154,13 @@ def weyl_dimension(label: IrrepLabel) -> int:
 
 
 def constraint_residual(psi: Ket) -> ConstraintReport:
-    """Check that every lowering bilinear a+[i].a[j], i < j, annihilates psi."""
+    """Check that every lowering bilinear a+[i].a[j], i < j, annihilates psi.
+
+    All (N-1)(N-2)/2 bilinears are applied so that each violated one is
+    named.  The adjacent ones alone decide ``satisfied``, since
+    [L[i,k], L[k,j]] = L[i,j]; a caller that needs only that verdict
+    pays for the rest.
+    """
     n = psi.n
     violated = tuple(
         (i, j) for i in range(1, n) for j in range(i + 1, n) if invariant_action(i, j, psi).terms
