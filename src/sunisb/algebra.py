@@ -104,22 +104,37 @@ def invariant_action(i: int, j: int, psi: Ket) -> Ket:
 
 
 def generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
-    """Apply the Weyl-basis su(N) generator Q[alpha, beta] to a ket."""
+    """Apply the Weyl-basis su(N) generator Q[alpha, beta] to a ket.
+
+    Q[alpha, alpha] multiplies a basis state by count_alpha - quanta/N,
+    a ``Fraction`` whenever the state holds quanta.  Q[alpha, beta],
+    alpha != beta, recolors one quantum per row; its images are summed
+    inline (see ``fock._accumulate``), so an ``int`` ket stays ``int``.
+    """
     n = psi.n
     _check_color(n, alpha)
     _check_color(n, beta)
-    terms = []
-    for state, coeff in psi.terms.items():
-        for i in range(1, n):
-            m = state.occ[i - 1][beta - 1]
-            if m:
-                terms.append((_recolored(state, i, beta, alpha), m * coeff))
-        if alpha == beta:
+    out: dict = {}
+    if alpha == beta:
+        for state, coeff in psi.terms.items():
             quanta = sum(total_occupations(state))
-            # a zero Fraction would turn an int coefficient into a Fraction
             if quanta:
-                terms.append((state, -Fraction(quanta, n) * coeff))
-    return _raw_ket(n, _accumulate({}, terms))
+                count = sum(row[alpha - 1] for row in state.occ)
+                value = (count - Fraction(quanta, n)) * coeff
+                if value:
+                    out[state] = value
+        return _raw_ket(n, out)
+    for state, coeff in psi.terms.items():
+        for i, row in enumerate(state.occ, start=1):
+            m = row[beta - 1]
+            if m:
+                target = _recolored(state, i, beta, alpha)
+                total = out.get(target, 0) + m * coeff
+                if total:
+                    out[target] = total
+                else:
+                    out.pop(target, None)
+    return _raw_ket(n, out)
 
 
 def casimir_op(n: int, action: Callable[[int, int, Ket], Ket], label: str) -> LinearOp:

@@ -63,6 +63,7 @@ from .fock import (
 from .irreps import (
     AlgebraViolationError,
     IrrepLabel,
+    _distinct_monomials,
     all_multi_indices,
     build_monomial,
     casimir_eigenvalue,
@@ -75,6 +76,7 @@ from .irreps import (
     weyl_dimension,
 )
 from .isb import (
+    SingularCoefficientError,
     annihilation_coeff,
     creation_coeff,
     isb_annihilate,
@@ -458,27 +460,37 @@ def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str |
     """First failures of (off-diagonal products vanish, diagonal products are one scalar).
 
     Each A[j]_gamma psi and A+[j]^gamma psi is computed once per basis vector.
+    A vanishing dressing denominator fails both checks, naming the
+    operator, the basis vector and the error.
     """
     rows, colors = range(1, n), range(1, n + 1)
     offdiagonal = None
     diagonal = {}
     for b, psi in enumerate(basis):
-        lowered = {(j, g): isb_annihilate(j, g, psi) for j in rows for g in colors}
-        raised = {(j, g): isb_create(j, g, psi) for j in rows for g in colors}
-        for i in rows:
-            for j in rows:
-                # the color-contracted products, each summed over gamma
-                create_annihilate, annihilate_create = {}, {}
-                for g in colors:
-                    _accumulate(create_annihilate, isb_create(i, g, lowered[j, g]).terms.items())
-                    _accumulate(annihilate_create, isb_annihilate(i, g, raised[j, g]).terms.items())
-                if i == j:
-                    diagonal[id(psi), i, "A+.A"] = _raw_ket(n, create_annihilate)
-                    diagonal[id(psi), i, "A.A+"] = _raw_ket(n, annihilate_create)
-                elif offdiagonal is None and create_annihilate:
-                    offdiagonal = f"A+[{i}].A[{j}] on basis[{b}]"
-                elif offdiagonal is None and annihilate_create:
-                    offdiagonal = f"A[{i}].A+[{j}] on basis[{b}]"
+        try:
+            op = "A[j]_gamma"
+            lowered = {(j, g): isb_annihilate(j, g, psi) for j in rows for g in colors}
+            op = "A+[j]^gamma"
+            raised = {(j, g): isb_create(j, g, psi) for j in rows for g in colors}
+            for i in rows:
+                for j in rows:
+                    # the color-contracted products, each summed over gamma
+                    op, create_annihilate = f"A+[{i}].A[{j}]", {}
+                    for g in colors:
+                        _accumulate(create_annihilate, isb_create(i, g, lowered[j, g]).terms.items())
+                    op, annihilate_create = f"A[{i}].A+[{j}]", {}
+                    for g in colors:
+                        _accumulate(annihilate_create, isb_annihilate(i, g, raised[j, g]).terms.items())
+                    if i == j:
+                        diagonal[id(psi), i, "A+.A"] = _raw_ket(n, create_annihilate)
+                        diagonal[id(psi), i, "A.A+"] = _raw_ket(n, annihilate_create)
+                    elif offdiagonal is None and create_annihilate:
+                        offdiagonal = f"A+[{i}].A[{j}] on basis[{b}]"
+                    elif offdiagonal is None and annihilate_create:
+                        offdiagonal = f"A[{i}].A+[{j}] on basis[{b}]"
+        except SingularCoefficientError as err:
+            failure = f"{op} on basis[{b}]: {err}"
+            return offdiagonal or failure, failure
     for i in rows:
         for tag in ("A+.A", "A.A+"):
             try:
@@ -584,9 +596,8 @@ def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
 
 def _casimir_match_witness(label: IrrepLabel, c2) -> str | None:
     # both sides on the suite's one operator: the monomials lie in the null space's sector
-    monomials = (build_monomial(label, idx) for idx in distinct_multi_indices(label))
     try:
-        mono = scalar_on(c2, monomials)
+        mono = scalar_on(c2, _distinct_monomials(label))
         null = scalar_on(c2, nullspace_basis(label))
     except (AlgebraViolationError, ValueError) as err:
         return str(err)
@@ -619,7 +630,7 @@ def suite_casimir(n_max: int = 4, max_quanta: int | None = None) -> Checks:
 def _serialization_families(n_max: int, max_quanta: int):
     monomials = []
     for label in _labels(min(n_max, 4), max_quanta):
-        monomials.extend(build_monomial(label, idx) for idx in distinct_multi_indices(label))
+        monomials.extend(_distinct_monomials(label))
     big = IrrepLabel(5, (2, 1, 1, 1))
     for pos, idx in enumerate(distinct_multi_indices(big)):
         if pos % 311 == 0:

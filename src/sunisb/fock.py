@@ -212,8 +212,12 @@ class Ket:
 def _accumulate(acc: dict, terms, scale=1) -> dict:
     """Add scale * coeff into acc for every (state, coeff) of terms, in place; return acc.
 
-    States whose total reaches zero are dropped.  This is the package's
-    one accumulate-and-prune loop: kets, operators and ladders sum here.
+    States whose total reaches zero are dropped.  Kets, operators and
+    ladders sum here, with one exception: ``algebra.generator_action``
+    sums its recolored images in an inline copy of this loop, since the
+    Casimir calls it 2N(N-1)+N times per basis state.  That inline sum,
+    with the prefix-shared monomial walk of ``irreps``, took frontier
+    ``pass_s`` from 0.501 s to 0.432 s (medians of 10 alternated pairs).
     """
     # only an int scale is tested for 1: comparing a Fraction to 1 costs more than it saves
     unit = type(scale) is int and scale == 1

@@ -342,18 +342,21 @@ def test_algebra_suite_fails_on_a_wrong_bilinear_or_generator(monkeypatch, name,
     assert failed == broken
 
 
+def _bare_monomials(original):
+    def build(label, idx):
+        psi = fock.vacuum(label.n)
+        for row, colors in enumerate(idx, start=1):
+            for alpha in colors:
+                psi = fock.apply_create(row, alpha, psi)
+        return psi
+
+    return build
+
+
 def test_constraints_suite_fails_on_bare_monomials(monkeypatch):
-    def bare(original):
-        def build(label, idx):
-            psi = fock.vacuum(label.n)
-            for row, colors in enumerate(idx, start=1):
-                for alpha in colors:
-                    psi = fock.apply_create(row, alpha, psi)
-            return psi
-
-        return build
-
-    records, failed = _failures_when_perturbed(monkeypatch, "constraints", checks, "build_monomial", bare)
+    records, failed = _failures_when_perturbed(
+        monkeypatch, "constraints", checks, "build_monomial", _bare_monomials
+    )
     # a bare monomial violates L[1,2] as soon as row 2 holds a box
     assert failed == [r.check_id for r in records if _rows(r.check_id)[1:] > (0,)]
     assert len(failed) == 6
@@ -374,6 +377,59 @@ def test_multiplicity_suite_fails_on_a_doubled_creation(monkeypatch):
     ]
     assert failed == expected
     assert len(failed) == 19
+
+
+def _annihilation_with_half_bare_row_one(original):
+    # A[1] + 1/2 a[1]: the bare part leaves the ordered regime, where a dressed creation is singular
+    def annihilate(k, alpha, psi):
+        image = original(k, alpha, psi)
+        return image + fock.apply_annihilate(1, alpha, psi) * Fraction(1, 2) if k == 1 else image
+
+    return annihilate
+
+
+def test_multiplicity_suite_reports_a_singular_product(monkeypatch):
+    records = run_suite("multiplicity", n_max=3)
+    assert records and all(r.passed for r in records)
+    monkeypatch.setattr(checks, "isb_annihilate", _annihilation_with_half_bare_row_one(checks.isb_annihilate))
+    perturbed = run_suite("multiplicity", n_max=3)
+    assert [r.check_id for r in perturbed] == [r.check_id for r in records]
+    singular = "A+[2].A[1] on basis[0]: singular dressing coefficient for row pair (2, 1) at totals"
+    assert {r.check_id: r.witness for r in perturbed if not r.passed} == {
+        "offdiagonal-invariants[N=3,rows=(4, 0)]": "A[1].A+[2] on basis[0]",
+        "offdiagonal-invariants[N=3,rows=(3, 1)]": "A[1].A+[2] on basis[0]",
+        "offdiagonal-invariants[N=3,rows=(3, 0)]": "A[1].A+[2] on basis[0]",
+        "offdiagonal-invariants[N=3,rows=(2, 2)]": f"{singular} (1, 3)",
+        "diagonal-invariant-scalars[N=3,rows=(2, 2)]": f"{singular} (1, 3)",
+        "offdiagonal-invariants[N=3,rows=(2, 1)]": "A[1].A+[2] on basis[0]",
+        "offdiagonal-invariants[N=3,rows=(2, 0)]": "A[1].A+[2] on basis[0]",
+        "offdiagonal-invariants[N=3,rows=(1, 1)]": f"{singular} (0, 2)",
+        "diagonal-invariant-scalars[N=3,rows=(1, 1)]": f"{singular} (0, 2)",
+        "offdiagonal-invariants[N=3,rows=(1, 0)]": "A[1].A+[2] on basis[0]",
+    }
+
+
+def _dressing_denominator_shifted(original):
+    # -1 / (n_i - n_k + 2 + k - i): every creation dressing denominator one too large
+    return lambda k, i, totals: -1 / (1 - 1 / original(k, i, totals))
+
+
+@pytest.mark.parametrize(
+    "module, name, perturb",
+    [(checks, "build_monomial", _bare_monomials), (isb, "creation_coeff", _dressing_denominator_shifted)],
+    ids=["bare-monomials", "shifted-denominator"],
+)
+def test_octet_suite_fails_on_bare_monomials_or_a_shifted_dressing(monkeypatch, module, name, perturb):
+    records = run_suite("octet")
+    assert [r.check_id for r in records if r.passed] == [f"octet-expansion[beta={b}]" for b in (1, 2, 3)]
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    # the dressed images are memoized per basis state: drop those made with the true coefficient
+    isb._create_terms.cache_clear()
+    try:
+        failed = [r.check_id for r in run_suite("octet") if not r.passed]
+    finally:
+        isb._create_terms.cache_clear()
+    assert failed == [r.check_id for r in records]
 
 
 def test_casimir_suite_fails_on_a_shifted_diagonal_generator(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sunisb import checks, irreps
 from sunisb.algebra import casimir2_op, casimir_op, generator_action, invariant_action
 from sunisb.checks import iter_labels
 from sunisb.fock import (
@@ -27,6 +28,7 @@ from sunisb.fock import (
 from sunisb.irreps import (
     AlgebraViolationError,
     IrrepLabel,
+    _distinct_monomials,
     all_multi_indices,
     build_monomial,
     casimir_eigenvalue,
@@ -165,6 +167,55 @@ class TestMonomials:
         # ((1.7, True), ("3",)) would otherwise build the ((1, 1), (3,)) monomial
         with pytest.raises(ValueError):
             build_monomial(IrrepLabel(3, (2, 1)), idx)
+
+
+def per_index_monomials(label):
+    return [build_monomial(label, idx) for idx in distinct_multi_indices(label)]
+
+
+def exact_terms(kets):
+    """Each ket's rank and its (state, coefficient, coefficient type) terms, in order."""
+    return [(psi.n, [(s, c, type(c)) for s, c in psi.terms.items()]) for psi in kets]
+
+
+class TestPrefixSharedWalk:
+    """``irreps._distinct_monomials`` against one ``build_monomial`` per distinct index."""
+
+    def test_equals_the_per_index_build_term_by_term(self):
+        # every label of the dimensions suite at its default bounds, and one of rank 6
+        labels = [*checks._labels(*checks.suite_dimensions.__defaults__), IrrepLabel(6, (2, 1, 0, 0, 0))]
+        for label in labels:
+            assert exact_terms(_distinct_monomials(label)) == exact_terms(per_index_monomials(label)), label
+
+    def test_casimir_failure_position_counts_zero_kets(self, monkeypatch):
+        # Q[1,1] shifted by 1/3 first breaks the scalar on ket 27 of N=4 (1,1,1), after 18 zero kets
+        def shifted(a, b, psi):
+            return generator_action(a, b, psi) + psi * Fraction(1 if a == b == 1 else 0, 3)
+
+        label = IrrepLabel(4, (1, 1, 1))
+        monomials = per_index_monomials(label)
+        with pytest.raises(AlgebraViolationError, match="ket 27 ") as expected:
+            scalar_on(casimir_op(4, shifted, "C2"), monomials)
+        assert sum(1 for psi in monomials[:27] if not psi.terms) == 18
+        monkeypatch.setattr(irreps, "casimir2_op", lambda n: casimir_op(n, shifted, "C2"))
+        with pytest.raises(AlgebraViolationError) as got:
+            casimir_eigenvalue(label)
+        assert str(got.value) == str(expected.value)
+
+    def test_monomial_rank_shares_creations(self, monkeypatch):
+        calls = []
+        original = irreps.isb_create
+
+        def counted(k, alpha, psi):
+            calls.append(k)
+            return original(k, alpha, psi)
+
+        monkeypatch.setattr(irreps, "isb_create", counted)
+        label = IrrepLabel(5, (2, 2, 1, 0))
+        assert monomial_rank(label) == 75
+        # the per-index build makes up to 5 creations for each of the 1,125 indices
+        assert len(list(distinct_multi_indices(label))) == 1125
+        assert 0 < len(calls) <= 5 * 1125 // 2
 
 
 class TestNullspace:
