@@ -15,6 +15,13 @@ that are not None, and raises ``ValueError`` for a negative or
 non-``int`` one.  ``octet``, ``traceless`` and ``iterative`` check
 fixed samples and ignore both bounds, and ``sp2r`` ignores ``n_max``.
 
+Monomials reach the suites by two routes.  ``constraints``, ``octet``
+and the sampled rank-5 label and zero ket of ``serialization`` build
+each one with ``checks.build_monomial``.  ``casimir`` and the full-label
+monomials of ``serialization`` take whole families from
+``irreps._distinct_monomials``, which creates through ``isb`` directly,
+so a perturbed ``checks.build_monomial`` does not reach them.
+
 Registry ``SUITES``:
 
 * ``fock``           oscillator commutators, adjointness, sector enumeration
@@ -468,10 +475,13 @@ def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str |
     diagonal = {}
     for b, psi in enumerate(basis):
         try:
-            op = "A[j]_gamma"
-            lowered = {(j, g): isb_annihilate(j, g, psi) for j in rows for g in colors}
-            op = "A+[j]^gamma"
-            raised = {(j, g): isb_create(j, g, psi) for j in rows for g in colors}
+            lowered, raised = {}, {}
+            for j, g in product(rows, colors):
+                op = f"A[{j}]_{g}"
+                lowered[j, g] = isb_annihilate(j, g, psi)
+            for j, g in product(rows, colors):
+                op = f"A+[{j}]^{g}"
+                raised[j, g] = isb_create(j, g, psi)
             for i in rows:
                 for j in rows:
                     # the color-contracted products, each summed over gamma

@@ -409,6 +409,23 @@ def test_multiplicity_suite_reports_a_singular_product(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("name, op", [("isb_annihilate", "A[2]_3"), ("isb_create", "A+[2]^3")])
+def test_multiplicity_witness_names_the_singular_single_operator(monkeypatch, name, op):
+    original = getattr(checks, name)
+
+    def singular_at_row_2_color_3(j, g, psi):
+        if (j, g) == (2, 3):
+            raise isb.SingularCoefficientError("vanishing denominator")
+        return original(j, g, psi)
+
+    monkeypatch.setattr(checks, name, singular_at_row_2_color_3)
+    records = run_suite("multiplicity", n_max=3)
+    # rank 2 has no row 2; every rank-3 label fails both checks on its first basis vector
+    assert all(r.passed for r in records if "N=2," in r.check_id)
+    rank3 = [r for r in records if "N=3," in r.check_id]
+    assert rank3 and {r.witness for r in rank3} == {f"{op} on basis[0]: vanishing denominator"}
+
+
 def _dressing_denominator_shifted(original):
     # -1 / (n_i - n_k + 2 + k - i): every creation dressing denominator one too large
     return lambda k, i, totals: -1 / (1 - 1 / original(k, i, totals))
