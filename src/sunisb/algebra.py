@@ -21,6 +21,11 @@ matter:
   and matrix elements stay rational.  The quadratic Casimir is
   (1/2) sum_ab Q[a,b] Q[b,a].
 
+Each bilinear is summed in place: ``_bilinear_into`` adds its image
+of a term dict straight into an accumulator, with an integer factor.
+``invariant_action`` sums into an empty one, and the nested row sums
+of the dressed ladders in ``isb`` into their row's.
+
 Shared helpers: ``casimir_op(n, action, label)`` builds that Casimir
 from any generator action, here and in ``su3x``.  It sums the
 off-diagonal products Q[a,b] Q[b,a], a != b, which are integer on a
@@ -93,14 +98,29 @@ def invariant_action(i: int, j: int, psi: Ket) -> Ket:
     n = psi.n
     _check_row(n, i)
     _check_row(n, j)
-    terms = []
-    for state, coeff in psi.terms.items():
-        row = state.occ[j - 1]
-        for alpha in range(1, n + 1):
-            m = row[alpha - 1]
+    return _raw_ket(n, _bilinear_into({}, psi.terms, i, j))
+
+
+def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:
+    """Add scale * a+[i].a[j] applied to terms (state -> coeff) into acc, in place; return acc.
+
+    States whose total reaches zero are dropped.  The loop is an inline
+    copy of ``fock._accumulate``'s, kept on the figure cited there.
+    """
+    # only an int scale is tested for 1, as in fock._accumulate
+    unit = type(scale) is int and scale == 1
+    for state, coeff in terms.items():
+        if not unit:
+            coeff = coeff * scale
+        for alpha, m in enumerate(state.occ[j - 1], start=1):
             if m:
-                terms.append((_moved(state, j, i, alpha), m * coeff))
-    return _raw_ket(n, _accumulate({}, terms))
+                target = _moved(state, j, i, alpha)
+                total = acc.get(target, 0) + m * coeff
+                if total:
+                    acc[target] = total
+                else:
+                    acc.pop(target, None)
+    return acc
 
 
 def generator_action(alpha: int, beta: int, psi: Ket) -> Ket:

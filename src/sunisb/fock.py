@@ -21,8 +21,11 @@ threads.
 directly: before Python 3.13 an indented ``json.dumps`` runs the
 pure-Python encoder, several times slower than the direct writer.
 
-Kets are summed by two private kernels, ``_accumulate`` for (state,
-coeff) pairs and ``_apply_images`` for integer basis images.
+Kets are summed by two private kernels here, ``_accumulate`` for
+(state, coeff) pairs and ``_apply_images`` for integer basis images,
+and by one in ``algebra``: ``_bilinear_into`` sums the image of an
+invariant bilinear in place, for ``invariant_action`` and the dressed
+ladders (see ``_accumulate``).
 """
 
 from __future__ import annotations
@@ -213,13 +216,19 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     """Add scale * coeff into acc for every (state, coeff) of terms, in place; return acc.
 
     States whose total reaches zero are dropped.  Kets, operators and
-    ladders sum here, with one exception: ``algebra.generator_action``
-    sums its recolored images in an inline copy of this loop, since the
-    Casimir calls it 2N(N-1)+N times per basis state.  Against the same
-    generator passing those images to this function as a generator
-    expression, the inline copy took frontier ``pass_s`` from 0.441 s
-    to 0.419 s, lower in 10 of 10 alternated pairs (medians; IQR of the
-    inline runs 0.020 s; 2-core x86 box, Python 3.11).
+    ladders sum here, with two exceptions, each an inline copy of this
+    loop kept on its own figure (medians of alternated harness pairs,
+    each against the same code passing its terms to this function as a
+    generator expression; 2-core x86 box, Python 3.11):
+
+    * ``algebra.generator_action`` sums its recolored images inline,
+      since the Casimir calls it 2N(N-1)+N times per basis state:
+      frontier ``pass_s`` 0.441 s to 0.419 s, lower in 10 of 10 pairs
+      (IQR of the inline runs 0.020 s);
+    * ``algebra._bilinear_into`` sums each invariant bilinear in place,
+      for ``invariant_action`` and every row sum of the dressed
+      ladders: build-sample ``pass_s`` 0.3225 s to 0.3078 s, lower in
+      19 of 20 pairs (IQR of the parent commit's runs 0.0061 s).
     """
     # only an int scale is tested for 1: comparing a Fraction to 1 costs more than it saves
     unit = type(scale) is int and scale == 1

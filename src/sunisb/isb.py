@@ -49,14 +49,17 @@ annihilation.  E_i B_i with E_i = prod_{j<i} d_j is
 
     E_i a+[i]^a - sum_{j<i} (prod_{j<l<i} d_l) L[i,j] (E_j B_j),
 
-an integer sum, and the mirror holds for C_i.  A product, not an lcm:
-at rank 4 and row totals (1, 2, 1), A+[3] takes both d_1 and d_2 as
-2, and its two-link chain carries 1/4.  Applied to a ket, the basis
-images and the input coefficients share one common denominator, and
-each output coefficient is divided once: an ``int`` when exact, a
-``Fraction`` otherwise.  That sum is ``fock._apply_images``, which the
-Casimir of ``algebra``, the ladders of ``su3x`` and the rank-4 gluing
-route ``isb_create_iterative`` share.
+an integer sum, and the mirror holds for C_i.  Each L[i,j] (E_j B_j)
+is summed in place into the row's accumulator, with its integer
+factor, by ``algebra._bilinear_into``: no ket is built per bilinear.
+The denominator is a product, not an lcm: at rank 4 and row totals
+(1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link chain
+carries 1/4.  Applied to a ket, the basis images and the input
+coefficients share one common denominator, and each output
+coefficient is divided once: an ``int`` when exact, a ``Fraction``
+otherwise.  That sum is ``fock._apply_images``, which the Casimir of
+``algebra``, the ladders of ``su3x`` and the rank-4 gluing route
+``isb_create_iterative`` share.
 """
 
 from __future__ import annotations
@@ -65,14 +68,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .algebra import invariant_action
+from .algebra import _bilinear_into
 from .fock import (
     Ket,
     _accumulate,
     _apply_images,
     _bumped,
     _check_slot,
-    _raw_ket,
     total_occupations,
 )
 
@@ -124,7 +126,7 @@ def _create_on_basis(k: int, alpha: int, state) -> tuple:
     for j in range(k - 1, 0, -1):
         f = creation_coeff(k, j, totals)
         dens[j] = -f.numerator * f.denominator  # the numerator is -1 or 1
-    rows: dict[int, Ket] = {}
+    rows: dict[int, dict] = {}
     scale = 1  # E_i
     for i in range(1, k + 1):
         acc = {_bumped(state, i, alpha, 1): scale}
@@ -134,8 +136,8 @@ def _create_on_basis(k: int, alpha: int, state) -> tuple:
             between[j] = factor
             factor *= dens[j]
         for j, b_j in rows.items():
-            _accumulate(acc, invariant_action(i, j, b_j).terms.items(), between[j])
-        rows[i] = _raw_ket(state.n, acc)
+            _bilinear_into(acc, b_j, i, j, between[j])
+        rows[i] = acc
         if i < k:
             scale *= dens[i]
     return acc.items(), scale
@@ -167,7 +169,7 @@ def _annihilate_on_basis(k: int, alpha: int, top: int, state) -> tuple:
     for j in range(k + 1, top + 1):
         h = annihilation_coeff(j, k, totals)
         dens[j] = h.numerator * h.denominator  # the numerator is -1 or 1
-    rows: dict[int, Ket] = {}
+    rows: dict[int, dict] = {}
     scale = 1  # E_i
     for i in range(top, k - 1, -1):
         m = state.occ[i - 1][alpha - 1]
@@ -178,9 +180,9 @@ def _annihilate_on_basis(k: int, alpha: int, top: int, state) -> tuple:
             between[j] = factor
             factor *= dens[j]
         for j, c_j in rows.items():
-            _accumulate(acc, invariant_action(j, i, c_j).terms.items(), between[j])
+            _bilinear_into(acc, c_j, j, i, between[j])
         if acc:  # an empty C_i adds nothing further down
-            rows[i] = _raw_ket(state.n, acc)
+            rows[i] = acc
         if i > k:
             scale *= dens[i]
     return acc.items(), scale
@@ -201,16 +203,15 @@ def _iterative_on_basis(alpha: int, state) -> tuple:
     d1b = t[0] - t[2] + 2
     if d2 == 0 or d1a == 0 or d1b == 0:
         raise SingularCoefficientError(f"singular gluing coefficient at totals {t}")
-    # (a+[3].A[2]) A+[2]^a: A[2] capped at row 2 is the plain a[2], so this is L[3,2]
     terms2, e2 = _create_terms(2, alpha, state)
-    row2 = invariant_action(3, 2, _raw_ket(4, dict(terms2)))
     # (a+[3].A[1]) a+[1]^a, A+[1] being bare; f depends on the row totals alone
     raised = _bumped(state, 1, alpha, 1)
     row1 = [_annihilate_on_basis(1, gamma, 2, raised) for gamma in range(1, 5)]
     f = row1[0][1]
     den = d2 * d1a * d1b * e2 * f
     acc = {_bumped(state, 3, alpha, 1): den}
-    _accumulate(acc, row2.terms.items(), -d1a * d1b * f)
+    # (a+[3].A[2]) A+[2]^a: A[2] capped at row 2 is the plain a[2], so this is L[3,2]
+    _bilinear_into(acc, dict(terms2), 3, 2, -d1a * d1b * f)
     for gamma, (terms, _) in enumerate(row1, 1):
         _accumulate(acc, ((_bumped(s, 3, gamma, 1), c) for s, c in terms), -(d1a + 1) * d2 * e2)
     return acc.items(), den

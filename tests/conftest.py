@@ -6,4 +6,6 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# ten times deeper, for the ladder and bilinear oracles: --hypothesis-profile=deep
+settings.register_profile("deep", parent=settings.get_profile("exact"), max_examples=600)
 settings.load_profile("exact")

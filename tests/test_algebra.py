@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sunisb.algebra import casimir2_op, generator_action, invariant_action
+from sunisb.algebra import _bilinear_into, casimir2_op, generator_action, invariant_action
 from sunisb.fock import (
     FockState,
     Ket,
@@ -224,3 +224,55 @@ class TestGeneratorOracle:
             images.append(ab_generator_action(alpha, beta, psi))
         for image in images:
             assert all(type(c) is int for c in image.terms.values())
+
+
+def reference_bilinear(i, j, psi: Ket) -> Ket:
+    """a+[i].a[j] psi as whole kets: sum_alpha a+[i]^alpha a[j]_alpha psi."""
+    total = zero_ket(psi.n)
+    for alpha in range(1, psi.n + 1):
+        total = total + apply_create(i, alpha, apply_annihilate(j, alpha, psi))
+    return total
+
+
+def row_pairs(n: int):
+    """Every (i, j) of oscillator rows, i = j included."""
+    return [(i, j) for i in range(1, n) for j in range(1, n)]
+
+
+class TestBilinearOracle:
+    """``invariant_action`` and the in-place kernel against the whole-ket definition, exactly."""
+
+    @given(st.integers(2, 4).flatmap(kets))
+    @example(zero_ket(2))
+    @example(zero_ket(4))
+    def test_every_row_pair(self, psi):
+        for i, j in row_pairs(psi.n):
+            assert invariant_action(i, j, psi) == reference_bilinear(i, j, psi)
+
+    @given(st.integers(2, 4).flatmap(lambda n: kets(n, st.integers(-9, 9))))
+    def test_images_of_int_kets_stay_int(self, psi):
+        for i, j in row_pairs(psi.n):
+            assert all(type(c) is int for c in invariant_action(i, j, psi).terms.values())
+
+    @given(st.integers(2, 4).flatmap(kets), st.integers(-3, 3))
+    def test_kernel_adds_a_scaled_image_in_place(self, psi, scale):
+        # the accumulator already holds psi, so targets of L[i,j] psi may cancel in it
+        for i, j in row_pairs(psi.n):
+            acc = dict(psi.terms)
+            assert _bilinear_into(acc, psi.terms, i, j, scale) is acc
+            assert Ket(psi.n, acc) == psi + reference_bilinear(i, j, psi) * scale
+            assert all(acc.values())
+
+    def test_cancelling_moves_leave_no_zero_term(self):
+        # L[1,2] moves color 1 of the first state and color 2 of the second onto
+        # |(1,1,0),(0,0,0)>, with opposite coefficients; the third state survives
+        first = FockState(3, ((0, 1, 0), (1, 0, 0)))
+        second = FockState(3, ((1, 0, 0), (0, 1, 0)))
+        third = FockState(3, ((0, 0, 0), (0, 0, 1)))
+        psi = Ket(3, {first: Fraction(1, 2), second: Fraction(-1, 2), third: 3})
+        survivor = FockState(3, ((0, 0, 1), (0, 0, 0)))
+        assert invariant_action(1, 2, psi).terms == {survivor: 3}
+        assert reference_bilinear(1, 2, psi).terms == {survivor: 3}
+        # in place: a target already in the accumulator cancels there too
+        acc = {FockState(3, ((1, 1, 0), (0, 0, 0))): 2, survivor: 1}
+        assert _bilinear_into(acc, {first: 1}, 1, 2, -2) == {survivor: 1}

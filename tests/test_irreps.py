@@ -168,6 +168,23 @@ class TestMonomials:
         with pytest.raises(ValueError):
             build_monomial(IrrepLabel(3, (2, 1)), idx)
 
+    def test_monomial_documents_pinned(self):
+        # SHA-256 over the serialized dressed monomials of every distinct
+        # index, in order: no rewrite of the ladders may change a byte
+        digest = hashlib.sha256()
+        count = nonzero = 0
+        for n, rows in ((4, (2, 1, 1)), (5, (2, 1, 1, 0)), (6, (2, 1, 1, 0, 0))):
+            label = IrrepLabel(n, rows)
+            for idx in distinct_multi_indices(label):
+                psi = build_monomial(label, idx)
+                digest.update(dumps_ket(psi).encode())
+                count += 1
+                if psi:
+                    nonzero += 1
+                    assert any(type(c) is Fraction for c in psi.terms.values())
+        assert (count, nonzero) == (1291, 864)
+        assert digest.hexdigest() == "e5184ca5e8e6ef655adea3e1ef84013af91a3ada11d19d48af9cf6acfeb40e95"
+
 
 def per_index_monomials(label):
     return [build_monomial(label, idx) for idx in distinct_multi_indices(label)]

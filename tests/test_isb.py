@@ -226,12 +226,13 @@ class TestChainSum:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_one_bilinear_per_row_pair(self, k, monkeypatch):
         calls = []
+        bilinear_into = isb._bilinear_into
 
-        def counted(i, j, psi):
+        def counted(acc, terms, i, j, scale=1):
             calls.append((i, j))
-            return invariant_action(i, j, psi)
+            return bilinear_into(acc, terms, i, j, scale)
 
-        monkeypatch.setattr(isb, "invariant_action", counted)
+        monkeypatch.setattr(isb, "_bilinear_into", counted)
         state = FockState(6, ((1,) * 6,) * 5)
         assert isb._create_on_basis(k, 1, state)[0]
         assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
@@ -297,12 +298,13 @@ class TestIntegerLadders:
 
     def test_row_sums_see_only_int_coefficients(self, monkeypatch):
         seen = []
+        bilinear_into = isb._bilinear_into
 
-        def recorded(i, j, psi):
-            seen.extend(type(c) for c in psi.terms.values())
-            return invariant_action(i, j, psi)
+        def recorded(acc, terms, i, j, scale=1):
+            seen.extend(type(c) for c in (*terms.values(), scale))
+            return bilinear_into(acc, terms, i, j, scale)
 
-        monkeypatch.setattr(isb, "invariant_action", recorded)
+        monkeypatch.setattr(isb, "_bilinear_into", recorded)
         isb._create_terms.cache_clear()
         psi = build_monomial(IrrepLabel(4, (2, 1, 1)), ((1, 2), (3,), (4,)))
         assert any(isinstance(c, Fraction) for c in psi.terms.values())
