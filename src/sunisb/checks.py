@@ -15,12 +15,14 @@ that are not None, and raises ``ValueError`` for a negative or
 non-``int`` one.  ``octet``, ``traceless`` and ``iterative`` check
 fixed samples and ignore both bounds, and ``sp2r`` ignores ``n_max``.
 
-Monomials reach the suites by two routes.  ``constraints``, ``octet``
-and the sampled rank-5 label and zero ket of ``serialization`` build
-each one with ``checks.build_monomial``.  ``casimir`` and the full-label
-monomials of ``serialization`` take whole families from
-``irreps._distinct_monomials``, which creates through ``isb`` directly,
-so a perturbed ``checks.build_monomial`` does not reach them.
+Monomials reach the suites by two routes, both through one prefix-shared
+walk, ``irreps._monomials``.  ``constraints``, ``octet`` and the zero ket
+of ``serialization`` build each one with ``checks.build_monomial``, the
+walk over one index.  ``dimensions`` (through ``monomial_rank``),
+``casimir`` and the ``monomials`` family of ``serialization`` walk
+whole index families directly.  So a perturbed
+``checks.build_monomial`` reaches ``constraints``, ``octet`` and the
+zero ket of ``serialization``, and nothing else.
 
 Registry ``SUITES``:
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from typing import Callable, Iterable, Iterator
 
 from . import su3x
@@ -70,7 +72,7 @@ from .fock import (
 from .irreps import (
     AlgebraViolationError,
     IrrepLabel,
-    _distinct_monomials,
+    _monomials,
     all_multi_indices,
     build_monomial,
     casimir_eigenvalue,
@@ -607,7 +609,7 @@ def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
 def _casimir_match_witness(label: IrrepLabel, c2) -> str | None:
     # both sides on the suite's one operator: the monomials lie in the null space's sector
     try:
-        mono = scalar_on(c2, _distinct_monomials(label))
+        mono = scalar_on(c2, _monomials(label, distinct_multi_indices(label)))
         null = scalar_on(c2, nullspace_basis(label))
     except (AlgebraViolationError, ValueError) as err:
         return str(err)
@@ -638,13 +640,10 @@ def suite_casimir(n_max: int = 4, max_quanta: int | None = None) -> Checks:
 
 
 def _serialization_families(n_max: int, max_quanta: int):
-    monomials = []
-    for label in _labels(min(n_max, 4), max_quanta):
-        monomials.extend(_distinct_monomials(label))
+    labels = _labels(min(n_max, 4), max_quanta)
+    monomials = [psi for label in labels for psi in _monomials(label, distinct_multi_indices(label))]
     big = IrrepLabel(5, (2, 1, 1, 1))
-    for pos, idx in enumerate(distinct_multi_indices(big)):
-        if pos % 311 == 0:
-            monomials.append(build_monomial(big, idx))
+    monomials += _monomials(big, islice(distinct_multi_indices(big), 0, None, 311))
     yield "monomials", monomials
 
     # at rank 2 there are no constraints: the null space is the whole sector

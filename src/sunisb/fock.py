@@ -425,8 +425,9 @@ def ket_from_document(doc: dict) -> Ket:
     """Inverse of ``ket_to_document``: every document it accepts round-trips unchanged.
 
     Anything ``ket_to_document`` cannot write raises ``ValueError``: a missing
-    or extra key, a wrong type or shape, a zero coefficient, a fraction not
-    in lowest terms over a positive denominator, a repeated or unsorted state.
+    or extra key, a wrong type or shape, a rank below 2, a zero coefficient,
+    a fraction not in lowest terms over a positive denominator, a repeated or
+    unsorted state.
     """
     if not isinstance(doc, dict) or doc.keys() != {"N", "convention", "terms"}:
         raise ValueError("a ket document is a dict with the keys N, convention and terms")
@@ -435,6 +436,7 @@ def ket_from_document(doc: dict) -> Ket:
     n, records = doc["N"], doc["terms"]
     if type(n) is not int or type(records) is not list:
         raise ValueError("a ket document needs an int N and a list of terms")
+    _check_rank(n)  # a ket without terms builds no state that would check it
     terms = {}
     last = ()
     for record in records:

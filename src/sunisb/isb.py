@@ -35,26 +35,31 @@ outside the ordered Young-diagram regime and raises
 of the operator is evaluated, except that annihilation on a state with
 an empty row k is a[k]_a alone: every chain ends in L[i_1,k].
 
-The chain sums are the definition.  They are evaluated in nested row
-form, so A+[k]^a takes k(k-1)/2 bilinear applications, not one for each
-row of every chain:
+The chain sums are the definition.  Both are evaluated in one nested
+row form, the mirror given as data: a direction s, 1 for creation and
+-1 for annihilation, and an order of rows that runs toward k, from 1 up
+for A+[k]^a and from N-1 (or a lower cap) down for A[k]_a.  With x_i
+the bare ladder of row i (a+[i]^a or a[i]_a), M_1[i,j] = L[i,j],
+M_{-1}[i,j] = L[j,i] and the dressing denominators d_j = -1/F(k,j)
+(creation) or d_j = 1/H(j,k) = -1/F(j,k) (annihilation),
 
-    B_i = a+[i]^a + sum_{j<i} F(k,j) L[i,j] B_j    up from i = 1,    A+[k]^a = B_k
-    C_i = a[i]_a  + sum_{j>i} H(j,k) L[j,i] C_j    down from N-1,    A[k]_a = C_k
+    X_i = x_i - s sum_{j before i} (1/d_j) M_s[i,j] X_j,    the operator = X_k
 
-The nested rows run on ints, over one denominator per basis image: the
-product of the dressing denominators, d_j = -1/F(k,j) for the rows
-j < k of a creation and h_j = 1/H(j,k) for the rows j > k of an
-annihilation.  E_i B_i with E_i = prod_{j<i} d_j is
+so each operator takes one bilinear application per pair of rows,
+k(k-1)/2 for A+[k]^a, not one for each row of every chain.  The rows
+run on ints, over one denominator per basis image, the product of the
+d_j.  With E_i the product of the d_j of the rows before i,
 
-    E_i a+[i]^a - sum_{j<i} (prod_{j<l<i} d_l) L[i,j] (E_j B_j),
+    E_i X_i = E_i x_i - s sum_{j before i} (prod_{l between j and i} d_l) M_s[i,j] (E_j X_j)
 
-an integer sum, and the mirror holds for C_i.  Each L[i,j] (E_j B_j)
-is summed in place into the row's accumulator, with its integer
-factor, by ``algebra._bilinear_into``: no ket is built per bilinear.
-The denominator is a product, not an lcm: at rank 4 and row totals
-(1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link chain
-carries 1/4.  Applied to a ket, the basis images and the input
+is an integer sum.  ``_nested_rows`` computes it for both operators;
+only the seed x_i (matrix element 1 for a+, the occupation m for a),
+the orientation of M_s and the sign -s follow the direction.  Each
+M_s[i,j] (E_j X_j) is summed in place into the row's accumulator, with
+its integer factor, by ``algebra._bilinear_into``: no ket is built per
+bilinear.  The denominator is a product, not an lcm: at rank 4 and row
+totals (1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link
+chain carries 1/4.  Applied to a ket, the basis images and the input
 coefficients share one common denominator, and each output
 coefficient is divided once: an ``int`` when exact, a ``Fraction``
 otherwise.  That sum is ``fock._apply_images``, which the Casimir of
@@ -96,11 +101,13 @@ class SingularCoefficientError(ArithmeticError):
 def creation_coeff(k: int, i: int, totals: Iterable[int]) -> Fraction:
     """Dressing coefficient of the row-k creation chains passing through row i < k.
 
-    Value: -1 / (n_i - n_k + 1 + k - i) at the given row totals.
+    Value: -1 / (n_i - n_k + 1 + k - i) at the given row totals.  A row
+    that is not an ``int`` in range (a bool or float one included) raises
+    ``IndexError``, as ``fock``'s index checks do.
     """
     totals = tuple(totals)
-    if not 1 <= i < k <= len(totals):
-        raise IndexError(f"need 1 <= i < k <= {len(totals)}, got i={i}, k={k}")
+    if not (type(i) is type(k) is int and 1 <= i < k <= len(totals)):
+        raise IndexError(f"need int rows 1 <= i < k <= {len(totals)}, got i={i!r}, k={k!r}")
     den = totals[i - 1] - totals[k - 1] + 1 + (k - i)
     if den == 0:
         raise SingularCoefficientError(
@@ -117,30 +124,40 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
     return -creation_coeff(i, k, totals)
 
 
+def _nested_rows(state, alpha: int, rows: range, direction: int, dens: list) -> tuple:
+    # the module docstring's nested row form: E_i X_i for each row i of rows in
+    # turn, over ints, dens[p] being the dressing denominator of rows[p]; direction
+    # 1 gives the creation rows B_i, -1 the annihilation rows C_i.  Returns the
+    # last row's terms and E, its denominator.
+    done = []  # (j, E_j X_j, -direction E_j d_j) for each nonzero row j so far
+    scale = 1  # E_i
+    for i, den in zip(rows, (*dens, 1)):
+        if direction == 1:  # the bare ladder's matrix element: 1 for a+, the occupation m for a
+            acc = {_bumped(state, i, alpha, 1): scale}
+        else:
+            m = state.occ[i - 1][alpha - 1]
+            acc = {_bumped(state, i, alpha, -1): m * scale} if m else {}
+        for j, x_j, below in done:
+            # scale // below is E_i times the dressing factor -direction/d_j, over E_j
+            if direction == 1:
+                _bilinear_into(acc, x_j, i, j, scale // below)
+            else:
+                _bilinear_into(acc, x_j, j, i, scale // below)
+        scale *= den
+        if acc:  # a zero row adds nothing further on
+            done.append((i, acc, -direction * scale))
+    return acc.items(), scale
+
+
 def _create_on_basis(k: int, alpha: int, state) -> tuple:
-    # E_1 B_1, ..., E_k B_k of the module docstring's nested row form, over ints;
-    # E_i is the product of the dressing denominators d_j = -1/F(k,j), j < i
+    # rows 1 up to k; d_j = -1/F(k,j) evaluated from j = k-1 down, the numerator being -1 or 1
     totals = list(total_occupations(state))
     totals[k - 1] += 1
-    dens = {}
+    dens = []
     for j in range(k - 1, 0, -1):
         f = creation_coeff(k, j, totals)
-        dens[j] = -f.numerator * f.denominator  # the numerator is -1 or 1
-    rows: dict[int, dict] = {}
-    scale = 1  # E_i
-    for i in range(1, k + 1):
-        acc = {_bumped(state, i, alpha, 1): scale}
-        # E_i F(k,j) / E_j = -(product of d_l for j < l < i)
-        between, factor = {}, -1
-        for j in range(i - 1, 0, -1):
-            between[j] = factor
-            factor *= dens[j]
-        for j, b_j in rows.items():
-            _bilinear_into(acc, b_j, i, j, between[j])
-        rows[i] = acc
-        if i < k:
-            scale *= dens[i]
-    return acc.items(), scale
+        dens.append(-f.numerator * f.denominator)
+    return _nested_rows(state, alpha, range(1, k + 1), 1, dens[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -157,35 +174,18 @@ def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
 
 
 def _annihilate_on_basis(k: int, alpha: int, top: int, state) -> tuple:
-    # E_top C_top, ..., E_k C_k of the module docstring's nested row form, over ints;
-    # E_i is the product of the dressing denominators h_j = 1/H(j,k), i < j <= top
+    # rows top down to k; h_j = 1/H(j,k) evaluated from j = k+1 up, the numerator being -1 or 1
     if k >= top or sum(state.occ[k - 1]) == 0:
         # no higher rows to chain through, or nothing in row k for the
         # final bilinear to absorb: every chain term vanishes
         top = k
     totals = list(total_occupations(state))
     totals[k - 1] -= 1
-    dens = {}
+    dens = []
     for j in range(k + 1, top + 1):
         h = annihilation_coeff(j, k, totals)
-        dens[j] = h.numerator * h.denominator  # the numerator is -1 or 1
-    rows: dict[int, dict] = {}
-    scale = 1  # E_i
-    for i in range(top, k - 1, -1):
-        m = state.occ[i - 1][alpha - 1]
-        acc = {_bumped(state, i, alpha, -1): m * scale} if m else {}
-        # E_i H(j,k) / E_j = product of h_l for i < l < j
-        between, factor = {}, 1
-        for j in range(i + 1, top + 1):
-            between[j] = factor
-            factor *= dens[j]
-        for j, c_j in rows.items():
-            _bilinear_into(acc, c_j, j, i, between[j])
-        if acc:  # an empty C_i adds nothing further down
-            rows[i] = acc
-        if i > k:
-            scale *= dens[i]
-    return acc.items(), scale
+        dens.append(h.numerator * h.denominator)
+    return _nested_rows(state, alpha, range(top, k - 1, -1), -1, dens[::-1])
 
 
 def isb_annihilate(k: int, alpha: int, psi: Ket) -> Ket:

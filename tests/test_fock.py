@@ -366,6 +366,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ket_from_document(doc)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_empty_document_below_rank_two_rejected(self, n):
+        # with no terms there is no state to check the rank on
+        doc = {"N": n, "convention": "unnormalized-monomial", "terms": []}
+        with pytest.raises(ValueError):
+            ket_from_document(doc)
+        with pytest.raises(ValueError):
+            loads_ket(json.dumps(doc, indent=1) + "\n")
+
+    def test_rank_two_zero_ket_round_trips(self):
+        doc = ket_to_document(zero_ket(2))
+        assert doc == {"N": 2, "convention": "unnormalized-monomial", "terms": []}
+        assert ket_from_document(doc) == zero_ket(2)
+        assert dumps_ket(loads_ket(dumps_ket(zero_ket(2)))) == dumps_ket(zero_ket(2))
+
     @given(ket_documents)
     def test_document_round_trips_exactly(self, doc):
         assert ket_to_document(ket_from_document(doc)) == doc

@@ -28,7 +28,7 @@ from sunisb.fock import (
 from sunisb.irreps import (
     AlgebraViolationError,
     IrrepLabel,
-    _distinct_monomials,
+    _monomials,
     all_multi_indices,
     build_monomial,
     casimir_eigenvalue,
@@ -186,8 +186,15 @@ class TestMonomials:
         assert digest.hexdigest() == "e5184ca5e8e6ef655adea3e1ef84013af91a3ada11d19d48af9cf6acfeb40e95"
 
 
-def per_index_monomials(label):
-    return [build_monomial(label, idx) for idx in distinct_multi_indices(label)]
+def reference_monomial(label, idx):
+    """The per-index build: each row's creations in turn, stopping after a row that leaves the zero ket."""
+    psi = vacuum(label.n)
+    for row, colors in enumerate(idx, start=1):
+        for alpha in colors:
+            psi = irreps.isb_create(row, alpha, psi)
+        if not psi.terms:
+            break
+    return psi
 
 
 def exact_terms(kets):
@@ -195,14 +202,78 @@ def exact_terms(kets):
     return [(psi.n, [(s, c, type(c)) for s, c in psi.terms.items()]) for psi in kets]
 
 
+@st.composite
+def index_walks(draw):
+    """A label of rank N <= 5 with up to 4 boxes, and a list of its indices in random order, repeats included."""
+    n = draw(st.integers(2, 5))
+    label = draw(st.sampled_from(list(iter_labels(n, 4))))
+    colors = st.integers(1, n)
+    index = st.tuples(*(st.tuples(*[colors] * length) for length in label.rows))
+    return label, draw(st.lists(index, max_size=12))
+
+
+def count_creations(monkeypatch):
+    calls = []
+    original = irreps.isb_create
+
+    def counted(k, alpha, psi):
+        calls.append((k, alpha))
+        return original(k, alpha, psi)
+
+    monkeypatch.setattr(irreps, "isb_create", counted)
+    return calls
+
+
 class TestPrefixSharedWalk:
-    """``irreps._distinct_monomials`` against one ``build_monomial`` per distinct index."""
+    """``irreps._monomials`` against ``reference_monomial``, one build per index."""
 
     def test_equals_the_per_index_build_term_by_term(self):
         # every label of the dimensions suite at its default bounds, and one of rank 6
         labels = [*checks._labels(*checks.suite_dimensions.__defaults__), IrrepLabel(6, (2, 1, 0, 0, 0))]
         for label in labels:
-            assert exact_terms(_distinct_monomials(label)) == exact_terms(per_index_monomials(label)), label
+            walked = exact_terms(_monomials(label, distinct_multi_indices(label)))
+            assert walked == exact_terms(reference_monomial(label, idx) for idx in distinct_multi_indices(label)), label
+        # the constraints sweep's index family, every color order, on the labels of up to 4 boxes at N <= 4
+        for label in checks._labels(4, 4):
+            walked = exact_terms(_monomials(label, all_multi_indices(label)))
+            assert walked == exact_terms(reference_monomial(label, idx) for idx in all_multi_indices(label)), label
+
+    @given(index_walks())
+    def test_any_index_order_equals_the_reference(self, case):
+        label, indices = case
+        walked = exact_terms(_monomials(label, indices))
+        assert walked == exact_terms(reference_monomial(label, idx) for idx in indices)
+
+    @pytest.mark.parametrize(
+        "n, rows, idx, creations",
+        [
+            # A+[2]^1 leaves the zero ket; A+[2]^2 still applies, to that zero ket
+            (3, (3, 2), ((1, 1, 1), (1, 2)), 5),
+            # the same in row 2, and row 3 is not created at all
+            (4, (2, 2, 1), ((1, 1), (1, 2), (3,)), 4),
+        ],
+    )
+    def test_zero_ket_mid_row(self, monkeypatch, n, rows, idx, creations):
+        label = IrrepLabel(n, rows)
+        calls = count_creations(monkeypatch)
+        assert not reference_monomial(label, idx).terms
+        assert len(calls) == creations
+        for build in (build_monomial, lambda label, idx: next(_monomials(label, [idx]))):
+            calls.clear()
+            assert not build(label, idx).terms
+            assert len(calls) == creations
+
+    def test_shared_prefix_keeps_the_zero_ket_rule(self, monkeypatch):
+        calls = count_creations(monkeypatch)
+        # the second index resumes in row 2 after its zero ket: the row's last creation applies
+        label = IrrepLabel(3, (3, 2))
+        assert not any(_monomials(label, [((1, 1, 1), (1, 2)), ((1, 1, 1), (1, 3))]))
+        assert calls == [(1, 1)] * 3 + [(2, 1), (2, 2), (2, 3)]
+        # the second index resumes in row 3, after row 2 left the zero ket: nothing applies
+        calls.clear()
+        label = IrrepLabel(4, (2, 2, 1))
+        assert not any(_monomials(label, [((1, 1), (1, 2), (3,)), ((1, 1), (1, 2), (4,))]))
+        assert calls == [(1, 1), (1, 1), (2, 1), (2, 2)]
 
     def test_casimir_failure_position_counts_zero_kets(self, monkeypatch):
         # Q[1,1] shifted by 1/3 first breaks the scalar on ket 27 of N=4 (1,1,1), after 18 zero kets
@@ -210,7 +281,7 @@ class TestPrefixSharedWalk:
             return generator_action(a, b, psi) + psi * Fraction(1 if a == b == 1 else 0, 3)
 
         label = IrrepLabel(4, (1, 1, 1))
-        monomials = per_index_monomials(label)
+        monomials = [build_monomial(label, idx) for idx in distinct_multi_indices(label)]
         with pytest.raises(AlgebraViolationError, match="ket 27 ") as expected:
             scalar_on(casimir_op(4, shifted, "C2"), monomials)
         assert sum(1 for psi in monomials[:27] if not psi.terms) == 18
@@ -220,19 +291,12 @@ class TestPrefixSharedWalk:
         assert str(got.value) == str(expected.value)
 
     def test_monomial_rank_shares_creations(self, monkeypatch):
-        calls = []
-        original = irreps.isb_create
-
-        def counted(k, alpha, psi):
-            calls.append(k)
-            return original(k, alpha, psi)
-
-        monkeypatch.setattr(irreps, "isb_create", counted)
+        calls = count_creations(monkeypatch)
         label = IrrepLabel(5, (2, 2, 1, 0))
         assert monomial_rank(label) == 75
-        # the per-index build makes up to 5 creations for each of the 1,125 indices
+        # the per-index build makes up to 5 creations for each of the 1,125 indices, 5,400 in all
         assert len(list(distinct_multi_indices(label))) == 1125
-        assert 0 < len(calls) <= 5 * 1125 // 2
+        assert len(calls) == 1220  # the module docstring's figure
 
 
 class TestNullspace:

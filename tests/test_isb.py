@@ -13,6 +13,7 @@ from sunisb.algebra import invariant_action
 from sunisb.fock import (
     FockState,
     Ket,
+    _apply_images,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -126,6 +127,25 @@ class TestCoefficients:
         with pytest.raises(SingularCoefficientError):
             creation_coeff(2, 1, (0, 2))
 
+    @pytest.mark.parametrize(
+        "coeff, first, second",
+        [
+            (creation_coeff, 2, True),
+            (creation_coeff, True, 1),
+            (creation_coeff, 2, 1.0),
+            (creation_coeff, 2.0, 1),
+            (creation_coeff, 2, 0),
+            (creation_coeff, 3, 1),
+            (annihilation_coeff, True, 1),
+            (annihilation_coeff, 2, 1.0),
+            (annihilation_coeff, 1, 2),
+        ],
+    )
+    def test_rows_must_be_ints_in_range(self, coeff, first, second):
+        # a bool or float row would otherwise pass as the int it equals, or fail as a tuple index
+        with pytest.raises(IndexError):
+            coeff(first, second, (1, 1))
+
     @given(st.integers(2, 5), st.integers(0, 5))
     def test_equal_totals_never_singular(self, length, top):
         totals = (top,) * length
@@ -236,9 +256,18 @@ class TestChainSum:
         state = FockState(6, ((1,) * 6,) * 5)
         assert isb._create_on_basis(k, 1, state)[0]
         assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
-        calls.clear()
-        assert isb._annihilate_on_basis(k, 1, 5, state)[0]
-        assert len(calls) == (6 - k) * (5 - k) // 2  # one L[j,i] per pair i < j of rows k..5
+        for top in range(k, 6):
+            calls.clear()
+            assert isb._annihilate_on_basis(k, 1, top, state)[0]
+            assert len(calls) == (top - k) * (top - k + 1) // 2  # one L[j,i] per pair i < j of rows k..top
+
+    @given(ladder_cases())
+    def test_capped_annihilation_matches_chain_formula(self, case):
+        # the rank-4 gluing route caps A[k] at row 2; every cap from k to N-1 is checked
+        state, k, alpha = case
+        for top in range(k, state.n):
+            got = outcome(_apply_images, basis_ket(state), isb._annihilate_on_basis, k, alpha, top)
+            assert got == outcome(chain_annihilate, k, alpha, state, top), top
 
 
 @st.composite
