@@ -718,6 +718,9 @@ def run_suite(name: str, n_max: int | None = None, max_quanta: int | None = None
     """Run one registered suite by name; a bound left None takes the suite's default.
 
     A bound given must be a non-negative ``int``, else ``ValueError``.
+    A ``SingularCoefficientError`` raised inside the suite ends it with
+    one failed record, ``<name>-aborted``, whose witness names the error
+    and the last check that completed.
     """
     try:
         suite = SUITES[name]
@@ -728,5 +731,12 @@ def run_suite(name: str, n_max: int | None = None, max_quanta: int | None = None
     for key, value in given.items():
         if _exact_int(value, key) < 0:
             raise ValueError(f"{key} must be non-negative, got {value}")
-    checks = suite(**given)
-    return [CheckRecord(check_id, witness is None, witness) for check_id, witness in checks]
+    records = []
+    try:
+        for check_id, witness in suite(**given):
+            records.append(CheckRecord(check_id, witness is None, witness))
+    except SingularCoefficientError as err:
+        last = records[-1].check_id if records else "none"
+        witness = f"SingularCoefficientError: {err} (last completed check: {last})"
+        records.append(CheckRecord(f"{name}-aborted", False, witness))
+    return records

@@ -16,6 +16,12 @@ Kets are immutable values; every operation returns a new Ket.  All
 functions here are pure, so values can be shared freely between
 threads.
 
+States are hash-consed: every route that builds a ``FockState`` returns
+the one canonical object for its occupation matrix, so a state-keyed
+dict lookup hits by identity.  Equality stays value-based and the hash
+stays ``hash((n, occ))``.  The table ``_STATES`` lives as long as the
+process, like ``isb._create_terms``.
+
 ``dumps_ket`` writes exactly the bytes of
 ``json.dumps(ket_to_document(psi), indent=1)`` plus a newline, but
 directly: before Python 3.13 an indented ``json.dumps`` runs the
@@ -78,21 +84,24 @@ class FockState:
     """One basis state: an (N-1) x N matrix of occupation numbers.
 
     Rows are oscillator types, columns are colors.  Instances are
-    immutable values, hashable, and validated on construction.
+    immutable values, hashable, and validated on construction; equal
+    matrices give the same object (see ``_unchecked_state``).
     """
 
     __slots__ = ("n", "occ", "_hash")
 
-    def __init__(self, n: int, occ: Iterable[Iterable[int]]):
+    def __new__(cls, n: int, occ: Iterable[Iterable[int]]) -> "FockState":
         occ = tuple(tuple(_exact_int(e, "occupation") for e in row) for row in occ)
         _check_rank(n)
         if len(occ) != n - 1 or any(len(row) != n for row in occ):
             raise ValueError(f"occupation matrix must be {n - 1}x{n}")
         if any(e < 0 for row in occ for e in row):
             raise ValueError("occupations must be non-negative")
-        self.n = n
-        self.occ = occ
-        self._hash = hash((n, occ))
+        return _unchecked_state(n, occ)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so they return the canonical state
+        return FockState, (self.n, self.occ)
 
     def __hash__(self) -> int:
         return self._hash
@@ -108,12 +117,19 @@ class FockState:
         return f"FockState({self.n}, {self.occ})"
 
 
+# occ -> its canonical FockState; occ's shape fixes n, so occ alone is the key
+_STATES: dict = {}
+
+
 def _unchecked_state(n: int, occ: tuple[tuple[int, ...], ...]) -> FockState:
     # Trusted fast path: callers guarantee shape and non-negativity.
-    s = object.__new__(FockState)
-    s.n = n
-    s.occ = occ
-    s._hash = hash((n, occ))
+    s = _STATES.get(occ)
+    if s is None:
+        s = object.__new__(FockState)
+        s.n = n
+        s.occ = occ
+        s._hash = hash((n, occ))
+        s = _STATES.setdefault(occ, s)
     return s
 
 

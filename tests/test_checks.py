@@ -409,6 +409,36 @@ def test_multiplicity_suite_reports_a_singular_product(monkeypatch):
     }
 
 
+def singular_from_rank_3(original):
+    """The dressed creation the monomial walk calls, raising on every rank-3 ket."""
+
+    def create(k, alpha, psi):
+        if psi.n == 3:
+            raise isb.SingularCoefficientError("singular dressing coefficient (injected)")
+        return original(k, alpha, psi)
+
+    return create
+
+
+def test_a_singular_coefficient_aborts_the_suite_with_one_failed_record(monkeypatch):
+    rank_2 = [r for r in run_suite("constraints", n_max=3) if r.check_id.startswith("constraint-null[N=2,")]
+    assert rank_2 and all(r.passed for r in rank_2)
+    # constraints reaches isb_create through checks.build_monomial and the irreps walk
+    monkeypatch.setattr(irreps, "isb_create", singular_from_rank_3(irreps.isb_create))
+    witness = (
+        "SingularCoefficientError: singular dressing coefficient (injected)"
+        f" (last completed check: {rank_2[-1].check_id})"
+    )
+    assert run_suite("constraints", n_max=3) == rank_2 + [CheckRecord("constraints-aborted", False, witness)]
+
+
+def test_a_suite_aborted_before_any_check_names_none(monkeypatch):
+    monkeypatch.setattr(irreps, "isb_create", singular_from_rank_3(irreps.isb_create))
+    (record,) = run_suite("octet")
+    assert record.check_id == "octet-aborted" and not record.passed
+    assert record.witness.endswith("(last completed check: none)")
+
+
 @pytest.mark.parametrize("name, op", [("isb_annihilate", "A[2]_3"), ("isb_create", "A+[2]^3")])
 def test_multiplicity_witness_names_the_singular_single_operator(monkeypatch, name, op):
     original = getattr(checks, name)

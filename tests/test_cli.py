@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from sunisb import irreps
 from sunisb.cli import main
 from sunisb.fock import dumps_ket, loads_ket
 from sunisb.irreps import IrrepLabel, build_monomial
+from sunisb.isb import SingularCoefficientError
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,6 +121,24 @@ class TestVerify:
         assert code == 0
         got = [[r["suite"], c["id"], c["status"]] for r in json.loads(out) for c in r["checks"]]
         assert got == json.loads((DATA / "verify_n_max_3.json").read_text())
+
+    def test_singular_coefficient_fails_the_suite_exit_1(self, capsys, monkeypatch):
+        create = irreps.isb_create
+
+        def singular_from_rank_3(k, alpha, psi):
+            if psi.n == 3:
+                raise SingularCoefficientError("singular dressing coefficient (injected)")
+            return create(k, alpha, psi)
+
+        monkeypatch.setattr(irreps, "isb_create", singular_from_rank_3)
+        code, out, _ = run(capsys, "--format", "structured", "verify", "--suite", "constraints", "--n-max", "3")
+        assert code == 1
+        (report,) = json.loads(out)
+        aborted = report["checks"][-1]
+        assert report["passed"] is False and aborted["id"] == "constraints-aborted"
+        assert aborted["status"] == "fail" and "singular dressing coefficient (injected)" in aborted["witness"]
+        code, out, _ = run(capsys, "verify", "--suite", "constraints", "--n-max", "3")
+        assert code == 1 and "FAILED" in out
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

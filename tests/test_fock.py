@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 import textwrap
 from fractions import Fraction
 from math import comb, factorial
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sunisb import fock, su3x
 from sunisb.fock import (
     FockState,
     Ket,
@@ -400,3 +402,89 @@ def test_format_ket_readable():
     assert format_ket(psi) == "-2/3 |1 1 0 / 1 0 0>"
     assert format_ket(zero_ket(3)) == "0"
     assert format_ket(basis_ket(FockState(2, ((0, 2),))) * 3) == "3 |0 2>"
+
+
+def sectors(n: int):
+    return st.tuples(st.just(n), st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+
+
+def _with(occ, i: int, alpha: int, delta: int):
+    """occ as nested lists, with delta added at row i, color alpha (both 1-based)."""
+    rows = [list(row) for row in occ]
+    rows[i - 1][alpha - 1] += delta
+    return rows
+
+
+class TestCanonicalStates:
+    """Every construction route returns the one object of its occupation matrix."""
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), occupations(n))))
+    def test_constructor(self, data):
+        n, occ = data
+        state = FockState(n, occ)
+        assert FockState(n, [list(row) for row in occ]) is state
+        assert hash(state) == hash((n, occ))
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), states(n), slots(n), slots(n))))
+    def test_bumped_moved_recolored(self, data):
+        n, state, (i, alpha), (j, beta) = data
+        raised = fock._bumped(state, i, alpha, 1)
+        assert raised is FockState(n, _with(state.occ, i, alpha, 1))
+        assert fock._bumped(raised, i, alpha, -1) is state
+        lowered = _with(raised.occ, i, alpha, -1)
+        assert fock._moved(raised, i, j, alpha) is FockState(n, _with(lowered, j, alpha, 1))
+        assert fock._recolored(raised, i, alpha, beta) is FockState(n, _with(lowered, i, beta, 1))
+
+    @given(st.integers(2, 4).flatmap(sectors))
+    def test_vacuum_and_sectors(self, data):
+        n, totals = data
+        (empty,) = vacuum(n).terms
+        assert empty is FockState(n, [[0] * n] * (n - 1))
+        sector = enumerate_sector(n, totals)
+        assert all(s is FockState(n, s.occ) for s in sector)
+        assert all(s is t for s, t in zip(sector, enumerate_sector(n, totals)))
+
+    @given(states(3), st.integers(0, 2))
+    def test_su3_shifted_state(self, state, g):
+        raised = su3x._paired(state, g, 1)
+        assert raised is FockState(3, _with(_with(state.occ, 1, g + 1, 1), 2, g + 1, 1))
+        assert su3x._paired(raised, g, -1) is state
+
+    @given(st.integers(2, 4).flatmap(kets))
+    def test_loads_ket(self, psi):
+        loaded = loads_ket(dumps_ket(psi))
+        assert loaded == psi
+        assert sorted(map(id, loaded.terms)) == sorted(map(id, psi.terms))
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), states(n))))
+    def test_a_twin_outside_the_table_is_equal_and_finds_the_entry(self, data):
+        n, state = data
+        twin = object.__new__(FockState)
+        twin.n, twin.occ, twin._hash = n, tuple(tuple(list(row)) for row in state.occ), hash((n, state.occ))
+        assert twin is not state and twin == state and state == twin
+        assert {state: "entry"}[twin] == "entry" and {twin: "entry"}[state] == "entry"
+
+    @given(st.integers(2, 4).flatmap(sectors))
+    def test_rebuilding_existing_states_does_not_grow_the_table(self, data):
+        n, totals = data
+        built = enumerate_sector(n, totals) + list(vacuum(n).terms)
+        size = len(fock._STATES)
+        enumerate_sector(n, totals)
+        vacuum(n)
+        for s in built:
+            FockState(n, s.occ)
+            loads_ket(dumps_ket(basis_ket(s)))
+        assert len(fock._STATES) == size
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_return_the_canonical_state(self, clone):
+        state = FockState(3, ((1, 0, 2), (0, 1, 0)))
+        assert clone(state) is state
+        psi = Ket(3, {state: Fraction(2, 3), FockState(3, ((0, 0, 0), (4, 0, 1))): -1})
+        cloned = clone(psi)
+        assert cloned == psi and cloned.n == 3
+        assert all(s is FockState(3, s.occ) for s in cloned.terms)
