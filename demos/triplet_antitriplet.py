@@ -13,7 +13,7 @@ from sunisb.su3x import (
     ab_dimension,
     compare_languages,
     pair_annihilate,
-    sp2r_ops,
+    pair_create,
     trace_coeff,
     traceless_state,
 )
@@ -37,10 +37,9 @@ for n, m in ((1, 0), (0, 1), (1, 1), (2, 1), (2, 2)):
     print(f"  ({n},{m}): dimension {ab_dimension(n, m)}, casimir {ab_casimir_eigenvalue(n, m)}")
 
 print("\nevery traceless state is a lowest-weight vector of the pair algebra:")
-kp, km, k0 = sp2r_ops()
 bottom = pair_annihilate(psi)
 print(f"  k- on the adjoint state: {format_ket(bottom)}")
-lifted = kp(psi)
+lifted = pair_create(psi)
 print(f"  k+ lifts it out of the bottom floor: k- k+ state nonzero? {bool(pair_annihilate(lifted).terms)}")
 
 print("\ncross-check against the two-row language:")

@@ -47,6 +47,7 @@ from .fock import (
     _accumulate,
     _apply_images,
     _check_color,
+    _check_rank,
     _check_row,
     _moved,
     _raw_ket,
@@ -172,6 +173,7 @@ def casimir_op(n: int, action: Callable[[int, int, Ket], Ket], label: str) -> Li
     So ``action(alpha, alpha, .)`` must be diagonal on basis states, as
     it is in both languages.
     """
+    _check_rank(n)
     colors = range(1, n + 1)
     images: dict = {}
 

@@ -572,7 +572,7 @@ def suite_commutators(n_max: int = 4, max_quanta: int = 4) -> Checks:
 
 
 def _pair_algebra_witness(max_quanta: int) -> str | None:
-    kp, km, k0 = su3x.sp2r_ops()
+    kp, km, k0 = su3x.pair_create, su3x.pair_annihilate, su3x.pair_level
     for state in _all_states(3, max_quanta):
         psi = basis_ket(state)
         up, down, level = kp(psi), km(psi), k0(psi)
@@ -657,9 +657,9 @@ def _serialization_families(n_max: int, max_quanta: int):
             trace.append(su3x.isb_monomial(alphas, betas))
     yield "traceless-states", trace
 
-    kp, km, k0 = su3x.sp2r_ops()
     base = su3x.traceless_state(2, 2, (1, 2), (1, 3))
-    yield "pair-ladder-images", [kp(base), km(kp(base)), k0(base)]
+    lifted = su3x.pair_create(base)
+    yield "pair-ladder-images", [lifted, su3x.pair_annihilate(lifted), su3x.pair_level(base)]
 
     iterative = []
     for psi in nullspace_basis(IrrepLabel(4, (1, 1, 0))):

@@ -287,6 +287,7 @@ def _raw_ket(n: int, terms: dict) -> Ket:
 
 
 def zero_ket(n: int) -> Ket:
+    _check_rank(n)
     return _raw_ket(n, {})
 
 

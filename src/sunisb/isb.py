@@ -40,8 +40,12 @@ row form, the mirror given as data: a direction s, 1 for creation and
 -1 for annihilation, and an order of rows that runs toward k, from 1 up
 for A+[k]^a and from N-1 (or a lower cap) down for A[k]_a.  With x_i
 the bare ladder of row i (a+[i]^a or a[i]_a), M_1[i,j] = L[i,j],
-M_{-1}[i,j] = L[j,i] and the dressing denominators d_j = -1/F(k,j)
-(creation) or d_j = 1/H(j,k) = -1/F(j,k) (annihilation),
+M_{-1}[i,j] = L[j,i] and the dressing denominators
+
+    d_j = n_{min(j,k)} - n_{max(j,k)} + 1 + |j - k|,
+
+at the totals with row k moved by s: d_j = -1/F(k,j) for creation and
+1/H(j,k) = -1/F(j,k) for annihilation, both from ``_dressing_den``,
 
     X_i = x_i - s sum_{j before i} (1/d_j) M_s[i,j] X_j,    the operator = X_k
 
@@ -108,12 +112,17 @@ def creation_coeff(k: int, i: int, totals: Iterable[int]) -> Fraction:
     totals = tuple(totals)
     if not (type(i) is type(k) is int and 1 <= i < k <= len(totals)):
         raise IndexError(f"need int rows 1 <= i < k <= {len(totals)}, got i={i!r}, k={k!r}")
+    return Fraction(-1, _dressing_den(k, i, totals))
+
+
+def _dressing_den(k: int, i: int, totals: tuple) -> int:
+    # -1/F(k,i) = n_i - n_k + 1 + k - i for rows i < k, the one dressing rule of both ladders
     den = totals[i - 1] - totals[k - 1] + 1 + (k - i)
     if den == 0:
         raise SingularCoefficientError(
             f"singular dressing coefficient for row pair ({k}, {i}) at totals {totals}"
         )
-    return Fraction(-1, den)
+    return den
 
 
 def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
@@ -124,14 +133,17 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
     return -creation_coeff(i, k, totals)
 
 
-def _nested_rows(state, alpha: int, rows: range, direction: int, dens: list) -> tuple:
+def _nested_rows(state, k: int, alpha: int, rows: range, direction: int) -> tuple:
     # the module docstring's nested row form: E_i X_i for each row i of rows in
-    # turn, over ints, dens[p] being the dressing denominator of rows[p]; direction
-    # 1 gives the creation rows B_i, -1 the annihilation rows C_i.  Returns the
-    # last row's terms and E, its denominator.
+    # turn, over ints; direction 1 gives the creation rows B_i, -1 the
+    # annihilation rows C_i.  Returns the last row's terms and E, its denominator.
+    t = total_occupations(state)
+    totals = (*t[: k - 1], t[k - 1] + direction, *t[k:])
+    # d_j from the row next to k outward, so of two vanishing ones the nearer is named
+    dens = [_dressing_den(max(j, k), min(j, k), totals) for j in rows[-2::-1]]
     done = []  # (j, E_j X_j, -direction E_j d_j) for each nonzero row j so far
     scale = 1  # E_i
-    for i, den in zip(rows, (*dens, 1)):
+    for i, den in zip(rows, (*dens[::-1], 1)):
         if direction == 1:  # the bare ladder's matrix element: 1 for a+, the occupation m for a
             acc = {_bumped(state, i, alpha, 1): scale}
         else:
@@ -150,14 +162,7 @@ def _nested_rows(state, alpha: int, rows: range, direction: int, dens: list) -> 
 
 
 def _create_on_basis(k: int, alpha: int, state) -> tuple:
-    # rows 1 up to k; d_j = -1/F(k,j) evaluated from j = k-1 down, the numerator being -1 or 1
-    totals = list(total_occupations(state))
-    totals[k - 1] += 1
-    dens = []
-    for j in range(k - 1, 0, -1):
-        f = creation_coeff(k, j, totals)
-        dens.append(-f.numerator * f.denominator)
-    return _nested_rows(state, alpha, range(1, k + 1), 1, dens[::-1])
+    return _nested_rows(state, k, alpha, range(1, k + 1), 1)
 
 
 @lru_cache(maxsize=None)
@@ -174,18 +179,10 @@ def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
 
 
 def _annihilate_on_basis(k: int, alpha: int, top: int, state) -> tuple:
-    # rows top down to k; h_j = 1/H(j,k) evaluated from j = k+1 up, the numerator being -1 or 1
-    if k >= top or sum(state.occ[k - 1]) == 0:
-        # no higher rows to chain through, or nothing in row k for the
-        # final bilinear to absorb: every chain term vanishes
+    if sum(state.occ[k - 1]) == 0:
+        # nothing in row k for the final bilinear to absorb: every chain term vanishes
         top = k
-    totals = list(total_occupations(state))
-    totals[k - 1] -= 1
-    dens = []
-    for j in range(k + 1, top + 1):
-        h = annihilation_coeff(j, k, totals)
-        dens.append(h.numerator * h.denominator)
-    return _nested_rows(state, alpha, range(top, k - 1, -1), -1, dens[::-1])
+    return _nested_rows(state, k, alpha, range(top, k - 1, -1), -1)
 
 
 def isb_annihilate(k: int, alpha: int, psi: Ket) -> Ket:

@@ -16,10 +16,10 @@ Provided:
   plus its delta-pairings of upper with lower index positions, each
   distinct pairing once, with rational coefficients ``trace_coeff``,
   evaluated with the pair ladders as (a+.b+)^r (a.b)^r / r!;
-* the noncompact sp(2,R) triple (pair creation a+.b+, pair
-  annihilation a.b, and (N_a + N_b + 3)/2), three functions on kets,
-  whose lowest-weight condition a.b |psi> = 0 selects exactly the
-  traceless states;
+* the noncompact sp(2,R) triple, three functions on kets:
+  ``pair_create`` a+.b+, ``pair_annihilate`` a.b and ``pair_level``
+  (N_a + N_b + 3)/2, whose lowest-weight condition a.b |psi> = 0
+  selects exactly the traceless states;
 * dressed creation operators for both index types, the analogue of
   ``isb.isb_create`` in this language;
 * su(3) generators under which a+ transforms as a triplet and b+ as
@@ -34,7 +34,9 @@ pair ladders and both dressed creations (one routine,
 ``_dressed_create``) keep one integer image per basis state over one
 denominator, as the Casimir does; a ket is mapped by
 ``fock._apply_images``, which divides each output coefficient once.
-The traceless states are compositions of the pair ladders.
+The traceless states are compositions of the pair ladders.  Every map
+of a ket here takes rank-3 kets only and raises ``ValueError`` on any
+other, as ``algebra.LinearOp`` does.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ __all__ = [
     "trace_contract",
     "pair_create",
     "pair_annihilate",
-    "sp2r_ops",
+    "pair_level",
     "dressed_create_a",
     "dressed_create_b",
     "isb_monomial",
@@ -122,6 +124,11 @@ def _paired(state: FockState, g: int, delta: int) -> FockState:
     return _unchecked_state(3, (a[:g] + (a[g] + delta,) + a[g + 1 :], b[:g] + (b[g] + delta,) + b[g + 1 :]))
 
 
+def _check_rank3(psi: Ket) -> None:
+    if psi.n != 3:
+        raise ValueError(f"the su(3) operators act on rank-3 kets, got rank {psi.n}")
+
+
 def _pair_annihilate_on_basis(state: FockState) -> tuple:
     a, b = state.occ
     return [(_paired(state, g, -1), a[g] * b[g]) for g in range(3) if a[g] and b[g]], 1
@@ -129,12 +136,28 @@ def _pair_annihilate_on_basis(state: FockState) -> tuple:
 
 def pair_create(psi: Ket) -> Ket:
     """Apply the invariant pair creation a+.b+ (color summed)."""
+    _check_rank3(psi)
     return _apply_images(psi, lambda s: ([(_paired(s, g, 1), 1) for g in range(3)], 1))
 
 
 def pair_annihilate(psi: Ket) -> Ket:
     """Apply the invariant pair annihilation a.b (color summed)."""
+    _check_rank3(psi)
     return _apply_images(psi, _pair_annihilate_on_basis)
+
+
+def pair_level(psi: Ket) -> Ket:
+    """Apply the level operator (N_a + N_b + 3)/2 of the pair algebra.
+
+    With k_plus = ``pair_create`` and k_minus = ``pair_annihilate`` it
+    is k_zero of the noncompact triple: [k_minus, k_plus] = 2 k_zero and
+    [k_zero, k_pm] = +-k_pm.  The lowest-weight condition
+    k_minus |psi> = 0 picks out the traceless states; each k_plus
+    application climbs one rung of a multiplicity tower without
+    changing the su(3) content.
+    """
+    _check_rank3(psi)
+    return _raw_ket(3, {s: c * Fraction(sum(total_occupations(s)) + 3, 2) for s, c in psi.terms.items()})
 
 
 def traceless_state(n: int, m: int, alphas: Sequence[int], betas: Sequence[int]) -> Ket:
@@ -195,23 +218,6 @@ def trace_contract(
     return acc
 
 
-def sp2r_ops() -> tuple[Callable[[Ket], Ket], ...]:
-    """The noncompact triple (k_plus, k_minus, k_zero), as functions on kets.
-
-    k_plus = a+.b+ (``pair_create``), k_minus = a.b
-    (``pair_annihilate``), k_zero = (N_a + N_b + 3)/2, with
-    [k_minus, k_plus] = 2 k_zero and [k_zero, k_pm] = +-k_pm.  The
-    lowest-weight condition k_minus |psi> = 0 picks out the traceless
-    states; each k_plus application climbs one rung of a multiplicity
-    tower without changing the su(3) content.
-    """
-
-    def k_zero(psi: Ket) -> Ket:
-        return _raw_ket(3, {s: c * Fraction(sum(total_occupations(s)) + 3, 2) for s, c in psi.terms.items()})
-
-    return pair_create, pair_annihilate, k_zero
-
-
 def _dressed_on_basis(row: int, color: int, state: FockState) -> tuple:
     # w a+[row]^c s - m (a+.b+)(s lowered in the other row), over w = N_a + N_b + 2 of s;
     # the pair of color c lands on the bare raise, which so gets w - m
@@ -237,6 +243,7 @@ def _dressed_create(row: int, color: int, psi: Ket) -> Ket:
     Each basis state's image is ints over that one denominator, and the
     images are summed by ``fock._apply_images``.
     """
+    _check_rank3(psi)
     _check_color(3, color)
     return _apply_images(psi, _dressed_on_basis, row, color)
 
@@ -269,6 +276,7 @@ def ab_generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
 
     under which a+ transforms as a triplet and b+ as an antitriplet.
     """
+    _check_rank3(psi)
     _check_color(3, alpha)
     _check_color(3, beta)
     terms = []

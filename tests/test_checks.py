@@ -154,19 +154,16 @@ def test_traceless_suite_builds_each_state_once(monkeypatch):
 
 def test_pair_algebra_witness_takes_each_ladder_image_once(monkeypatch):
     applied = []
-    original = su3x.sp2r_ops
 
-    def counted_ops():
-        def counted(op):
-            def apply(psi):
-                applied.append(op)
-                return op(psi)
+    def counted(op):
+        def apply(psi):
+            applied.append(op)
+            return op(psi)
 
-            return apply
+        return apply
 
-        return tuple(map(counted, original()))
-
-    monkeypatch.setattr(su3x, "sp2r_ops", counted_ops)
+    for name in ("pair_create", "pair_annihilate", "pair_level"):
+        monkeypatch.setattr(su3x, name, counted(getattr(su3x, name)))
     assert checks._pair_algebra_witness(3) is None
     states = sum(sector_size(3, (ta, q - ta)) for q in range(4) for ta in range(q + 1))
     # k+, k- and k0 of each state, then the six products of the three commutators
@@ -457,19 +454,23 @@ def test_multiplicity_witness_names_the_singular_single_operator(monkeypatch, na
 
 
 def _dressing_denominator_shifted(original):
-    # -1 / (n_i - n_k + 2 + k - i): every creation dressing denominator one too large
-    return lambda k, i, totals: -1 / (1 - 1 / original(k, i, totals))
+    # n_i - n_k + 2 + k - i: every dressing denominator one too large
+    return lambda k, i, totals: original(k, i, totals) + 1
 
 
 @pytest.mark.parametrize(
     "module, name, perturb",
-    [(checks, "build_monomial", _bare_monomials), (isb, "creation_coeff", _dressing_denominator_shifted)],
+    [(checks, "build_monomial", _bare_monomials), (isb, "_dressing_den", _dressing_denominator_shifted)],
     ids=["bare-monomials", "shifted-denominator"],
 )
 def test_octet_suite_fails_on_bare_monomials_or_a_shifted_dressing(monkeypatch, module, name, perturb):
     records = run_suite("octet")
     assert [r.check_id for r in records if r.passed] == [f"octet-expansion[beta={b}]" for b in (1, 2, 3)]
+    before = isb.creation_coeff(2, 1, (2, 1))
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    if name == "_dressing_den":
+        # the public coefficient reads the same rule as the ladders
+        assert (before, isb.creation_coeff(2, 1, (2, 1))) == (Fraction(-1, 3), Fraction(-1, 4))
     # the dressed images are memoized per basis state: drop those made with the true coefficient
     isb._create_terms.cache_clear()
     try:

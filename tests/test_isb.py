@@ -1,5 +1,6 @@
 """Dressed ladder operators: coefficients, chains, recurrence, the gluing route."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -242,6 +243,23 @@ class TestChainSum:
         state = FockState(3, ((0, 0, 0), (1, 0, 0)))
         assert outcome(chain_annihilate, 1, 1, state) == zero_ket(3)
         assert outcome(isb_annihilate, 1, 1, basis_ket(state)) == zero_ket(3)
+
+    @pytest.mark.parametrize(
+        "ladder, k, occ, totals, named, other",
+        [
+            # A+[3]^1 at totals (0, 1, 2): row 3 raised to 3 puts both (3, 2) and (3, 1) on the pole
+            (isb_create, 3, ((0,) * 4, (1, 0, 0, 0), (2, 0, 0, 0)), (0, 1, 3), (3, 2), (3, 1)),
+            # A[1]_1 at totals (1, 2, 3): row 1 lowered to 0 puts both (2, 1) and (3, 1) on the pole
+            (isb_annihilate, 1, ((1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)), (0, 2, 3), (2, 1), (3, 1)),
+        ],
+    )
+    def test_the_pole_nearest_row_k_is_named_first(self, ladder, k, occ, totals, named, other):
+        for pair in (named, other):
+            with pytest.raises(SingularCoefficientError):
+                creation_coeff(*pair, totals)
+        message = f"singular dressing coefficient for row pair {named} at totals {totals}"
+        with pytest.raises(SingularCoefficientError, match=f"^{re.escape(message)}$"):
+            ladder(k, 1, basis_ket(FockState(4, occ)))
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_one_bilinear_per_row_pair(self, k, monkeypatch):

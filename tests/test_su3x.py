@@ -1,5 +1,6 @@
 """The rank-3 triplet/antitriplet realization and its pair algebra."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sunisb import su3x
+from sunisb.algebra import casimir2_op
 from sunisb.fock import (
     FockState,
     Ket,
@@ -31,7 +33,7 @@ from sunisb.su3x import (
     isb_monomial,
     pair_annihilate,
     pair_create,
-    sp2r_ops,
+    pair_level,
     trace_coeff,
     trace_contract,
     traceless_state,
@@ -201,16 +203,13 @@ class TestGenerators:
 
 class TestPairAlgebra:
     def test_relations_on_vacuum(self):
-        kp, km, k0 = sp2r_ops()
         v = vacuum(3)
-        assert km(kp(v)) - kp(km(v)) == k0(v) * 2
-        assert k0(v) == v * Fraction(3, 2)
+        assert pair_annihilate(pair_create(v)) - pair_create(pair_annihilate(v)) == pair_level(v) * 2
+        assert pair_level(v) == v * Fraction(3, 2)
 
     def test_ops_are_the_whole_ket_ladders(self):
-        kp, km, k0 = sp2r_ops()
-        assert (kp, km) == (pair_create, pair_annihilate)
         psi = bare_state((1, 2), (3,)) + bare_state((1,), ()) * Fraction(2, 7)
-        assert k0(psi) == bare_state((1, 2), (3,)) * 3 + bare_state((1,), ()) * Fraction(4, 7)
+        assert pair_level(psi) == bare_state((1, 2), (3,)) * 3 + bare_state((1,), ()) * Fraction(4, 7)
 
     @given(rank3_kets())
     @example(zero_ket(3))
@@ -306,3 +305,40 @@ class TestLanguageComparison:
         assert not compare_languages(IrrepLabel(3, (4, 1))).agree
         # at (n, m) = (3, 3) the trace term vanishes on every state: N_a = N_b
         assert compare_languages(IrrepLabel(3, (6, 3))).agree
+
+
+_SU3 = "the su(3) operators act on rank-3 kets, got rank "
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # each su(3) ket map, on a rank-4 ket: a wrong result or an accidental unpacking error before
+        (lambda: pair_create(vacuum(4)), _SU3 + "4"),
+        (lambda: pair_annihilate(vacuum(4)), _SU3 + "4"),
+        (lambda: pair_level(vacuum(4)), _SU3 + "4"),
+        (lambda: dressed_create_a(1, vacuum(4)), _SU3 + "4"),
+        (lambda: dressed_create_b(3, vacuum(2)), _SU3 + "2"),
+        (lambda: ab_generator_action(1, 1, vacuum(4)), _SU3 + "4"),
+        # rank-taking constructors: a rank the ket document loader would reject, or a float one
+        (lambda: zero_ket(1), "group rank must be at least 2, got 1"),
+        (lambda: zero_ket(True), "group rank must be an int, got True"),
+        (lambda: zero_ket(2.0), "group rank must be an int, got 2.0"),
+        (lambda: casimir2_op(1), "group rank must be at least 2, got 1"),
+    ],
+    ids=[
+        "pair_create",
+        "pair_annihilate",
+        "pair_level",
+        "dressed_create_a",
+        "dressed_create_b",
+        "ab_generator_action",
+        "zero_ket-1",
+        "zero_ket-bool",
+        "zero_ket-float",
+        "casimir2_op-1",
+    ],
+)
+def test_rank_taking_maps_reject_a_wrong_rank(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
