@@ -26,12 +26,18 @@ of a term dict straight into an accumulator, with an integer factor.
 ``invariant_action`` sums into an empty one, and the nested row sums
 of the dressed ladders in ``isb`` into their row's.
 
-Shared helpers: ``casimir_op(n, action, label)`` builds that Casimir
-from any generator action, here and in ``su3x``.  It sums the
-off-diagonal products Q[a,b] Q[b,a], a != b, which are integer on a
-basis state, and adds the diagonal products as the squares of the
-scalars by which each Q[a,a] multiplies that state.  Each basis image
-is kept as ints over one denominator, in a memo that lives as long as
+Each generator is written once, as an integer rule on one basis
+state: ``_generator_on_basis(alpha, beta, state)`` returns
+``(terms, den)``, the form ``fock._apply_images`` takes.
+``generator_action`` sums the rule over a ket, state by state, through
+``fock._accumulate``.
+
+Shared helpers: ``casimir_op(n, on_basis, label)`` builds that Casimir
+from any such rule, here and in ``su3x``, and builds no ket.  It
+composes the rule on each basis state: for a != b, the terms of
+Q[b,a] on the state, each mapped by Q[a,b]; for a = b, the square of
+the scalar by which Q[a,a] multiplies the state.  Each basis image is
+kept as ints over one denominator, in a memo that lives as long as
 the operator.  ``LinearOp`` applies such images through
 ``fock._apply_images``, the integer kernel of the dressed ladders.
 """
@@ -39,6 +45,7 @@ the operator.  ``LinearOp`` applies such images through
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .fock import (
@@ -52,8 +59,6 @@ from .fock import (
     _moved,
     _raw_ket,
     _recolored,
-    basis_ket,
-    total_occupations,
 )
 
 __all__ = [
@@ -124,54 +129,55 @@ def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:
     return acc
 
 
+def _generator_on_basis(alpha: int, beta: int, state: FockState) -> tuple:
+    """Q[alpha, beta] on one basis state as ``(terms, den)``, every coeff an ``int``.
+
+    Off the diagonal, one recolor beta -> alpha per row, with that row's
+    occupation m of color beta, over 1.  On the diagonal, the state with
+    N count_alpha - quanta over N, and no term when that is 0.
+    """
+    if alpha != beta:
+        rows = enumerate(state.occ, start=1)
+        return [(_recolored(state, i, beta, alpha), row[beta - 1]) for i, row in rows if row[beta - 1]], 1
+    d = state.n * sum(row[alpha - 1] for row in state.occ) - sum(map(sum, state.occ))
+    return ([(state, d)] if d else []), state.n
+
+
 def generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     """Apply the Weyl-basis su(N) generator Q[alpha, beta] to a ket.
 
     Q[alpha, alpha] multiplies a basis state by count_alpha - quanta/N,
     a ``Fraction`` whenever the state holds quanta.  Q[alpha, beta],
-    alpha != beta, recolors one quantum per row; its images are summed
-    inline (see ``fock._accumulate``), so an ``int`` ket stays ``int``.
+    alpha != beta, recolors one quantum per row, so an ``int`` ket stays
+    ``int``.  The terms of ``_generator_on_basis`` are summed state by
+    state through ``fock._accumulate``.
     """
     n = psi.n
     _check_color(n, alpha)
     _check_color(n, beta)
     out: dict = {}
-    if alpha == beta:
-        for state, coeff in psi.terms.items():
-            quanta = sum(total_occupations(state))
-            if quanta:
-                count = sum(row[alpha - 1] for row in state.occ)
-                value = (count - Fraction(quanta, n)) * coeff
-                if value:
-                    out[state] = value
-        return _raw_ket(n, out)
     for state, coeff in psi.terms.items():
-        for i, row in enumerate(state.occ, start=1):
-            m = row[beta - 1]
-            if m:
-                target = _recolored(state, i, beta, alpha)
-                total = out.get(target, 0) + m * coeff
-                if total:
-                    out[target] = total
-                else:
-                    out.pop(target, None)
+        terms, den = _generator_on_basis(alpha, beta, state)
+        _accumulate(out, terms, coeff if den == 1 else Fraction(coeff, den))
     return _raw_ket(n, out)
 
 
-def casimir_op(n: int, action: Callable[[int, int, Ket], Ket], label: str) -> LinearOp:
+def casimir_op(n: int, on_basis: Callable[[int, int, FockState], tuple], label: str) -> LinearOp:
     """The quadratic Casimir (1/2) sum over color pairs of Q[a,b] Q[b,a].
 
-    ``action(alpha, beta, psi)`` applies the Weyl-basis generator
-    Q[alpha, beta]; both oscillator languages build their Casimir here.
-    A state's image is taken in two parts.  The N(N-1) off-diagonal
-    products Q[a,b] Q[b,a], a != b, carry no trace term, so on a basis
-    state their coefficients are ints.  A diagonal generator Q[a,a]
-    multiplies a basis state by a scalar d_a, so the N diagonal products
-    add sum_a d_a^2 to the state itself: N actions, not 2N.  The image
-    is kept as ints over one denominator, 2 * denominator(sum_a d_a^2),
-    computed once per state and memoized for the operator's life.
-    So ``action(alpha, alpha, .)`` must be diagonal on basis states, as
-    it is in both languages.
+    ``on_basis(alpha, beta, state)`` is the Weyl-basis generator
+    Q[alpha, beta] on one basis state, ``(terms, den)`` as ``LinearOp``
+    takes it; both oscillator languages build their Casimir here.  A
+    state's image is composed from the rule alone, in two parts.  For
+    each of the N(N-1) off-diagonal products Q[a,b] Q[b,a], a != b, the
+    terms of Q[b,a] on the state are mapped by Q[a,b] term by term,
+    their integer products summed per denominator den_1 den_2.  A
+    diagonal generator Q[a,a] multiplies a basis state by a scalar d_a,
+    so the N diagonal products add sum_a d_a^2 to the state itself.  The
+    image is kept as ints over twice the lcm of those denominators,
+    computed once per state and memoized for the operator's life.  So
+    ``on_basis(alpha, alpha, .)`` must be diagonal on basis states, as it
+    is in both languages.
     """
     _check_rank(n)
     colors = range(1, n + 1)
@@ -180,21 +186,23 @@ def casimir_op(n: int, action: Callable[[int, int, Ket], Ket], label: str) -> Li
     def act(state: FockState) -> tuple:
         image = images.get(state)
         if image is None:
-            base = basis_ket(state)
-            acc: dict = {}
+            parts: dict = {}  # denominator -> the int terms over it
             squares = 0
             for alpha in colors:
                 for beta in colors:
                     if beta != alpha:
-                        product = action(alpha, beta, action(beta, alpha, base))
-                        _accumulate(acc, product.terms.items())
-                d = action(alpha, alpha, base).terms.get(state, 0)
-                squares += d * d
-            den = squares.denominator
-            if den != 1:
-                acc = {s: c * den for s, c in acc.items()}
-            _accumulate(acc, ((state, squares.numerator),))
-            image = images[state] = (acc.items(), 2 * den)
+                        first, den = on_basis(beta, alpha, state)
+                        for t, c in first:
+                            second, den2 = on_basis(alpha, beta, t)
+                            _accumulate(parts.setdefault(den * den2, {}), second, c)
+                terms, den = on_basis(alpha, alpha, state)
+                squares += Fraction(sum(c for _, c in terms), den) ** 2
+            _accumulate(parts.setdefault(squares.denominator, {}), ((state, squares.numerator),))
+            common = lcm(*parts)
+            acc: dict = {}
+            for den, part in parts.items():
+                _accumulate(acc, part.items(), common // den)
+            image = images[state] = (acc.items(), 2 * common)
         return image
 
     return LinearOp(n, act, label)
@@ -205,4 +213,4 @@ def casimir2_op(n: int) -> LinearOp:
 
     On rank 2 this reproduces j(j+1) with j = (number of quanta)/2.
     """
-    return casimir_op(n, generator_action, "C2")
+    return casimir_op(n, _generator_on_basis, "C2")

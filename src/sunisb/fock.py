@@ -232,19 +232,14 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     """Add scale * coeff into acc for every (state, coeff) of terms, in place; return acc.
 
     States whose total reaches zero are dropped.  Kets, operators and
-    ladders sum here, with two exceptions, each an inline copy of this
-    loop kept on its own figure (medians of alternated harness pairs,
-    each against the same code passing its terms to this function as a
-    generator expression; 2-core x86 box, Python 3.11):
-
-    * ``algebra.generator_action`` sums its recolored images inline,
-      since the Casimir calls it 2N(N-1)+N times per basis state:
-      frontier ``pass_s`` 0.441 s to 0.419 s, lower in 10 of 10 pairs
-      (IQR of the inline runs 0.020 s);
-    * ``algebra._bilinear_into`` sums each invariant bilinear in place,
-      for ``invariant_action`` and every row sum of the dressed
-      ladders: build-sample ``pass_s`` 0.3225 s to 0.3078 s, lower in
-      19 of 20 pairs (IQR of the parent commit's runs 0.0061 s).
+    ladders sum here, with one exception, an inline copy of this loop
+    kept on its own figure: ``algebra._bilinear_into`` sums each
+    invariant bilinear in place, for ``invariant_action`` and every row
+    sum of the dressed ladders.  Against the same code passing its
+    terms to this function as a generator expression, build-sample
+    ``pass_s`` went from 0.3225 s to 0.3078 s, lower in 19 of 20
+    alternated harness pairs (IQR of the parent commit's runs
+    0.0061 s; 2-core x86 box, Python 3.11).
     """
     # only an int scale is tested for 1: comparing a Fraction to 1 costs more than it saves
     unit = type(scale) is int and scale == 1

@@ -84,6 +84,7 @@ from .fock import (
     _apply_images,
     _bumped,
     _check_slot,
+    _exact_int,
     total_occupations,
 )
 
@@ -107,9 +108,10 @@ def creation_coeff(k: int, i: int, totals: Iterable[int]) -> Fraction:
 
     Value: -1 / (n_i - n_k + 1 + k - i) at the given row totals.  A row
     that is not an ``int`` in range (a bool or float one included) raises
-    ``IndexError``, as ``fock``'s index checks do.
+    ``IndexError``, as ``fock``'s index checks do; a total that is not an
+    ``int`` raises ``ValueError``.
     """
-    totals = tuple(totals)
+    totals = tuple(_exact_int(t, "row total") for t in totals)
     if not (type(i) is type(k) is int and 1 <= i < k <= len(totals)):
         raise IndexError(f"need int rows 1 <= i < k <= {len(totals)}, got i={i!r}, k={k!r}")
     return Fraction(-1, _dressing_den(k, i, totals))

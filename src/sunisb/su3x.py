@@ -23,20 +23,23 @@ Provided:
 * dressed creation operators for both index types, the analogue of
   ``isb.isb_create`` in this language;
 * su(3) generators under which a+ transforms as a triplet and b+ as
-  an antitriplet, plus the matching Casimir;
+  an antitriplet, plus the matching Casimir.  The generator is one
+  integer rule on a basis state, ``_ab_generator_on_basis``:
+  ``ab_generator_action`` applies it to a ket with
+  ``fock._apply_images``, and ``algebra.casimir_op`` composes it into
+  the Casimir state by state;
 * ``compare_languages``: dimension and Casimir computed in both
   realizations at [n_1, n_2] <-> (n, m) = (n_1 - n_2, n_2), compared
   exactly.
 
-Shared generic helpers: ``fock._apply_images``, ``fock._accumulate``,
-``algebra.casimir_op``, ``linalg.rank`` and ``irreps.scalar_on``.  The
-pair ladders and both dressed creations (one routine,
-``_dressed_create``) keep one integer image per basis state over one
-denominator, as the Casimir does; a ket is mapped by
-``fock._apply_images``, which divides each output coefficient once.
-The traceless states are compositions of the pair ladders.  Every map
-of a ket here takes rank-3 kets only and raises ``ValueError`` on any
-other, as ``algebra.LinearOp`` does.
+Shared generic helpers: ``fock._apply_images``, ``algebra.casimir_op``,
+``linalg.rank`` and ``irreps.scalar_on``.  The pair ladders and both
+dressed creations (one routine, ``_dressed_create``) keep one integer
+image per basis state over one denominator, as the Casimir does; a
+ket is mapped by ``fock._apply_images``, which divides each output
+coefficient once.  The traceless states are compositions of the pair
+ladders.  Every map of a ket here takes rank-3 kets only and raises
+``ValueError`` on any other, as ``algebra.LinearOp`` does.
 """
 
 from __future__ import annotations
@@ -51,10 +54,10 @@ from .algebra import LinearOp, casimir_op
 from .fock import (
     FockState,
     Ket,
-    _accumulate,
     _apply_images,
     _bumped,
     _check_color,
+    _exact_int,
     _raw_ket,
     _recolored,
     _unchecked_state,
@@ -102,15 +105,21 @@ def bare_state(alphas: Sequence[int], betas: Sequence[int]) -> Ket:
     return psi
 
 
+def _check_counts(*counts) -> None:
+    """``ValueError`` unless every index count is a non-negative ``int``."""
+    for count in counts:
+        if _exact_int(count, "index count") < 0:
+            raise ValueError(f"index count must be non-negative, got {count}")
+
+
 def trace_coeff(n: int, m: int, r: int) -> Fraction:
     """Coefficient of the r-fold trace subtraction in a traceless (n, m) state.
 
     Value: (-1)^r / [(n+m+1)(n+m) ... (n+m+2-r)], an r-factor falling
     product in the denominator.
     """
-    if n < 0 or m < 0:
-        raise ValueError("index counts must be non-negative")
-    if not 1 <= r <= min(n, m):
+    _check_counts(n, m)
+    if not 1 <= _exact_int(r, "subtraction depth") <= min(n, m):
         raise ValueError(f"subtraction depth must lie in 1..min(n, m), got {r}")
     den = 1
     for t in range(r):
@@ -177,6 +186,7 @@ def traceless_state(n: int, m: int, alphas: Sequence[int], betas: Sequence[int])
     every r-pairing r! times.  The sum is nested, so a+.b+ is applied
     min(n, m) times.
     """
+    _check_counts(n, m)
     alphas = tuple(alphas)
     betas = tuple(betas)
     if len(alphas) != n or len(betas) != m:
@@ -206,9 +216,9 @@ def trace_contract(
     """
     alphas = list(alphas)
     betas = list(betas)
-    if not 1 <= l <= len(alphas):
+    if type(l) is not int or not 1 <= l <= len(alphas):
         raise IndexError(f"upper position must lie in 1..{len(alphas)}, got {l}")
-    if not 1 <= k <= len(betas):
+    if type(k) is not int or not 1 <= k <= len(betas):
         raise IndexError(f"lower position must lie in 1..{len(betas)}, got {k}")
     acc = zero_ket(3)
     for gamma in _COLORS:
@@ -268,6 +278,21 @@ def isb_monomial(alphas: Sequence[int], betas: Sequence[int]) -> Ket:
     return psi
 
 
+def _ab_generator_on_basis(alpha: int, beta: int, state: FockState) -> tuple:
+    # Q[alpha, beta] on one basis state, ints over 1 off the diagonal (+m_a for the a-row
+    # recolor beta -> alpha, -m_b for the b-row recolor alpha -> beta) and over 3 on it
+    a, b = state.occ
+    if alpha == beta:
+        d = 3 * (a[alpha - 1] - b[alpha - 1]) - (sum(a) - sum(b))
+        return ([(state, d)] if d else []), 3
+    terms = []
+    if a[beta - 1]:
+        terms.append((_recolored(state, A_ROW, beta, alpha), a[beta - 1]))
+    if b[alpha - 1]:
+        terms.append((_recolored(state, B_ROW, alpha, beta), -b[alpha - 1]))
+    return terms, 1
+
+
 def ab_generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     """su(3) generator in the Weyl basis for this language.
 
@@ -279,25 +304,12 @@ def ab_generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     _check_rank3(psi)
     _check_color(3, alpha)
     _check_color(3, beta)
-    terms = []
-    for state, coeff in psi.terms.items():
-        ma = state.occ[A_ROW - 1][beta - 1]
-        if ma:
-            terms.append((_recolored(state, A_ROW, beta, alpha), ma * coeff))
-        mb = state.occ[B_ROW - 1][alpha - 1]
-        if mb:
-            terms.append((_recolored(state, B_ROW, alpha, beta), -mb * coeff))
-        if alpha == beta:
-            na, nb = total_occupations(state)
-            # a zero Fraction would turn an int coefficient into a Fraction
-            if na != nb:
-                terms.append((state, -Fraction(na - nb, 3) * coeff))
-    return _raw_ket(3, _accumulate({}, terms))
+    return _apply_images(psi, _ab_generator_on_basis, alpha, beta)
 
 
 def ab_casimir2_op() -> LinearOp:
     """Quadratic Casimir of this language, same normalization as ``algebra``."""
-    return casimir_op(3, ab_generator_action, "C2(ab)")
+    return casimir_op(3, _ab_generator_on_basis, "C2(ab)")
 
 
 def _distinct_families(n: int, m: int):
@@ -308,12 +320,14 @@ def _distinct_families(n: int, m: int):
 
 def ab_dimension(n: int, m: int) -> int:
     """Rank of the traceless family's coefficient vectors; zero states count as dependent."""
+    _check_counts(n, m)
     kets = (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
     return rank(k.terms for k in kets)
 
 
 def ab_casimir_eigenvalue(n: int, m: int) -> Fraction:
     """Casimir scalar on the traceless family, with a proportionality check."""
+    _check_counts(n, m)
     family = (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
     return scalar_on(ab_casimir2_op(), family)
 

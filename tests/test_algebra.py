@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sunisb.algebra import _bilinear_into, casimir2_op, generator_action, invariant_action
+from sunisb.algebra import (
+    _bilinear_into,
+    _generator_on_basis,
+    casimir2_op,
+    casimir_op,
+    generator_action,
+    invariant_action,
+)
 from sunisb.fock import (
     FockState,
     Ket,
@@ -132,6 +139,18 @@ class TestCasimir:
     def test_vacuum_annihilated(self):
         assert not casimir2_op(3)(vacuum(3))
 
+    def test_exact_for_any_denominator_of_the_rule(self):
+        # the same generators with every term and denominator scaled, differently per color pair
+        def rescaled(alpha, beta, state):
+            terms, den = _generator_on_basis(alpha, beta, state)
+            k = 7 if alpha == beta else alpha + 2 * beta
+            return [(t, k * c) for t, c in terms], k * den
+
+        op, c2 = casimir_op(3, rescaled, "C2"), casimir2_op(3)
+        for s in enumerate_sector(3, (2, 1)):
+            psi = basis_ket(s) * Fraction(2, 3)
+            assert op(psi) == c2(psi)
+
 
 def reference_casimir(action, psi: Ket) -> Ket:
     """(1/2) sum_ab Q[a,b] Q[b,a] psi, summed as whole Fraction kets."""
@@ -152,18 +171,18 @@ def kets(n: int, coeffs=coefficients):
 
 
 class TestCasimirOracle:
-    """The integer Casimir images against the whole-ket definition, exactly."""
+    """The integer Casimir images against the whole-ket definition, composed of the ``fock`` ladders."""
 
     @given(st.integers(2, 4).flatmap(kets))
     @example(zero_ket(2))
     @example(zero_ket(4))
     def test_two_triplet_language(self, psi):
-        assert casimir2_op(psi.n)(psi) == reference_casimir(generator_action, psi)
+        assert casimir2_op(psi.n)(psi) == reference_casimir(reference_generator, psi)
 
     @given(kets(3))
     @example(zero_ket(3))
     def test_triplet_antitriplet_language(self, psi):
-        assert ab_casimir2_op()(psi) == reference_casimir(ab_generator_action, psi)
+        assert ab_casimir2_op()(psi) == reference_casimir(reference_ab_generator, psi)
 
 
 def reference_generator(alpha, beta, psi: Ket) -> Ket:

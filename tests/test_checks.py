@@ -67,15 +67,16 @@ def test_casimir_box_bound_is_per_rank_unless_given():
 
 
 def test_casimir_suite_images_each_state_once_per_rank(monkeypatch):
-    # casimir_op computes an image from basis_ket(state): count those calls
+    # casimir_op reads Q[1,1] on a state once for each image of it that it computes: count those reads
     imaged = Counter()
-    original = algebra.basis_ket
+    original = algebra._generator_on_basis
 
-    def counted(state):
-        imaged[state] += 1
-        return original(state)
+    def counted(alpha, beta, state):
+        if alpha == beta == 1:
+            imaged[state] += 1
+        return original(alpha, beta, state)
 
-    monkeypatch.setattr(algebra, "basis_ket", counted)
+    monkeypatch.setattr(algebra, "_generator_on_basis", counted)
     records = run_suite("casimir", n_max=3)
     assert records and all(r.passed for r in records)
     assert {state.n for state in imaged} == {2, 3}
@@ -482,12 +483,15 @@ def test_octet_suite_fails_on_bare_monomials_or_a_shifted_dressing(monkeypatch, 
 
 def test_casimir_suite_fails_on_a_shifted_diagonal_generator(monkeypatch):
     def shifted(original):
-        def generator(alpha, beta, psi):
-            image = original(alpha, beta, psi)
-            return image + psi * Fraction(1, 7) if alpha == beta else image
+        # the rule of Q[a,a] + 1/7: each term times 7 and the state once more, over 7 den
+        def rule(alpha, beta, state):
+            terms, den = original(alpha, beta, state)
+            if alpha != beta:
+                return terms, den
+            return [(s, 7 * c) for s, c in terms] + [(state, den)], 7 * den
 
-        return generator
+        return rule
 
     # the shift adds the constant N/49 to the Casimir, so only the rank-2 closed form sees it
-    _, failed = _failures_when_perturbed(monkeypatch, "casimir", algebra, "generator_action", shifted)
+    _, failed = _failures_when_perturbed(monkeypatch, "casimir", algebra, "_generator_on_basis", shifted)
     assert failed == ["casimir-closed-form-rank2"]

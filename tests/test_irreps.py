@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sunisb import checks, irreps
-from sunisb.algebra import casimir2_op, casimir_op, generator_action, invariant_action
+from sunisb.algebra import _generator_on_basis, casimir2_op, casimir_op, invariant_action
 from sunisb.checks import iter_labels
 from sunisb.fock import (
     FockState,
@@ -224,6 +224,20 @@ def count_creations(monkeypatch):
     return calls
 
 
+def q12_doubled(a, b, state):
+    """The generator rule with Q[1,2] doubled."""
+    terms, den = _generator_on_basis(a, b, state)
+    return ([(s, 2 * c) for s, c in terms] if (a, b) == (1, 2) else terms), den
+
+
+def q11_shifted_by_a_third(a, b, state):
+    """The generator rule with Q[1,1] + 1/3: each term times 3 and the state once more, over 3 den."""
+    terms, den = _generator_on_basis(a, b, state)
+    if (a, b) != (1, 1):
+        return terms, den
+    return [(s, 3 * c) for s, c in terms] + [(state, den)], 3 * den
+
+
 class TestPrefixSharedWalk:
     """``irreps._monomials`` against ``reference_monomial``, one build per index."""
 
@@ -277,15 +291,12 @@ class TestPrefixSharedWalk:
 
     def test_casimir_failure_position_counts_zero_kets(self, monkeypatch):
         # Q[1,1] shifted by 1/3 first breaks the scalar on ket 27 of N=4 (1,1,1), after 18 zero kets
-        def shifted(a, b, psi):
-            return generator_action(a, b, psi) + psi * Fraction(1 if a == b == 1 else 0, 3)
-
         label = IrrepLabel(4, (1, 1, 1))
         monomials = [build_monomial(label, idx) for idx in distinct_multi_indices(label)]
         with pytest.raises(AlgebraViolationError, match="ket 27 ") as expected:
-            scalar_on(casimir_op(4, shifted, "C2"), monomials)
+            scalar_on(casimir_op(4, q11_shifted_by_a_third, "C2"), monomials)
         assert sum(1 for psi in monomials[:27] if not psi.terms) == 18
-        monkeypatch.setattr(irreps, "casimir2_op", lambda n: casimir_op(n, shifted, "C2"))
+        monkeypatch.setattr(irreps, "casimir2_op", lambda n: casimir_op(n, q11_shifted_by_a_third, "C2"))
         with pytest.raises(AlgebraViolationError) as got:
             casimir_eigenvalue(label)
         assert str(got.value) == str(expected.value)
@@ -399,36 +410,39 @@ class TestCasimir:
     def test_images_computed_once_per_state(self):
         calls = []
 
-        def counted(alpha, beta, psi):
-            calls.append(psi)
-            return generator_action(alpha, beta, psi)
+        def counted(alpha, beta, state):
+            calls.append(state)
+            return _generator_on_basis(alpha, beta, state)
 
         label = IrrepLabel(3, (2, 1))
         monomials = [build_monomial(label, idx) for idx in all_multi_indices(label)]
         distinct = {s for psi in monomials for s in psi.terms}
         assert sum(len(psi.terms) for psi in monomials) > len(distinct)  # states do repeat
         op = casimir_op(3, counted, "C2")
-        # one image: two actions for each of the N(N-1) off-diagonal pairs, one per diagonal
-        per_image = 2 * 3 * 2 + 3
+        # one image of s: Q[b,a] on s and Q[a,b] on each of its terms for the N(N-1) off-diagonal
+        # pairs, and Q[a,a] on s for each of the N diagonal ones
+        colors = range(1, 4)
+        firsts = [_generator_on_basis(b, a, s)[0] for s in distinct for a in colors for b in colors if a != b]
+        reads = len(colors) ** 2 * len(distinct) + sum(map(len, firsts))
         assert scalar_on(op, monomials) == 3
-        assert len(calls) == per_image * len(distinct)
+        assert len(calls) == reads
         assert scalar_on(op, monomials) == 3
-        assert len(calls) == per_image * len(distinct)
+        assert len(calls) == reads
 
     @pytest.mark.parametrize(
         "perturbed",
         [
             # one off-diagonal coefficient: Q[1,2] doubled
-            lambda a, b, psi: generator_action(a, b, psi) * (2 if (a, b) == (1, 2) else 1),
+            q12_doubled,
             # one diagonal (trace) term: Q[1,1] shifted by 1/3
-            lambda a, b, psi: generator_action(a, b, psi) + psi * Fraction(1 if a == b == 1 else 0, 3),
+            q11_shifted_by_a_third,
         ],
         ids=["off-diagonal", "diagonal"],
     )
     def test_perturbed_generator_breaks_the_scalar(self, perturbed):
         label = IrrepLabel(3, (2, 1))
         monomials = [build_monomial(label, idx) for idx in distinct_multi_indices(label)]
-        assert scalar_on(casimir_op(3, generator_action, "C2"), monomials) == 3
+        assert scalar_on(casimir_op(3, _generator_on_basis, "C2"), monomials) == 3
         with pytest.raises(AlgebraViolationError):
             scalar_on(casimir_op(3, perturbed, "C2"), monomials)
 

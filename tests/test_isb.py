@@ -147,6 +147,21 @@ class TestCoefficients:
         with pytest.raises(IndexError):
             coeff(first, second, (1, 1))
 
+    @pytest.mark.parametrize(
+        "make, bad",
+        [
+            # a bool total would pass as the int it equals, a float one fail inside Fraction
+            (lambda: creation_coeff(2, 1, (True, 0)), "True"),
+            (lambda: creation_coeff(2, 1, (1.5, 0)), "1.5"),
+            (lambda: annihilation_coeff(2, 1, (0, 1.5)), "1.5"),
+            (lambda: verify_recurrence(3, [(1.5, 0, 0)]), "1.5"),
+        ],
+        ids=["creation-bool", "creation-float", "annihilation-float", "recurrence-float"],
+    )
+    def test_totals_must_be_ints(self, make, bad):
+        with pytest.raises(ValueError, match=f"^row total must be an int, got {bad}$"):
+            make()
+
     @given(st.integers(2, 5), st.integers(0, 5))
     def test_equal_totals_never_singular(self, length, top):
         totals = (top,) * length

@@ -289,22 +289,65 @@ class TestLanguageComparison:
     def test_wrong_trace_weight_breaks_the_casimir_agreement(self, monkeypatch):
         rows = ((2, 0), (4, 1), (6, 3))
         assert all(compare_languages(IrrepLabel(3, r)).agree for r in rows)
-        original = su3x.ab_generator_action
+        original = su3x._ab_generator_on_basis
 
-        def half_weight(alpha, beta, psi):
-            # (N_a - N_b)/2 in place of (N_a - N_b)/3 on the diagonal
-            image = original(alpha, beta, psi)
+        def half_weight(alpha, beta, state):
+            # (N_a - N_b)/2 in place of (N_a - N_b)/3 on the diagonal: twice the terms less N_a - N_b, over 6
+            terms, den = original(alpha, beta, state)
             if alpha != beta:
-                return image
-            extra = {s: c * Fraction(na - nb, 6) for s, c in psi.terms.items() for na, nb in [total_occupations(s)]}
-            return image - Ket(3, extra)
+                return terms, den
+            na, nb = total_occupations(state)
+            return [(s, 2 * c) for s, c in terms] + [(state, nb - na)], 2 * den
 
-        monkeypatch.setattr(su3x, "ab_generator_action", half_weight)
+        monkeypatch.setattr(su3x, "_ab_generator_on_basis", half_weight)
         result = compare_languages(IrrepLabel(3, (2, 0)))
         assert (result.two_triplet_casimir, result.ab_casimir) == (Fraction(10, 3), Fraction(7, 2))
         assert not compare_languages(IrrepLabel(3, (4, 1))).agree
         # at (n, m) = (3, 3) the trace term vanishes on every state: N_a = N_b
         assert compare_languages(IrrepLabel(3, (6, 3))).agree
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        # a bool count or depth would pass as the int it equals, a float one fail as a TypeError
+        (lambda: trace_coeff(True, 1, 1), ValueError, "index count must be an int, got True"),
+        (lambda: trace_coeff(1, 1, True), ValueError, "subtraction depth must be an int, got True"),
+        (lambda: trace_coeff(1.5, 1, 1), ValueError, "index count must be an int, got 1.5"),
+        (lambda: traceless_state(True, 0, (1,), ()), ValueError, "index count must be an int, got True"),
+        (lambda: ab_dimension(True, True), ValueError, "index count must be an int, got True"),
+        (lambda: ab_dimension(1.5, 0), ValueError, "index count must be an int, got 1.5"),
+        # a negative count would fail only inside itertools
+        (lambda: ab_dimension(-1, 0), ValueError, "index count must be non-negative, got -1"),
+        (lambda: ab_casimir_eigenvalue(0, -1), ValueError, "index count must be non-negative, got -1"),
+        # a contracted position is an index: a bool one would pass as 1, a float one fail as a list index
+        (
+            lambda: trace_contract(bare_state, (1,), (1,), True, 1),
+            IndexError,
+            "upper position must lie in 1..1, got True",
+        ),
+        (
+            lambda: trace_contract(bare_state, (1,), (1,), 1, 1.0),
+            IndexError,
+            "lower position must lie in 1..1, got 1.0",
+        ),
+    ],
+    ids=[
+        "trace_coeff-bool-count",
+        "trace_coeff-bool-depth",
+        "trace_coeff-float",
+        "traceless_state-bool",
+        "ab_dimension-bool",
+        "ab_dimension-float",
+        "ab_dimension-negative",
+        "ab_casimir_eigenvalue-negative",
+        "trace_contract-bool",
+        "trace_contract-float",
+    ],
+)
+def test_counts_and_positions_must_be_ints(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 _SU3 = "the su(3) operators act on rank-3 kets, got rank "
