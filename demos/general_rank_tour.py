@@ -24,7 +24,7 @@ for n in range(2, 6):
         w = weyl_dimension(label)
         v = nullspace_dimension(label)
         r = monomial_rank(label)
-        c = casimir_eigenvalue(label) if sum(label.rows) else 0
+        c = casimir_eigenvalue(label)
         flag = "" if w == v == r else "  <- disagreement!"
         print(f"{n:>4}  {str(list(label.rows)):<14} {w:>4} {v:>4} {r:>4}  {c}{flag}")
 

@@ -4,9 +4,10 @@ The package realizes every representation label as monomials of
 dressed oscillator creation operators acting on a multi-row Fock
 space, with all arithmetic in integers and fractions.  ``fock`` holds
 the state space, ``algebra`` the bilinear invariants and group
-generators, ``isb`` the dressed ladder operators, ``irreps`` the
-label-level constructions, ``su3x`` the rank-3 triplet/antitriplet
-realization, and ``checks`` the executable verification suites.
+generators, ``isb`` the dressed ladder operators, ``linalg`` the exact
+eliminator (``nullspace`` gives relations ``{position: int}``),
+``irreps`` the label-level constructions, ``su3x`` the rank-3
+triplet/antitriplet realization, and ``checks`` the verification suites.
 """
 
 from .algebra import LinearOp, casimir2_op, generator_action, invariant_action

@@ -53,6 +53,7 @@ from .algebra import casimir2_op, generator_action, invariant_action
 from .fock import (
     Ket,
     _accumulate,
+    _check_rank,
     _compositions,
     _exact_int,
     _raw_ket,
@@ -118,10 +119,11 @@ def _ordered_totals(length: int, max_entry: int):
 
 
 def iter_labels(n: int, max_quanta: int) -> Iterator[IrrepLabel]:
-    """All rank-n diagram labels with at most max_quanta boxes, longest rows first."""
-    for rows in _ordered_totals(n - 1, max_quanta):
-        if sum(rows) <= max_quanta:
-            yield IrrepLabel(n, rows)
+    """All rank-n labels of at most max_quanta boxes, longest rows first; ValueError on bad bounds."""
+    _check_rank(n)
+    if _exact_int(max_quanta, "box bound") < 0:
+        raise ValueError(f"box bound must be non-negative, got {max_quanta}")
+    return (IrrepLabel(n, r) for r in _ordered_totals(n - 1, max_quanta) if sum(r) <= max_quanta)
 
 
 def _labels(n_max: int, max_quanta: int) -> Iterator[IrrepLabel]:
@@ -299,7 +301,7 @@ def _dimension_triple(label: IrrepLabel) -> tuple[int, int, int]:
 
 
 def suite_dimensions(n_max: int = 5, max_quanta: int = 5) -> Checks:
-    """Three dimension computations agree label by label (two share ``linalg.rank``)."""
+    """Three dimension computations agree label by label (two share ``linalg``'s eliminator)."""
     triples: dict[IrrepLabel, tuple[int, int, int]] = {}
     for label in _labels(n_max, max_quanta):
         weyl, null, rank = triples[label] = _dimension_triple(label)

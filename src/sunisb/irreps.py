@@ -15,13 +15,15 @@ Three dimension computations cross-check the construction:
 * ``monomial_rank``: the rank of the monomial family's coefficient
   vectors over the (independent) basis states.
 
-The last two share one sparse exact eliminator, ``linalg.rank`` and
-``linalg.nullspace``; the Weyl formula shares nothing with them, so a
-fault in the eliminator still breaks the triple.  The constraint
-bilinears preserve the per-color totals of a state, so both
-eliminations split into independent color-weight blocks; that is what
-keeps them small.  All block and basis orders are fixed by the
-lexicographic state order, so every result here is deterministic.
+The last two share one sparse exact eliminator, ``linalg``; the Weyl
+formula shares nothing with them, so a fault in the eliminator still
+breaks the triple.  The constraint bilinears preserve the per-color
+totals of a state, so both eliminations split into independent
+color-weight blocks, which keeps them small; one walk,
+``_weight_blocks``, yields the null-space relations of each constraint
+block for both null-space functions.  All block and basis orders are
+fixed by the lexicographic state order, so every result is
+deterministic.
 
 Every monomial is built by one walk, ``_monomials(label, indices)``.
 It applies each index's dressed creations row 1 first, then upward.
@@ -100,11 +102,7 @@ class AlgebraViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Outcome of a constraint check: the (i, j), i < j, whose a+[i].a[j] did not annihilate.
-
-    ``violated`` holds (i, j) pairs over every lowering bilinear; it
-    used to hold the row indices i of the adjacent ones, L[i, i+1], only.
-    """
+    """Outcome of a constraint check: the (i, j), i < j, whose a+[i].a[j] did not annihilate."""
 
     satisfied: bool
     violated: tuple[tuple[int, int], ...]
@@ -201,32 +199,27 @@ def constraint_residual(psi: Ket) -> ConstraintReport:
     return ConstraintReport(not violated, violated)
 
 
-def _constraint_blocks(n: int, totals: Iterable[int]) -> Iterator[tuple[list, list[dict]]]:
-    """Per color-weight block, in sorted order: its states and their constraint images.
+def _weight_blocks(label: IrrepLabel) -> Iterator[tuple[tuple, list, list[dict[int, int]]]]:
+    """Per color-weight block of the label's sector, in sorted order: weight, states, null vectors.
 
-    An image is a sparse vector keyed by (constraint, image state).
+    The states keep enumeration order; the null vectors are the ``linalg.nullspace``
+    relations ``{position: int}`` among their images keyed by (constraint, image state).
     """
     blocks: dict = {}
-    for state in enumerate_sector(n, totals):
+    for state in enumerate_sector(label.n, label.rows):
         blocks.setdefault(color_totals(state), []).append(state)
-    for weight in sorted(blocks):
-        states = blocks[weight]
-        images = [
-            {
-                (i, t): c
-                for i in range(1, n - 1)
-                for t, c in invariant_action(i, i + 1, basis_ket(s)).terms.items()
-            }
-            for s in states
-        ]
-        yield states, images
+    rows = range(1, label.n - 1)  # the constraints a+[i].a[i+1], i in rows
+    for weight, states in sorted(blocks.items()):
+        images = (
+            {(i, t): c for i in rows for t, c in invariant_action(i, i + 1, psi).terms.items()}
+            for psi in map(basis_ket, states)
+        )
+        yield weight, states, nullspace(images)
 
 
 def nullspace_dimension(label: IrrepLabel) -> int:
     """Dimension of the common constraint null space on the label's sector."""
-    return sum(
-        len(states) - rank(images) for states, images in _constraint_blocks(label.n, label.rows)
-    )
+    return sum(len(null) for _, _, null in _weight_blocks(label))
 
 
 def nullspace_basis(label: IrrepLabel) -> list[Ket]:
@@ -237,9 +230,8 @@ def nullspace_basis(label: IrrepLabel) -> list[Ket]:
     depends on the images of the states before it.
     """
     out = []
-    for states, images in _constraint_blocks(label.n, label.rows):
-        for vec in nullspace(images):
-            out.append(Ket(label.n, {states[j]: c for j, c in enumerate(vec) if c}))
+    for _, states, null in _weight_blocks(label):
+        out += (Ket(label.n, {states[j]: rel[j] for j in sorted(rel)}) for rel in null)
     return out
 
 

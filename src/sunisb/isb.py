@@ -250,9 +250,13 @@ def verify_recurrence(k_max: int, totals_grid: Iterable[Iterable[int]], coeff=cr
 
     Returns False on the first mismatch.  ``coeff`` exists so a
     deliberately perturbed closed form can serve as a negative control.
+    Raises ``ValueError``, never passing vacuously, unless k_max is an
+    ``int`` of at least 3 and the grid has totals, all of k_max rows or more.
     """
-    for totals in totals_grid:
-        totals = tuple(totals)
+    grid = [tuple(totals) for totals in totals_grid]
+    if _exact_int(k_max, "k_max") < 3 or min(map(len, grid), default=0) < k_max:
+        raise ValueError(f"need k_max >= 3 and a grid of totals of k_max+ rows, got k_max={k_max}")
+    for totals in grid:
         for k in range(3, k_max + 1):
             for p in range(k - 2, 0, -1):
                 f_next = coeff(k, p + 1, totals)

@@ -1,9 +1,10 @@
 """Exact linear algebra: one incremental sparse fraction-free eliminator.
 
 A vector is a dict from any hashable key to an exact ``int`` or
-``Fraction``; absent keys are zero.  Callers split their systems into
-color-weight blocks before coming here, which bounds how many pivot
-rows each vector is reduced against.
+``Fraction`` (a ``float`` entry raises ``ValueError``); absent keys are
+zero.  Callers split their systems into color-weight blocks before
+coming here, which bounds how many pivot rows each vector is reduced
+against.
 
 Vectors are taken one at a time, in order.  Each is scaled to
 integers and reduced against the independent vectors before it; one
@@ -11,6 +12,7 @@ that reduces to zero is dependent, and its integer relation over the
 earlier vectors is unique up to scale.  So the rank, the set of
 dependent vectors and the primitive null vectors do not depend on
 which keys serve as pivots: every result is deterministic.
+``nullspace`` returns those relations, sparse, as ``{position: int}``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ def _relations(vectors: Iterable[Mapping[Hashable, object]]) -> Iterator[dict[in
     """
     pivots: list[tuple[Hashable, dict, dict[int, int]]] = []
     for pos, vector in enumerate(vectors):
-        scale = lcm(*(c.denominator for c in vector.values()))
+        try:
+            scale = lcm(*(c.denominator for c in vector.values()))
+        except AttributeError:
+            raise ValueError(f"vector {pos} has an entry that is not an int or Fraction") from None
         row = {k: c.numerator * (scale // c.denominator) for k, c in vector.items() if c}
         rel = {pos: scale}
         # Each pivot row holds no pivot key of an earlier row, so eliminating
@@ -72,16 +77,12 @@ def rank(vectors: Iterable[Mapping[Hashable, object]]) -> int:
     return sum(rel is None for rel in _relations(vectors))
 
 
-def nullspace(vectors: Iterable[Mapping[Hashable, object]]) -> list[tuple[int, ...]]:
-    """Basis of {x : sum_j x_j v_j = 0} as primitive integer tuples.
+def nullspace(vectors: Iterable[Mapping[Hashable, object]]) -> list[dict[int, int]]:
+    """Basis of {x : sum_j x_j v_j = 0} as primitive integer relations {position: int}.
 
-    One tuple per vector that depends on the vectors before it, in
-    order, with its first nonzero entry positive.  Read the vectors as
-    matrix columns: these are the null vectors of that matrix with one
-    free column each, as a dense elimination with first-nonzero
-    pivoting would give them.
+    One relation per vector that depends on the vectors before it, in
+    order; that vector's position is its highest key, and its entry at
+    its lowest key is positive.  Read the vectors as matrix columns:
+    each relation is a null vector of that matrix with one free column.
     """
-    vectors = list(vectors)
-    size = len(vectors)
-    relations = (rel for rel in _relations(vectors) if rel is not None)
-    return [tuple(rel.get(j, 0) for j in range(size)) for rel in relations]
+    return [rel for rel in _relations(vectors) if rel is not None]

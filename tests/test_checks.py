@@ -8,9 +8,22 @@ from pathlib import Path
 
 import pytest
 
-from sunisb import algebra, checks, fock, irreps, isb, su3x
+from sunisb import algebra, checks, fock, irreps, isb, linalg, su3x
 from sunisb.checks import CheckRecord, iter_labels, run_suite
 from sunisb.fock import sector_size
+
+
+@pytest.mark.parametrize(
+    "n, max_quanta, message",
+    [
+        (2.0, 2, "group rank must be an int, got 2.0"),
+        (3, 2.5, "box bound must be an int, got 2.5"),
+        (3, -1, "box bound must be non-negative, got -1"),
+    ],
+)
+def test_iter_labels_rejects_bad_bounds(n, max_quanta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        iter_labels(n, max_quanta)
 
 
 def test_run_suite_builds_records_and_passes_on_only_given_bounds(monkeypatch):
@@ -172,9 +185,18 @@ def test_pair_algebra_witness_takes_each_ladder_image_once(monkeypatch):
 
 
 def test_dimension_triple_catches_a_fault_in_the_shared_eliminator(monkeypatch):
-    # nullspace_dimension and monomial_rank share linalg.rank; the Weyl formula does not
-    real = irreps.rank
-    monkeypatch.setattr(irreps, "rank", lambda vectors: max(real(vectors) - 1, 0))
+    # nullspace_dimension and monomial_rank share linalg._relations; the Weyl formula does not
+    real = linalg._relations
+
+    def faulty(vectors):
+        # report each call's first independent vector as dependent
+        seen = False
+        for pos, rel in enumerate(real(vectors)):
+            if rel is None and not seen:
+                seen, rel = True, {pos: 1}
+            yield rel
+
+    monkeypatch.setattr(linalg, "_relations", faulty)
     records = run_suite("dimensions", n_max=3)
     assert records and not any(r.passed for r in records)
     for r in records:

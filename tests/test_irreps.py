@@ -328,6 +328,10 @@ class TestNullspace:
         whole = nullspace(images)
         assert len(whole) == len(states) - rank(images) == nullspace_dimension(label)
 
+    def test_dimension_counts_the_basis(self):
+        for label in checks._labels(4, 5):  # the dimensions suite's labels at n_max=4
+            assert nullspace_dimension(label) == len(nullspace_basis(label)), label
+
     def test_basis_vectors_are_constrained(self):
         label = IrrepLabel(4, (1, 1, 0))
         basis = nullspace_basis(label)

@@ -182,6 +182,21 @@ class TestRecurrence:
 
         assert not verify_recurrence(3, list(ordered_totals(3, 2)), coeff=damaged)
 
+    @pytest.mark.parametrize(
+        "k_max, grid, message",
+        [
+            (True, [(1, 0, 0)], "k_max must be an int, got True"),
+            (3.0, [(1, 0, 0)], "k_max must be an int, got 3.0"),
+            (-1, [(1, 0, 0)], "need k_max >= 3 and a grid of totals of k_max+ rows, got k_max=-1"),
+            (3, [], "need k_max >= 3 and a grid of totals of k_max+ rows, got k_max=3"),
+            (5, [(1, 0, 0)], "need k_max >= 3 and a grid of totals of k_max+ rows, got k_max=5"),
+        ],
+        ids=["bool-k", "float-k", "negative-k", "empty-grid", "short-totals"],
+    )
+    def test_cannot_pass_without_comparing(self, k_max, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_recurrence(k_max, grid)
+
 
 class TestCreation:
     def test_row1_is_plain_creation(self):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -58,27 +59,34 @@ def test_rank_matches_gaussian_oracle(data):
 @given(matrices)
 def test_nullspace_properties(data):
     ncols, rows = data
-    vectors = nullspace(columns(rows, ncols))
-    assert len(vectors) == ncols - gauss_rank(rows, ncols)
-    for v in vectors:
-        assert len(v) == ncols
-        assert all(isinstance(x, int) for x in v)
-        assert any(v)
-        assert gcd(*v) == 1 if len(v) > 1 else abs(v[0]) == 1
-        nz = next(x for x in v if x)
-        assert nz > 0
+    relations = nullspace(columns(rows, ncols))
+    assert len(relations) == ncols - gauss_rank(rows, ncols)
+    for rel in relations:
+        assert rel and all(0 <= j < ncols for j in rel)
+        assert all(type(x) is int and x for x in rel.values())
+        assert gcd(*rel.values()) == 1
+        assert rel[min(rel)] > 0
         for row in rows:
-            assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+            assert sum(Fraction(row[j]) * x for j, x in rel.items()) == 0
+    # one relation per dependent vector, each ending at its own position
+    assert len({max(rel) for rel in relations}) == len(relations)
     # mutual independence
-    assert rank(dict(enumerate(v)) for v in vectors) == len(vectors)
+    assert rank(relations) == len(relations)
 
 
 def test_hand_built_pivots():
     vectors = [{2: 1}, {0: 1, 1: 2}, {0: 2, 1: 4}]
-    assert nullspace(vectors) == [(0, 2, -1)]
+    assert nullspace(vectors) == [{1: 2, 2: -1}]
+    assert nullspace(iter(vectors)) == nullspace(vectors)
     assert rank(vectors) == 2
 
 
 def test_empty_and_zero_vectors():
     assert nullspace([]) == []
-    assert nullspace([{}, {0: 1}, {}]) == [(1, 0, 0), (0, 0, 1)]
+    assert nullspace([{}, {0: 1}, {}]) == [{0: 1}, {2: 1}]
+
+
+@pytest.mark.parametrize("solve", [rank, nullspace])
+def test_float_entry_raises_value_error(solve):
+    with pytest.raises(ValueError, match="^vector 1 has an entry that is not an int or Fraction$"):
+        solve([{0: 1}, {1: 0.5}])
