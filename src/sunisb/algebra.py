@@ -34,17 +34,18 @@ state: ``_generator_on_basis(alpha, beta, state)`` returns
 
 Shared helpers: ``casimir_op(n, on_basis, label)`` builds that Casimir
 from any such rule, here and in ``su3x``, and builds no ket.  It
-composes the rule on each basis state: for a != b, the terms of
-Q[b,a] on the state, each mapped by Q[a,b]; for a = b, the square of
-the scalar by which Q[a,a] multiplies the state.  Each basis image is
-kept as ints over one denominator, in a memo that lives as long as
-the operator.  ``LinearOp`` applies such images through
-``fock._apply_images``, the integer kernel of the dressed ladders.
+composes the rule on each basis state alike for every ordered pair
+(a, b), a = b included: the terms of Q[b,a] on the state, each mapped
+by Q[a,b].  Each basis image is kept as ints over one denominator, in
+a memo that lives as long as the operator.  ``LinearOp`` applies such
+images through ``fock._apply_images``, the integer kernel of the
+dressed ladders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable
 
@@ -168,42 +169,30 @@ def casimir_op(n: int, on_basis: Callable[[int, int, FockState], tuple], label: 
     ``on_basis(alpha, beta, state)`` is the Weyl-basis generator
     Q[alpha, beta] on one basis state, ``(terms, den)`` as ``LinearOp``
     takes it; both oscillator languages build their Casimir here.  A
-    state's image is composed from the rule alone, in two parts.  For
-    each of the N(N-1) off-diagonal products Q[a,b] Q[b,a], a != b, the
-    terms of Q[b,a] on the state are mapped by Q[a,b] term by term,
-    their integer products summed per denominator den_1 den_2.  A
-    diagonal generator Q[a,a] multiplies a basis state by a scalar d_a,
-    so the N diagonal products add sum_a d_a^2 to the state itself.  The
-    image is kept as ints over twice the lcm of those denominators,
-    computed once per state and memoized for the operator's life.  So
-    ``on_basis(alpha, alpha, .)`` must be diagonal on basis states, as it
-    is in both languages.
+    state's image is composed from the rule alone, alike for all N^2
+    ordered pairs (a, b), a = b included: the terms of Q[b,a] on the
+    state are mapped by Q[a,b] term by term, their integer products
+    summed per denominator den_1 den_2.  The image is kept as ints over
+    twice the lcm of those denominators, computed once per state and
+    cached for the operator's life.
     """
     _check_rank(n)
     colors = range(1, n + 1)
-    images: dict = {}
 
+    @cache
     def act(state: FockState) -> tuple:
-        image = images.get(state)
-        if image is None:
-            parts: dict = {}  # denominator -> the int terms over it
-            squares = 0
-            for alpha in colors:
-                for beta in colors:
-                    if beta != alpha:
-                        first, den = on_basis(beta, alpha, state)
-                        for t, c in first:
-                            second, den2 = on_basis(alpha, beta, t)
-                            _accumulate(parts.setdefault(den * den2, {}), second, c)
-                terms, den = on_basis(alpha, alpha, state)
-                squares += Fraction(sum(c for _, c in terms), den) ** 2
-            _accumulate(parts.setdefault(squares.denominator, {}), ((state, squares.numerator),))
-            common = lcm(*parts)
-            acc: dict = {}
-            for den, part in parts.items():
-                _accumulate(acc, part.items(), common // den)
-            image = images[state] = (acc.items(), 2 * common)
-        return image
+        parts: dict = {}  # denominator -> the int terms over it
+        for alpha in colors:
+            for beta in colors:
+                first, den = on_basis(beta, alpha, state)
+                for t, c in first:
+                    second, den2 = on_basis(alpha, beta, t)
+                    _accumulate(parts.setdefault(den * den2, {}), second, c)
+        common = lcm(*parts)
+        acc: dict = {}
+        for den, part in parts.items():
+            _accumulate(acc, part.items(), common // den)
+        return acc.items(), 2 * common
 
     return LinearOp(n, act, label)
 

@@ -222,6 +222,8 @@ class Ket:
     def __truediv__(self, scalar) -> "Ket":
         if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
+        if not scalar:
+            raise ValueError("Ket division by zero")
         return self.__mul__(Fraction(1, 1) / scalar)
 
     def __repr__(self) -> str:

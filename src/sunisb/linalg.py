@@ -1,10 +1,10 @@
 """Exact linear algebra: one incremental sparse fraction-free eliminator.
 
 A vector is a dict from any hashable key to an exact ``int`` or
-``Fraction`` (a ``float`` entry raises ``ValueError``); absent keys are
-zero.  Callers split their systems into color-weight blocks before
-coming here, which bounds how many pivot rows each vector is reduced
-against.
+``Fraction`` (any other entry, ``bool`` and ``float`` included, raises
+``ValueError``); absent keys are zero.  Callers split their systems
+into color-weight blocks before coming here, which bounds how many
+pivot rows each vector is reduced against.
 
 Vectors are taken one at a time, in order.  Each is scaled to
 integers and reduced against the independent vectors before it; one
@@ -17,10 +17,13 @@ which keys serve as pivots: every result is deterministic.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Iterator, Mapping
 
 __all__ = ["rank", "nullspace"]
+
+_EXACT = {int, Fraction}  # the entry types, matched exactly: a bool is not an int here
 
 
 def _relations(vectors: Iterable[Mapping[Hashable, object]]) -> Iterator[dict[int, int] | None]:
@@ -32,10 +35,9 @@ def _relations(vectors: Iterable[Mapping[Hashable, object]]) -> Iterator[dict[in
     """
     pivots: list[tuple[Hashable, dict, dict[int, int]]] = []
     for pos, vector in enumerate(vectors):
-        try:
-            scale = lcm(*(c.denominator for c in vector.values()))
-        except AttributeError:
-            raise ValueError(f"vector {pos} has an entry that is not an int or Fraction") from None
+        if not _EXACT.issuperset(map(type, vector.values())):
+            raise ValueError(f"vector {pos} has an entry that is not an int or Fraction")
+        scale = lcm(*(c.denominator for c in vector.values()))
         row = {k: c.numerator * (scale // c.denominator) for k, c in vector.items() if c}
         rel = {pos: scale}
         # Each pivot row holds no pivot key of an earlier row, so eliminating

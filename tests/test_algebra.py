@@ -18,6 +18,7 @@ from sunisb.algebra import (
 from sunisb.fock import (
     FockState,
     Ket,
+    _apply_images,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -150,6 +151,27 @@ class TestCasimir:
         for s in enumerate_sector(3, (2, 1)):
             psi = basis_ket(s) * Fraction(2, 3)
             assert op(psi) == c2(psi)
+
+    def test_any_rule_composes_like_the_whole_ket_definition(self):
+        # a rule whose Q[a,a] also recolors, so that no pair of it multiplies a state by a scalar
+        def recoloring(alpha, beta, state):
+            terms, den = _generator_on_basis(alpha, beta, state)
+            if alpha != beta:
+                return terms, den
+            extra, _ = _generator_on_basis(alpha, alpha % 3 + 1, state)
+            return terms + [(t, den * c) for t, c in extra], den
+
+        op = casimir_op(3, recoloring, "C2")
+        colors = range(1, 4)
+        for totals in [(q1, q2) for q1 in range(4) for q2 in range(4 - q1)]:
+            for s in enumerate_sector(3, totals):
+                psi = basis_ket(s)
+                products = [
+                    _apply_images(_apply_images(psi, recoloring, b, a), recoloring, a, b)
+                    for a in colors
+                    for b in colors
+                ]
+                assert op(psi) == sum(products, zero_ket(3)) * Fraction(1, 2)
 
 
 def reference_casimir(action, psi: Ket) -> Ket:

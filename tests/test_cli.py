@@ -122,6 +122,12 @@ class TestVerify:
         got = [[r["suite"], c["id"], c["status"]] for r in json.loads(out) for c in r["checks"]]
         assert got == json.loads((DATA / "verify_n_max_3.json").read_text())
 
+    def test_benchmark_pins_the_same_check_ids(self):
+        """The benchmark gates verify-all on the ids of the --n-max 3 pin, in the same order."""
+        pinned = json.loads((Path(__file__).parents[1] / "perfbench" / "pinned.json").read_text())
+        ids = [check_id for _, check_id, _ in json.loads((DATA / "verify_n_max_3.json").read_text())]
+        assert pinned["verify-all"] == ids
+
     def test_singular_coefficient_fails_the_suite_exit_1(self, capsys, monkeypatch):
         create = irreps.isb_create
 

@@ -102,6 +102,11 @@ class TestKet:
         with pytest.raises(TypeError):
             op(basis_ket(FockState(2, ((1, 0),))))
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero_raises_value_error(self, zero):
+        with pytest.raises(ValueError, match="^Ket division by zero$"):
+            basis_ket(FockState(2, ((1, 0),))) / zero
+
     def test_exact_coefficients_accepted_and_summed(self):
         s = FockState(2, ((1, 0),))
         assert Ket(2, {s: Fraction(1, 2)}).terms == {s: Fraction(1, 2)}

@@ -423,10 +423,9 @@ class TestCasimir:
         distinct = {s for psi in monomials for s in psi.terms}
         assert sum(len(psi.terms) for psi in monomials) > len(distinct)  # states do repeat
         op = casimir_op(3, counted, "C2")
-        # one image of s: Q[b,a] on s and Q[a,b] on each of its terms for the N(N-1) off-diagonal
-        # pairs, and Q[a,a] on s for each of the N diagonal ones
+        # one image of s: Q[b,a] on s and Q[a,b] on each of its terms, for every ordered pair (a, b)
         colors = range(1, 4)
-        firsts = [_generator_on_basis(b, a, s)[0] for s in distinct for a in colors for b in colors if a != b]
+        firsts = [_generator_on_basis(b, a, s)[0] for s in distinct for a in colors for b in colors]
         reads = len(colors) ** 2 * len(distinct) + sum(map(len, firsts))
         assert scalar_on(op, monomials) == 3
         assert len(calls) == reads

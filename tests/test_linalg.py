@@ -90,3 +90,10 @@ def test_empty_and_zero_vectors():
 def test_float_entry_raises_value_error(solve):
     with pytest.raises(ValueError, match="^vector 1 has an entry that is not an int or Fraction$"):
         solve([{0: 1}, {1: 0.5}])
+
+
+@pytest.mark.parametrize("solve", [rank, nullspace])
+def test_bool_entry_raises_value_error(solve):
+    # a bool is an int subclass with a denominator, so only its type tells it apart
+    with pytest.raises(ValueError, match="^vector 1 has an entry that is not an int or Fraction$"):
+        solve([{0: 1}, {0: True}])
