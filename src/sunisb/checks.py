@@ -24,6 +24,11 @@ whole index families directly.  So a perturbed
 ``checks.build_monomial`` reaches ``constraints``, ``octet`` and the
 zero ket of ``serialization``, and nothing else.
 
+Every commutator identity is one kernel, ``_bracket_witness``, fed a
+table of structure constants, (x, y) -> {z: c} for [x, y] = sum_z c z
+over op names, None naming the identity.  It takes each op's image of a
+ket once; ops are bound when it runs, so a perturbed operator reaches it.
+
 Registry ``SUITES``:
 
 * ``fock``           oscillator commutators, adjointness, sector enumeration
@@ -43,9 +48,11 @@ Registry ``SUITES``:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, product
+from functools import partial
+from itertools import combinations, combinations_with_replacement, islice, product
 from typing import Callable, Iterable, Iterator
 
 from . import su3x
@@ -68,7 +75,6 @@ from .fock import (
     loads_ket,
     sector_size,
     vacuum,
-    zero_ket,
 )
 from .irreps import (
     AlgebraViolationError,
@@ -143,12 +149,58 @@ def _all_states(n: int, max_quanta: int):
             yield from enumerate_sector(n, totals)
 
 
+def _basis_kets(n: int, max_quanta: int):
+    return ((f"occ={state.occ}", basis_ket(state)) for state in _all_states(n, max_quanta))
+
+
+def _bracket_witness(kets, ops, brackets: dict) -> str | None:
+    """The first failing bracket as ``"[x,y] on <where>"``, else None; see the module docstring."""
+    for where, psi in kets:
+        if not psi.terms:
+            continue
+        image = {name: op(psi) for name, op in ops.items()}
+        image[None] = psi
+        for (x, y), right in brackets.items():
+            expect = ops[y](image[x]).terms
+            for z, c in right.items():
+                expect = _accumulate(dict(expect), image[z].terms.items(), c)
+            if ops[x](image[y]).terms != expect:
+                return f"[{x},{y}] on {where}"
+    return None
+
+
+def _named(name: str, action, index_tuples) -> dict:
+    """{name.format(*t): action(*t, .)} for every index tuple t, the action bound now."""
+    return {name.format(*t): partial(action, *t) for t in index_tuples}
+
+
+def _gl_brackets(name: str, indices) -> dict:
+    """[E_ij, E_kl] = d_jk E_il - d_il E_kj, E_ij named name.format(i, j)."""
+    brackets = {}
+    for i, j, k, l in product(indices, repeat=4):
+        # at i = j = k = l both terms name one op: sum them
+        right = brackets[name.format(i, j), name.format(k, l)] = Counter()
+        if j == k:
+            right[name.format(i, l)] += 1
+        if i == l:
+            right[name.format(k, j)] -= 1
+    return brackets
+
+
 def _spot_witness(spots: Iterable[tuple[str, object, object]]) -> str | None:
     """The first (name, got, expected) with got != expected, as a witness."""
     for name, got, expected in spots:
         if got != expected:
             return f"{name} = {got} != {expected}"
     return None
+
+
+def _unless_raised(witness, *args) -> str | None:
+    """witness(*args), or the text of the ``AlgebraViolationError`` or ``ValueError`` it raises."""
+    try:
+        return witness(*args)
+    except (AlgebraViolationError, ValueError) as err:
+        return str(err)
 
 
 def _first_colors(n: int, m: int, broken: Callable[[tuple, tuple], object]) -> str | None:
@@ -169,18 +221,10 @@ def _slots(n: int) -> list[tuple[int, int]]:
 
 def _commutator_witness(n: int) -> str | None:
     slots = _slots(n)
-    for state in _all_states(n, 2):
-        psi = basis_ket(state)
-        up = {(j, beta): apply_create(j, beta, psi) for j, beta in slots}
-        down = {(i, alpha): apply_annihilate(i, alpha, psi) for i, alpha in slots}
-        for i, alpha in slots:
-            for j, beta in slots:
-                left = apply_annihilate(i, alpha, up[j, beta])
-                right = apply_create(j, beta, down[i, alpha])
-                expect = psi if (i, alpha) == (j, beta) else zero_ket(n)
-                if left - right != expect:
-                    return f"slots ({i},{alpha}),({j},{beta}) at occ={state.occ}"
-    return None
+    down, up = "a[{}]_{}", "a+[{}]^{}"
+    ops = _named(down, apply_annihilate, slots) | _named(up, apply_create, slots)
+    brackets = {(down.format(*s), up.format(*t)): {None: 1} if s == t else {} for s, t in product(slots, repeat=2)}
+    return _bracket_witness(_basis_kets(n, 2), ops, brackets)
 
 
 def _adjointness_witness(n: int) -> str | None:
@@ -229,35 +273,16 @@ def suite_fock(n_max: int = 4, max_quanta: int = 6) -> Checks:
 
 
 def _bilinear_algebra_witness(n: int, max_quanta: int) -> str | None:
-    rows = range(1, n)
-    for state in _all_states(n, max_quanta):
-        psi = basis_ket(state)
-        act = {(i, j): invariant_action(i, j, psi) for i in rows for j in rows}
-        for (i, j), lij in act.items():
-            for (k, l), lkl in act.items():
-                left = invariant_action(i, j, lkl) - invariant_action(k, l, lij)
-                right = zero_ket(n)
-                if j == k:
-                    right = right + act[(i, l)]
-                if i == l:
-                    right = right - act[(k, j)]
-                if left != right:
-                    return f"[L[{i},{j}],L[{k},{l}]] at occ={state.occ}"
-    return None
+    ops = _named("L[{},{}]", invariant_action, product(range(1, n), repeat=2))
+    return _bracket_witness(_basis_kets(n, max_quanta), ops, _gl_brackets("L[{},{}]", range(1, n)))
 
 
 def _generator_commutant_witness(n: int, max_quanta: int) -> str | None:
-    colors = range(1, n + 1)
-    for state in _all_states(n, max_quanta):
-        psi = basis_ket(state)
-        gen = {(a, b): generator_action(a, b, psi) for a in colors for b in colors}
-        for i in range(1, n):
-            for j in range(1, n):
-                moved = invariant_action(i, j, psi)
-                for (a, b), qpsi in gen.items():
-                    if generator_action(a, b, moved) != invariant_action(i, j, qpsi):
-                        return f"[Q[{a},{b}],L[{i},{j}]] at occ={state.occ}"
-    return None
+    # every su(N) generator commutes with every u(N-1) bilinear
+    generators = _named("Q[{},{}]", generator_action, product(range(1, n + 1), repeat=2))
+    bilinears = _named("L[{},{}]", invariant_action, product(range(1, n), repeat=2))
+    brackets = {(q, l): {} for l in bilinears for q in generators}
+    return _bracket_witness(_basis_kets(n, max_quanta), generators | bilinears, brackets)
 
 
 def suite_algebra(n_max: int = 4, max_quanta: int = 4) -> Checks:
@@ -531,35 +556,19 @@ def suite_multiplicity(n_max: int = 4, max_quanta: int = 4) -> Checks:
 
 
 def _same_row_witness(label: IrrepLabel) -> str | None:
-    n = label.n
-    for b, psi in enumerate(nullspace_basis(label)):
-        for k in range(1, n):
-            for alpha in range(1, n + 1):
-                for beta in range(alpha + 1, n + 1):
-                    ab = isb_create(k, alpha, isb_create(k, beta, psi))
-                    if ab != isb_create(k, beta, isb_create(k, alpha, psi)):
-                        return f"[A+[{k}]^{alpha},A+[{k}]^{beta}] on basis[{b}]"
-    return None
+    slots, create = _slots(label.n), "A+[{}]^{}"
+    brackets = {(create.format(*s), create.format(*t)): {} for s, t in combinations(slots, 2) if s[0] == t[0]}
+    kets = ((f"basis[{b}]", psi) for b, psi in enumerate(nullspace_basis(label)))
+    return _bracket_witness(kets, _named(create, isb_create, slots), brackets)
 
 
 def _ab_commutator_witness(n: int, m: int) -> str | None:
-    a, b = su3x.dressed_create_a, su3x.dressed_create_b
-    for alphas, betas in su3x._distinct_families(n, m):
-        psi = su3x.traceless_state(n, m, alphas, betas)
-        if not psi.terms:
-            continue
-        a_psi = {x: a(x, psi) for x in _COLORS}
-        b_psi = {x: b(x, psi) for x in _COLORS}
-        for x in _COLORS:
-            for y in _COLORS:
-                where = f"({x},{y}) on {alphas}|{betas}"
-                if x < y and a(x, a_psi[y]) != a(y, a_psi[x]):
-                    return f"a-type pair {where}"
-                if x < y and b(x, b_psi[y]) != b(y, b_psi[x]):
-                    return f"b-type pair {where}"
-                if a(x, b_psi[y]) != b(y, a_psi[x]):
-                    return f"cross pair {where}"
-    return None
+    a, b = "A+^{}", "B+_{}"
+    ops = _named(a, su3x.dressed_create_a, product(_COLORS)) | _named(b, su3x.dressed_create_b, product(_COLORS))
+    brackets = {(a.format(x), b.format(y)): {} for x, y in product(_COLORS, repeat=2)}
+    brackets |= {(f.format(x), f.format(y)): {} for f in (a, b) for x, y in combinations(_COLORS, 2)}
+    kets = ((f"{al}|{be}", su3x.traceless_state(n, m, al, be)) for al, be in su3x._distinct_families(n, m))
+    return _bracket_witness(kets, ops, brackets)
 
 
 def suite_commutators(n_max: int = 4, max_quanta: int = 4) -> Checks:
@@ -574,17 +583,17 @@ def suite_commutators(n_max: int = 4, max_quanta: int = 4) -> Checks:
 
 
 def _pair_algebra_witness(max_quanta: int) -> str | None:
-    kp, km, k0 = su3x.pair_create, su3x.pair_annihilate, su3x.pair_level
-    for state in _all_states(3, max_quanta):
-        psi = basis_ket(state)
-        up, down, level = kp(psi), km(psi), k0(psi)
-        if km(up) - kp(down) != level * 2:
-            return f"[k-,k+] at occ={state.occ}"
-        if k0(up) - kp(level) != up:
-            return f"[k0,k+] at occ={state.occ}"
-        if k0(down) - km(level) != -down:
-            return f"[k0,k-] at occ={state.occ}"
-    return None
+    ops = {"k+": su3x.pair_create, "k-": su3x.pair_annihilate, "k0": su3x.pair_level}
+    brackets = {("k-", "k+"): {"k0": 2}, ("k0", "k+"): {"k+": 1}, ("k0", "k-"): {"k-": -1}}
+    return _bracket_witness(_basis_kets(3, max_quanta), ops, brackets)
+
+
+def _tower_witness() -> str | None:
+    lifted = su3x.pair_create(su3x.traceless_state(1, 1, (1,), (2,)))
+    covariant = su3x.ab_casimir2_op()(lifted) == lifted * su3x.ab_casimir_eigenvalue(1, 1)
+    broken = bool(su3x.pair_annihilate(lifted).terms)
+    ok = bool(lifted.terms) and covariant and broken
+    return None if ok else f"lifted nonzero={bool(lifted.terms)} covariant={covariant} leaves-bottom={broken}"
 
 
 def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
@@ -596,13 +605,7 @@ def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
                 n, m, lambda a, b: su3x.pair_annihilate(su3x.traceless_state(n, m, a, b)).terms
             )
 
-    base = su3x.traceless_state(1, 1, (1,), (2,))
-    lifted = su3x.pair_create(base)
-    covariant = su3x.ab_casimir2_op()(lifted) == lifted * su3x.ab_casimir_eigenvalue(1, 1)
-    broken = bool(su3x.pair_annihilate(lifted).terms)
-    ok = bool(lifted.terms) and covariant and broken
-    witness = f"lifted nonzero={bool(lifted.terms)} covariant={covariant} leaves-bottom={broken}"
-    yield "tower-negative-control", None if ok else witness
+    yield "tower-negative-control", _unless_raised(_tower_witness)
 
 
 # --- casimir ------------------------------------------------------------
@@ -610,11 +613,8 @@ def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
 
 def _casimir_match_witness(label: IrrepLabel, c2) -> str | None:
     # both sides on the suite's one operator: the monomials lie in the null space's sector
-    try:
-        mono = scalar_on(c2, _monomials(label, distinct_multi_indices(label)))
-        null = scalar_on(c2, nullspace_basis(label))
-    except (AlgebraViolationError, ValueError) as err:
-        return str(err)
+    mono = scalar_on(c2, _monomials(label, distinct_multi_indices(label)))
+    null = scalar_on(c2, nullspace_basis(label))
     return None if mono == null else f"monomial scalar {mono} != null-space scalar {null}"
 
 
@@ -628,14 +628,14 @@ def suite_casimir(n_max: int = 4, max_quanta: int | None = None) -> Checks:
         (f"q={q}", casimir_eigenvalue(IrrepLabel(2, (q,))), Fraction(q, 2) * (Fraction(q, 2) + 1))
         for q in range(6)
     )
-    yield "casimir-closed-form-rank2", _spot_witness(rank2)
+    yield "casimir-closed-form-rank2", _unless_raised(_spot_witness, rank2)
 
     default_bounds = {3: 5, 4: 4}
     for n in range(3, n_max + 1):
         bound = default_bounds.get(n, 3) if max_quanta is None else max_quanta
         c2 = casimir2_op(n)
         for label in iter_labels(n, bound):
-            yield f"casimir-match[{_tag(label)}]", _casimir_match_witness(label, c2)
+            yield f"casimir-match[{_tag(label)}]", _unless_raised(_casimir_match_witness, label, c2)
 
 
 # --- serialization ------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -518,3 +519,104 @@ def test_casimir_suite_fails_on_a_shifted_diagonal_generator(monkeypatch):
     # the shift adds the constant N/49 to the Casimir, so only the rank-2 closed form sees it
     _, failed = _failures_when_perturbed(monkeypatch, "casimir", algebra, "_generator_on_basis", shifted)
     assert failed == ["casimir-closed-form-rank2"]
+
+
+def _q12_doubled(original, where=lambda state: True):
+    """The generator rule with Q[1,2] doubled on every state for which where(state) holds."""
+
+    def rule(alpha, beta, state):
+        terms, den = original(alpha, beta, state)
+        if (alpha, beta) == (1, 2) and where(state):
+            terms = [(s, 2 * c) for s, c in terms]
+        return terms, den
+
+    return rule
+
+
+def _failed_witnesses(suite, **bounds):
+    return {r.check_id: r.witness for r in run_suite(suite, **bounds) if not r.passed}
+
+
+def test_a_non_scalar_rank2_casimir_fails_its_check(monkeypatch):
+    records = run_suite("casimir", n_max=3)
+    assert records and all(r.passed for r in records)
+    # Q[1,2] doubled where row 1 holds two quanta of color 2: at rank 2, q=2 has two scalars
+    perturbed = _q12_doubled(algebra._generator_on_basis, lambda state: state.occ[0][1] == 2)
+    monkeypatch.setattr(algebra, "_generator_on_basis", perturbed)
+    after = run_suite("casimir", n_max=3)
+    assert [r.check_id for r in after] == [r.check_id for r in records]
+    witnesses = {r.check_id: r.witness for r in after if not r.passed}
+    assert witnesses["casimir-closed-form-rank2"] == "scalar 3 on ket 1 differs from 2"
+    # at rank 3 every label whose row 1 takes two boxes holds such a state
+    matches = [r.check_id for r in records if r.check_id.startswith("casimir-match[") and _rows(r.check_id)[0] >= 2]
+    assert list(witnesses) == ["casimir-closed-form-rank2", *matches] and len(matches) == 9
+
+
+def test_a_non_scalar_ab_casimir_fails_the_tower_control(monkeypatch):
+    records = run_suite("sp2r")
+    assert records and all(r.passed for r in records)
+    monkeypatch.setattr(su3x, "_ab_generator_on_basis", _q12_doubled(su3x._ab_generator_on_basis))
+    after = run_suite("sp2r")
+    assert [r.check_id for r in after] == [r.check_id for r in records]
+    assert {r.check_id: r.witness for r in after if not r.passed} == {
+        "tower-negative-control": "image of ket 0 is not proportional to it"
+    }
+
+
+def test_commutators_suite_fails_on_a_creation_scaled_by_its_quanta(monkeypatch):
+    def scaled(original):
+        # A+[k]^1 times one more than the number of quanta of the ket it acts on
+        def create(k, alpha, psi):
+            image = original(k, alpha, psi)
+            if alpha != 1 or not psi.terms:
+                return image
+            return image * (1 + sum(map(sum, next(iter(psi.terms)).occ)))
+
+        return create
+
+    records = run_suite("commutators", n_max=3)
+    assert records and all(r.passed for r in records)
+    monkeypatch.setattr(checks, "isb_create", scaled(checks.isb_create))
+    failed = _failed_witnesses("commutators", n_max=3)
+    assert list(failed) == [r.check_id for r in records if r.check_id.startswith("same-row-creation-commutators[")]
+    assert len(failed) == 14
+    assert all(re.fullmatch(r"\[A\+\[\d\]\^1,A\+\[\d\]\^\d\] on basis\[\d+\]", w) for w in failed.values())
+
+
+def test_sp2r_suite_fails_on_a_shifted_level(monkeypatch):
+    # k0 + 1/2 is central: it breaks [k-,k+] = 2 k0 and keeps [k0,k+-] = +-k+-
+    level = su3x.pair_level
+    monkeypatch.setattr(su3x, "pair_level", lambda psi: level(psi) + psi / 2)
+    failed = _failed_witnesses("sp2r")
+    assert list(failed) == ["pair-algebra-relations"]
+    assert failed["pair-algebra-relations"].startswith("[k-,k+] on occ=")
+
+
+def _generator_witness(generator, n, max_quanta):
+    """The first failure of [Q_ab, Q_cd] = d_bc Q_ad - d_ad Q_cb on basis states, else None."""
+    colors = range(1, n + 1)
+    ops = checks._named("Q[{},{}]", generator, product(colors, repeat=2))
+    brackets = checks._gl_brackets("Q[{},{}]", colors)
+    return checks._bracket_witness(checks._basis_kets(n, max_quanta), ops, brackets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generators_close_into_gl_n(n):
+    assert _generator_witness(algebra.generator_action, n, 2) is None
+
+
+def test_ab_generators_close_into_gl_3():
+    assert _generator_witness(su3x.ab_generator_action, 3, 3) is None
+
+
+def test_ab_generator_brackets_fail_with_a_flipped_b_row(monkeypatch):
+    original = su3x._ab_generator_on_basis
+
+    def flipped(alpha, beta, state):
+        # off the diagonal the b-row recolor is the one negative term
+        terms, den = original(alpha, beta, state)
+        return ([(s, abs(c)) for s, c in terms] if alpha != beta else terms), den
+
+    monkeypatch.setattr(su3x, "_ab_generator_on_basis", flipped)
+    witness = _generator_witness(su3x.ab_generator_action, 3, 3)
+    assert witness == "[Q[1,2],Q[3,1]] on occ=((0, 0, 0), (0, 0, 1))"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sunisb import irreps
+from sunisb import irreps, su3x
 from sunisb.cli import main
 from sunisb.fock import dumps_ket, loads_ket
 from sunisb.irreps import IrrepLabel, build_monomial
@@ -145,6 +145,22 @@ class TestVerify:
         assert aborted["status"] == "fail" and "singular dressing coefficient (injected)" in aborted["witness"]
         code, out, _ = run(capsys, "verify", "--suite", "constraints", "--n-max", "3")
         assert code == 1 and "FAILED" in out
+
+    def test_non_scalar_casimir_fails_one_check_exit_1(self, capsys, monkeypatch):
+        original = su3x._ab_generator_on_basis
+
+        def q12_doubled(alpha, beta, state):
+            terms, den = original(alpha, beta, state)
+            return ([(s, 2 * c) for s, c in terms] if (alpha, beta) == (1, 2) else terms), den
+
+        monkeypatch.setattr(su3x, "_ab_generator_on_basis", q12_doubled)
+        code, out, _ = run(capsys, "--format", "structured", "verify", "--suite", "sp2r")
+        assert code == 1
+        (report,) = json.loads(out)
+        assert report["suite"] == "sp2r" and report["passed"] is False and len(report["checks"]) == 11
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["id"] for c in failed] == ["tower-negative-control"]
+        assert failed[0]["witness"] == "image of ket 0 is not proportional to it"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
