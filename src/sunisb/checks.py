@@ -28,6 +28,9 @@ Every commutator identity is one kernel, ``_bracket_witness``, fed a
 table of structure constants, (x, y) -> {z: c} for [x, y] = sum_z c z
 over op names, None naming the identity.  It takes each op's image of a
 ket once; ops are bound when it runs, so a perturbed operator reaches it.
+The multiplicity check is built the same way: one table of dressed
+ladders, each imaging a basis vector once, and one two-word table,
+(name, outer, inner), for the products A+[i].A[j] and A[i].A+[j].
 
 Registry ``SUITES``:
 
@@ -495,47 +498,41 @@ def suite_iterative(n_max: int | None = None, max_quanta: int | None = None) -> 
 def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str | None]:
     """First failures of (off-diagonal products vanish, diagonal products are one scalar).
 
-    Each A[j]_gamma psi and A+[j]^gamma psi is computed once per basis vector.
-    A vanishing dressing denominator fails both checks, naming the
+    The single ladders are one table, A[j]_gamma and A+[j]^gamma, and
+    each one's image of a basis vector is computed once.  The two
+    color-contracted products, A+[i].A[j] and A[i].A+[j] summed over
+    gamma, are one table of words (name, outer, inner) over it.  A
+    vanishing dressing denominator fails both checks, naming the
     operator, the basis vector and the error.
     """
+    slots = _slots(n)
+    ladders = _named("A[{}]_{}", isb_annihilate, slots) | _named("A+[{}]^{}", isb_create, slots)
+    words = (("A+[{}].A[{}]", "A+[{}]^{}", "A[{}]_{}"), ("A[{}].A+[{}]", "A[{}]_{}", "A+[{}]^{}"))
     rows, colors = range(1, n), range(1, n + 1)
+    # per diagonal product, its image of each basis vector, keyed by id: a Ket is unhashable
+    diagonal = {word.format(i, i): {} for i in rows for word, _, _ in words}
     offdiagonal = None
-    diagonal = {}
     for b, psi in enumerate(basis):
         try:
-            lowered, raised = {}, {}
-            for j, g in product(rows, colors):
-                op = f"A[{j}]_{g}"
-                lowered[j, g] = isb_annihilate(j, g, psi)
-            for j, g in product(rows, colors):
-                op = f"A+[{j}]^{g}"
-                raised[j, g] = isb_create(j, g, psi)
-            for i in rows:
-                for j in rows:
-                    # the color-contracted products, each summed over gamma
-                    op, create_annihilate = f"A+[{i}].A[{j}]", {}
-                    for g in colors:
-                        _accumulate(create_annihilate, isb_create(i, g, lowered[j, g]).terms.items())
-                    op, annihilate_create = f"A[{i}].A+[{j}]", {}
-                    for g in colors:
-                        _accumulate(annihilate_create, isb_annihilate(i, g, raised[j, g]).terms.items())
-                    if i == j:
-                        diagonal[id(psi), i, "A+.A"] = _raw_ket(n, create_annihilate)
-                        diagonal[id(psi), i, "A.A+"] = _raw_ket(n, annihilate_create)
-                    elif offdiagonal is None and create_annihilate:
-                        offdiagonal = f"A+[{i}].A[{j}] on basis[{b}]"
-                    elif offdiagonal is None and annihilate_create:
-                        offdiagonal = f"A[{i}].A+[{j}] on basis[{b}]"
+            image = {}
+            for op, ladder in ladders.items():
+                image[op] = ladder(psi)
+            for i, j, (word, outer, inner) in product(rows, rows, words):
+                op, terms = word.format(i, j), {}
+                for g in colors:
+                    _accumulate(terms, ladders[outer.format(i, g)](image[inner.format(j, g)]).terms.items())
+                if i == j:
+                    diagonal[op][id(psi)] = _raw_ket(n, terms)
+                elif offdiagonal is None and terms:
+                    offdiagonal = f"{op} on basis[{b}]"
         except SingularCoefficientError as err:
             failure = f"{op} on basis[{b}]: {err}"
             return offdiagonal or failure, failure
-    for i in rows:
-        for tag in ("A+.A", "A.A+"):
-            try:
-                scalar_on(lambda psi: diagonal[id(psi), i, tag], basis)
-            except (AlgebraViolationError, ValueError) as err:
-                return offdiagonal, f"{tag}[{i}] on the basis: {err}"
+    for op, images in diagonal.items():
+        try:
+            scalar_on(lambda psi: images[id(psi)], basis)
+        except (AlgebraViolationError, ValueError) as err:
+            return offdiagonal, f"{op} on the basis: {err}"
     return offdiagonal, None
 
 

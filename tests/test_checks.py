@@ -401,6 +401,19 @@ def test_multiplicity_suite_fails_on_a_doubled_creation(monkeypatch):
     assert len(failed) == 19
 
 
+def test_multiplicity_diagonal_witness_names_the_product(monkeypatch):
+    # at rank 2, A+[1]^1 doubled makes A+[1].A[1] q plus the quanta of color 1, not q: ket 1 holds one
+    def doubled(k, alpha, psi, original=checks.isb_create):
+        return original(k, alpha, psi) * 2 if alpha == 1 else original(k, alpha, psi)
+
+    monkeypatch.setattr(checks, "isb_create", doubled)
+    witnesses = _failed_witnesses("multiplicity", n_max=2)
+    assert witnesses == {
+        f"diagonal-invariant-scalars[N=2,rows=({q},)]": f"A+[1].A[1] on the basis: scalar {q + 1} on ket 1 differs from {q}"
+        for q in (4, 3, 2, 1)
+    }
+
+
 def _annihilation_with_half_bare_row_one(original):
     # A[1] + 1/2 a[1]: the bare part leaves the ordered regime, where a dressed creation is singular
     def annihilate(k, alpha, psi):
@@ -590,6 +603,122 @@ def test_sp2r_suite_fails_on_a_shifted_level(monkeypatch):
     failed = _failed_witnesses("sp2r")
     assert list(failed) == ["pair-algebra-relations"]
     assert failed["pair-algebra-relations"].startswith("[k-,k+] on occ=")
+
+
+def _plus_one_on_two_quanta(original):
+    return lambda n, totals: original(n, totals) + 1 if sum(totals) == 2 else original(n, totals)
+
+
+def _reversed_sector(original):
+    return lambda n, totals: original(n, totals)[::-1]
+
+
+def _doubled_where(where):
+    """The perturbation that doubles a coefficient wherever where(*args) holds."""
+    return lambda original: lambda *args: original(*args) * 2 if where(*args) else original(*args)
+
+
+def _half_bare_row_three(original):
+    # A+[3] + 1/2 a+[3]: the image leaves the null space, and the gluing route does not follow
+    def create(k, alpha, psi):
+        image = original(k, alpha, psi)
+        return image + fock.apply_create(3, alpha, psi) * Fraction(1, 2) if k == 3 else image
+
+    return create
+
+
+def _bare_states(original):
+    return lambda n, m, alphas, betas: su3x.bare_state(alphas, betas)
+
+
+def _first_colors(n, m):
+    """The witness of the first rank-3 color choice, every color 1."""
+    return f"alphas={(1,) * n} betas={(1,) * m}"
+
+
+def _iterative_failures():
+    for totals in checks._ITERATIVE_SECTORS:
+        yield f"iterative-gluing[{totals}]", "basis[0] alpha=1"
+        yield f"dressed-image-constrained[{totals}]", "basis[0] alpha=1 survives L[1,3]"
+
+
+@pytest.mark.parametrize(
+    "suite, bounds, module, name, perturb, failed",
+    [
+        (
+            "fock", {"n_max": 3}, checks, "sector_size", _plus_one_on_two_quanta,
+            {
+                "sector-enumeration[N=2]": "count mismatch at totals=(2,)",
+                "sector-enumeration[N=3]": "count mismatch at totals=(0, 2)",
+            },
+        ),
+        (
+            "fock", {"n_max": 3}, checks, "enumerate_sector", _reversed_sector,
+            {
+                "sector-enumeration[N=2]": "enumeration out of order at totals=(1,)",
+                "sector-enumeration[N=3]": "enumeration out of order at totals=(0, 1)",
+            },
+        ),
+        (
+            "recurrence", {}, checks, "annihilation_coeff", _doubled_where(lambda i, k, totals: totals[0] == 2),
+            {
+                "annihilation-closed-form": "H[2,1] at totals=(2, 2) = 1 != 1/2",
+                "first-step-coefficients": "H[2,1](2,1) = 2/3 != 1/3",
+            },
+        ),
+        # the chain recurrence reads the closed forms through isb, not through checks
+        (
+            "recurrence", {"n_max": 4}, checks, "creation_coeff", _doubled_where(lambda k, i, totals: k == 3),
+            {"first-step-coefficients": "F[3,2](2,1,0) = -2/3 != -1/3"},
+        ),
+        (
+            "traceless", {}, su3x, "trace_coeff", _doubled_where(lambda n, m, r: r == 2),
+            {
+                "bv-equals-isb[(2,2)]": _first_colors(2, 2),
+                "trace-coefficients": "coefficient(2,2,2) = 1/10 != 1/20",
+                "trace-contraction[(2,2)]": f"positions (1,1) at {_first_colors(2, 2)}",
+            },
+        ),
+        ("iterative", {}, checks, "isb_create", _half_bare_row_three, dict(_iterative_failures())),
+        # at (n, 0) and (0, m) there is no trace to subtract: the bare state is the traceless one
+        (
+            "sp2r", {}, su3x, "traceless_state", _bare_states,
+            {
+                **{f"lowest-weight[({n},{m})]": _first_colors(n, m) for n, m in ((1, 1), (1, 2), (2, 1), (2, 2))},
+                "tower-negative-control": "image of ket 0 is not proportional to it",
+            },
+        ),
+        (
+            "traceless", {}, su3x, "traceless_state", _bare_states,
+            {
+                **{f"bv-equals-isb[({n},{m})]": _first_colors(n, m) for n, m in checks._BV_CASES},
+                **{f"trace-contraction[({n},{m})]": f"positions (1,1) at {_first_colors(n, m)}" for n, m in checks._BV_CASES},
+            },
+        ),
+    ],
+    ids=[
+        "sector-size", "sector-order", "annihilation-coeff", "creation-coeff", "trace-coeff", "dressed-creation",
+        "bare-lowest-weight", "bare-traceless",
+    ],
+)
+def test_checks_fail_on_a_perturbed_source(monkeypatch, suite, bounds, module, name, perturb, failed):
+    records = run_suite(suite, **bounds)
+    assert records and all(r.passed for r in records)
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    assert list(_failed_witnesses(suite, **bounds).items()) == list(failed.items())
+
+
+def test_an_unknown_suite_is_a_value_error_naming_the_known_ones():
+    with pytest.raises(ValueError, match=re.escape(f"unknown suite 'nope'; known: {', '.join(checks.SUITES)}")):
+        run_suite("nope")
+
+
+def test_the_bracket_kernel_skips_a_zero_ket():
+    double = {"D": lambda psi: psi * 2}
+    # [D, D] = 1 fails on every nonzero ket: D D psi - D D psi is 0, not psi
+    brackets = {("D", "D"): {None: 1}}
+    assert checks._bracket_witness([("one", fock.vacuum(2))], double, brackets) == "[D,D] on one"
+    assert checks._bracket_witness([("zero", fock.zero_ket(2))], double, brackets) is None
 
 
 def _generator_witness(generator, n, max_quanta):

@@ -457,6 +457,10 @@ class TestCasimir:
         with pytest.raises(AlgebraViolationError, match="ket 3 "):
             scalar_on(casimir2_op(3), kets)
 
+    def test_no_nonzero_ket_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^no nonzero ket to take a scalar on$"):
+            scalar_on(casimir2_op(2), [zero_ket(2)])
+
 
 ket_families = st.integers(2, 3).flatmap(
     lambda n: st.lists(
