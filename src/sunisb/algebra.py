@@ -28,9 +28,8 @@ of the dressed ladders in ``isb`` into their row's.
 
 Each generator is written once, as an integer rule on one basis
 state: ``_generator_on_basis(alpha, beta, state)`` returns
-``(terms, den)``, the form ``fock._apply_images`` takes.
-``generator_action`` sums the rule over a ket, state by state, through
-``fock._accumulate``.
+``(terms, den)``, the form ``fock._apply_images`` takes, and
+``generator_action`` applies it to a ket there.
 
 Shared helpers: ``casimir_op(n, on_basis, label)`` builds that Casimir
 from any such rule, here and in ``su3x``, and builds no ket.  It
@@ -44,7 +43,6 @@ dressed ladders.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import lcm
 from typing import Callable
@@ -147,20 +145,15 @@ def _generator_on_basis(alpha: int, beta: int, state: FockState) -> tuple:
 def generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     """Apply the Weyl-basis su(N) generator Q[alpha, beta] to a ket.
 
-    Q[alpha, alpha] multiplies a basis state by count_alpha - quanta/N,
-    a ``Fraction`` whenever the state holds quanta.  Q[alpha, beta],
-    alpha != beta, recolors one quantum per row, so an ``int`` ket stays
-    ``int``.  The terms of ``_generator_on_basis`` are summed state by
-    state through ``fock._accumulate``.
+    Q[alpha, alpha] multiplies a basis state by count_alpha - quanta/N.
+    Q[alpha, beta], alpha != beta, recolors one quantum per row, so an
+    ``int`` ket stays ``int``.  The rule is ``_generator_on_basis``,
+    applied by ``fock._apply_images``: each output coefficient is an
+    ``int`` when it is integral and a ``Fraction`` otherwise.
     """
-    n = psi.n
-    _check_color(n, alpha)
-    _check_color(n, beta)
-    out: dict = {}
-    for state, coeff in psi.terms.items():
-        terms, den = _generator_on_basis(alpha, beta, state)
-        _accumulate(out, terms, coeff if den == 1 else Fraction(coeff, den))
-    return _raw_ket(n, out)
+    _check_color(psi.n, alpha)
+    _check_color(psi.n, beta)
+    return _apply_images(psi, _generator_on_basis, alpha, beta)
 
 
 def casimir_op(n: int, on_basis: Callable[[int, int, FockState], tuple], label: str) -> LinearOp:

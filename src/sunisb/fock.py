@@ -27,11 +27,26 @@ process, like ``isb._create_terms``.
 directly: before Python 3.13 an indented ``json.dumps`` runs the
 pure-Python encoder, several times slower than the direct writer.
 
-Kets are summed by two private kernels here, ``_accumulate`` for
-(state, coeff) pairs and ``_apply_images`` for integer basis images,
-and by one in ``algebra``: ``_bilinear_into`` sums the image of an
-invariant bilinear in place, for ``invariant_action`` and the dressed
-ladders (see ``_accumulate``).
+Kets are summed by two private kernels here and one in ``algebra``:
+
+* ``_apply_images`` maps a ket by an integer rule on basis states,
+  ``(terms, den)``, and divides each output coefficient once.  Every
+  operator that ``algebra``, ``isb`` and ``su3x`` define, bar
+  ``invariant_action``, is such a rule: the su(N) and
+  triplet/antitriplet generators, the Casimirs, the dressed ladders of
+  both languages, the rank-4 gluing route, the pair ladders and the
+  pair level;
+* ``_accumulate`` adds (state, coeff) pairs into a dict: ket
+  construction, addition and subtraction, ``_apply_images`` itself, and
+  the compositions inside the Casimir rule and the gluing rule;
+* ``algebra._bilinear_into`` sums the image of an invariant bilinear
+  in place, for ``invariant_action`` and the row sums of the dressed
+  ladders, kept on its own figure (see ``_accumulate``).
+
+``apply_create`` and ``apply_annihilate`` stay comprehensions: they
+relabel each state once, so no two terms meet and there is nothing to
+sum; routed through ``_apply_images`` they made the default ``fock``
+suite slower.
 """
 
 from __future__ import annotations

@@ -33,12 +33,12 @@ Provided:
   exactly.
 
 Shared generic helpers: ``fock._apply_images``, ``algebra.casimir_op``,
-``linalg.rank`` and ``irreps.scalar_on``.  The pair ladders and both
-dressed creations (one routine, ``_dressed_create``) keep one integer
-image per basis state over one denominator, as the Casimir does; a
-ket is mapped by ``fock._apply_images``, which divides each output
-coefficient once.  The traceless states are compositions of the pair
-ladders.  Every map of a ket here takes rank-3 kets only and raises
+``linalg.rank`` and ``irreps.scalar_on``.  The pair ladders, the pair
+level and both dressed creations (one routine, ``_dressed_create``)
+keep one integer image per basis state over one denominator, as the
+Casimir does; a ket is mapped by ``fock._apply_images``, which divides
+each output coefficient once.  The traceless states are compositions
+of the pair ladders.  Every map of a ket here takes rank-3 kets only and raises
 ``ValueError`` on any other, as ``algebra.LinearOp`` does.
 """
 
@@ -58,11 +58,9 @@ from .fock import (
     _bumped,
     _check_color,
     _exact_int,
-    _raw_ket,
     _recolored,
     _unchecked_state,
     apply_create,
-    total_occupations,
     vacuum,
     zero_ket,
 )
@@ -163,10 +161,12 @@ def pair_level(psi: Ket) -> Ket:
     [k_zero, k_pm] = +-k_pm.  The lowest-weight condition
     k_minus |psi> = 0 picks out the traceless states; each k_plus
     application climbs one rung of a multiplicity tower without
-    changing the su(3) content.
+    changing the su(3) content.  On a basis state it is the integer
+    N_a + N_b + 3 over 2, so the level of an odd number of quanta is an
+    ``int``.
     """
     _check_rank3(psi)
-    return _raw_ket(3, {s: c * Fraction(sum(total_occupations(s)) + 3, 2) for s, c in psi.terms.items()})
+    return _apply_images(psi, lambda s: ([(s, sum(map(sum, s.occ)) + 3)], 2))
 
 
 def traceless_state(n: int, m: int, alphas: Sequence[int], betas: Sequence[int]) -> Ket:

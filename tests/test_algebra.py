@@ -267,6 +267,32 @@ class TestGeneratorOracle:
             assert all(type(c) is int for c in image.terms.values())
 
 
+def fraction_generator_cases(n: int):
+    colors = st.integers(1, n)
+    return st.tuples(kets(n, st.fractions(-9, 9, max_denominator=12)), colors, colors)
+
+
+def coefficient_types(psi: Ket) -> dict:
+    return {s: type(c) for s, c in psi.terms.items()}
+
+
+class TestGeneratorRule:
+    """``generator_action`` is its basis rule applied by ``fock._apply_images``, coefficient types included."""
+
+    @given(st.integers(2, 4).flatmap(fraction_generator_cases))
+    def test_equals_the_kernel_on_fraction_kets(self, case):
+        psi, alpha, beta = case
+        image = generator_action(alpha, beta, psi)
+        by_rule = _apply_images(psi, _generator_on_basis, alpha, beta)
+        assert image == by_rule and coefficient_types(image) == coefficient_types(by_rule)
+
+    def test_an_integral_diagonal_coefficient_is_an_int(self):
+        # Q[1,1] on ((2, 0),): count_1 - quanta/N = 2 - 2/2 = 1, over the rule's denominator 2
+        psi = basis_ket(FockState(2, ((2, 0),)))
+        image = generator_action(1, 1, psi)
+        assert image == psi and {type(c) for c in image.terms.values()} == {int}
+
+
 def reference_bilinear(i, j, psi: Ket) -> Ket:
     """a+[i].a[j] psi as whole kets: sum_alpha a+[i]^alpha a[j]_alpha psi."""
     total = zero_ket(psi.n)

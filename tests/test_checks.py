@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -631,6 +632,28 @@ def _bare_states(original):
     return lambda n, m, alphas, betas: su3x.bare_state(alphas, betas)
 
 
+def _denominator_shifted_two_rows_apart(original):
+    return lambda k, i, totals: original(k, i, totals) + 1 if k - i == 2 else original(k, i, totals)
+
+
+def _bare_builder_made_traceless(original):
+    # the bare family handed to a contraction is swapped for the traceless one, whose contraction vanishes
+    def contract(builder, alphas, betas, l, k):
+        if builder is su3x.bare_state:
+            builder = partial(su3x.traceless_state, len(alphas), len(betas))
+        return original(builder, alphas, betas, l, k)
+
+    return contract
+
+
+def _zero_ket_loaded_as_vacuum(original):
+    def loads(text):
+        psi = original(text)
+        return psi if psi.terms else fock.vacuum(psi.n)
+
+    return loads
+
+
 def _first_colors(n, m):
     """The witness of the first rank-3 color choice, every color 1."""
     return f"alphas={(1,) * n} betas={(1,) * m}"
@@ -671,6 +694,32 @@ def _iterative_failures():
             "recurrence", {"n_max": 4}, checks, "creation_coeff", _doubled_where(lambda k, i, totals: k == 3),
             {"first-step-coefficients": "F[3,2](2,1,0) = -2/3 != -1/3"},
         ),
+        # isb.creation_coeff is bound into verify_recurrence's default when isb is imported, so
+        # patching it reaches annihilation-closed-form only: the shared denominator reaches all three
+        (
+            "recurrence", {"n_max": 4}, isb, "_dressing_den", _denominator_shifted_two_rows_apart,
+            {
+                "chain-recurrence[N=4]": "closed form broke its recurrence",
+                "annihilation-closed-form": "H[3,1] at totals=(6, 6, 6) = 1/4 != 1/3",
+                "first-step-coefficients": "F[3,1](2,1,0) = -1/6 != -1/5",
+            },
+        ),
+        (
+            "recurrence", {}, checks, "verify_recurrence", lambda original: lambda *args, **kwargs: True,
+            {"recurrence-negative-control": "a damaged closed form still satisfied the recurrence"},
+        ),
+        (
+            "traceless", {}, su3x, "trace_contract", _bare_builder_made_traceless,
+            {"trace-contraction-negative-control": "the bare monomial contraction vanished"},
+        ),
+        (
+            "serialization", {"n_max": 3}, checks, "loads_ket", _zero_ket_loaded_as_vacuum,
+            {
+                "round-trip[monomials]": "monomials[30]: byte round trip is not identical",
+                "round-trip[iterative-images]": "iterative-images[2]: byte round trip is not identical",
+                "round-trip[zero-ket]": "zero-ket[0]: byte round trip is not identical",
+            },
+        ),
         (
             "traceless", {}, su3x, "trace_coeff", _doubled_where(lambda n, m, r: r == 2),
             {
@@ -697,8 +746,9 @@ def _iterative_failures():
         ),
     ],
     ids=[
-        "sector-size", "sector-order", "annihilation-coeff", "creation-coeff", "trace-coeff", "dressed-creation",
-        "bare-lowest-weight", "bare-traceless",
+        "sector-size", "sector-order", "annihilation-coeff", "creation-coeff", "shifted-denominator",
+        "recurrence-always-holds", "traceless-bare-builder", "zero-ket-as-vacuum", "trace-coeff",
+        "dressed-creation", "bare-lowest-weight", "bare-traceless",
     ],
 )
 def test_checks_fail_on_a_perturbed_source(monkeypatch, suite, bounds, module, name, perturb, failed):

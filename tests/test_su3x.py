@@ -13,6 +13,7 @@ from sunisb.algebra import casimir2_op
 from sunisb.fock import (
     FockState,
     Ket,
+    _apply_images,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -223,6 +224,20 @@ class TestPairAlgebra:
             image = ladder(psi)
             assert image.terms and {type(c) for c in image.terms.values()} == {int}
             assert image == pair_reference(fock_ladder, psi)
+
+    @given(rank3_kets())
+    def test_level_equals_the_kernel_on_its_integer_rule(self, psi):
+        # (N_a + N_b + 3)/2 as the integer N_a + N_b + 3 over 2
+        image = pair_level(psi)
+        by_rule = _apply_images(psi, lambda s: ([(s, sum(total_occupations(s)) + 3)], 2))
+        assert image == by_rule
+        assert {s: type(c) for s, c in image.terms.items()} == {s: type(c) for s, c in by_rule.terms.items()}
+
+    def test_level_of_an_odd_number_of_quanta_is_an_int(self):
+        # one quantum: (1 + 3)/2 = 2
+        image = pair_level(bare_state((1,), ()))
+        assert image == bare_state((1,), ()) * 2
+        assert {type(c) for c in image.terms.values()} == {int}
 
     def test_lowest_weight_states(self):
         for n, m in ((1, 1), (2, 1)):
