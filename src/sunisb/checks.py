@@ -28,6 +28,16 @@ Every commutator identity is one kernel, ``_bracket_witness``, fed a
 table of structure constants, (x, y) -> {z: c} for [x, y] = sum_z c z
 over op names, None naming the identity.  It takes each op's image of a
 ket once; ops are bound when it runs, so a perturbed operator reaches it.
+The two ``algebra`` witnesses hand it their Q[a,b] and L[i,j] ops through
+``_tabled``: a per-state image table, living for one witness call, that
+takes each op's image of a basis state once, by the bound op on
+``basis_ket(state)``, and maps every ket as the linear sum of those
+images.  Q and L keep the number of quanta, so every state a bracket meets
+is a state of the sweep and each image is reused.  Only there: the ladders
+of ``fock``, ``commutators`` and ``sp2r`` change the number of quanta, so
+most of their images would be taken once and never met again; tabling
+every op of the kernel took ``commutators`` at ``n_max=3`` from 68 to
+99 ms and ``sp2r`` from 65 to 71 ms.
 The multiplicity check is built the same way: one table of dressed
 ladders, each imaging a basis vector once, and one two-word table,
 (name, outer, inner), for the products A+[i].A[j] and A[i].A+[j].
@@ -172,6 +182,22 @@ def _bracket_witness(kets, ops, brackets: dict) -> str | None:
     return None
 
 
+def _tabled(ops: dict) -> dict:
+    """Each op of ops mapping kets through its own per-state image table; see the module docstring."""
+    return {name: partial(_through_table, op, {}) for name, op in ops.items()}
+
+
+def _through_table(op, images: dict, psi: Ket) -> Ket:
+    """The sum over the terms c |s> of psi of c op(|s>), each op(|s>) taken once and kept in images."""
+    acc: dict = {}
+    for state, c in psi.terms.items():
+        image = images.get(state)
+        if image is None:
+            image = images[state] = op(basis_ket(state)).terms.items()
+        _accumulate(acc, image, c)
+    return _raw_ket(psi.n, acc)
+
+
 def _named(name: str, action, index_tuples) -> dict:
     """{name.format(*t): action(*t, .)} for every index tuple t, the action bound now."""
     return {name.format(*t): partial(action, *t) for t in index_tuples}
@@ -276,7 +302,7 @@ def suite_fock(n_max: int = 4, max_quanta: int = 6) -> Checks:
 
 
 def _bilinear_algebra_witness(n: int, max_quanta: int) -> str | None:
-    ops = _named("L[{},{}]", invariant_action, product(range(1, n), repeat=2))
+    ops = _tabled(_named("L[{},{}]", invariant_action, product(range(1, n), repeat=2)))
     return _bracket_witness(_basis_kets(n, max_quanta), ops, _gl_brackets("L[{},{}]", range(1, n)))
 
 
@@ -285,7 +311,7 @@ def _generator_commutant_witness(n: int, max_quanta: int) -> str | None:
     generators = _named("Q[{},{}]", generator_action, product(range(1, n + 1), repeat=2))
     bilinears = _named("L[{},{}]", invariant_action, product(range(1, n), repeat=2))
     brackets = {(q, l): {} for l in bilinears for q in generators}
-    return _bracket_witness(_basis_kets(n, max_quanta), generators | bilinears, brackets)
+    return _bracket_witness(_basis_kets(n, max_quanta), _tabled(generators | bilinears), brackets)
 
 
 def suite_algebra(n_max: int = 4, max_quanta: int = 4) -> Checks:

@@ -187,16 +187,18 @@ def weyl_dimension(label: IrrepLabel) -> int:
 def constraint_residual(psi: Ket) -> ConstraintReport:
     """Check that every lowering bilinear a+[i].a[j], i < j, annihilates psi.
 
-    All (N-1)(N-2)/2 bilinears are applied so that each violated one is
-    named.  The adjacent ones alone decide ``satisfied``, since
-    [L[i,k], L[k,j]] = L[i,j]; a caller that needs only that verdict
-    pays for the rest.
+    The N-2 adjacent bilinears L[i,i+1] decide ``satisfied``: since
+    [L[i,k], L[k,j]] = L[i,j], a ket they all annihilate is annihilated
+    by every L[i,j], i < j.  Only when one of them fails are all
+    (N-1)(N-2)/2 bilinears applied, to name each violated one.
     """
     n = psi.n
+    if not any(invariant_action(i, i + 1, psi).terms for i in range(1, n - 1)):
+        return ConstraintReport(True, ())
     violated = tuple(
         (i, j) for i in range(1, n) for j in range(i + 1, n) if invariant_action(i, j, psi).terms
     )
-    return ConstraintReport(not violated, violated)
+    return ConstraintReport(False, violated)
 
 
 def _weight_blocks(label: IrrepLabel) -> Iterator[tuple[tuple, list, list[dict[int, int]]]]:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import LinearOp, casimir_op
 from .fock import (
@@ -318,18 +318,20 @@ def _distinct_families(n: int, m: int):
             yield alphas, betas
 
 
+def _traceless_family(n: int, m: int) -> Iterator[Ket]:
+    """The traceless state of every distinct color family, in ``_distinct_families`` order."""
+    _check_counts(n, m)
+    return (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
+
+
 def ab_dimension(n: int, m: int) -> int:
     """Rank of the traceless family's coefficient vectors; zero states count as dependent."""
-    _check_counts(n, m)
-    kets = (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
-    return rank(k.terms for k in kets)
+    return rank(k.terms for k in _traceless_family(n, m))
 
 
 def ab_casimir_eigenvalue(n: int, m: int) -> Fraction:
     """Casimir scalar on the traceless family, with a proportionality check."""
-    _check_counts(n, m)
-    family = (traceless_state(n, m, alphas, betas) for alphas, betas in _distinct_families(n, m))
-    return scalar_on(ab_casimir2_op(), family)
+    return scalar_on(ab_casimir2_op(), _traceless_family(n, m))
 
 
 @dataclass(frozen=True)
@@ -356,17 +358,19 @@ def compare_languages(label: IrrepLabel) -> LanguageComparison:
 
     The languages have no state-by-state map here; they are compared on
     the invariant data (dimension, Casimir), computed independently on
-    each side.
+    each side.  The traceless family is built once, for both its rank
+    (``ab_dimension``) and its Casimir scalar (``ab_casimir_eigenvalue``).
     """
     if label.n != 3:
         raise ValueError("language comparison is specific to rank 3")
     n1, n2 = label.rows
     nm = (n1 - n2, n2)
+    family = list(_traceless_family(*nm))
     return LanguageComparison(
         label=label,
         nm=nm,
         two_triplet_dimension=nullspace_dimension(label),
-        ab_dimension=ab_dimension(*nm),
+        ab_dimension=rank(k.terms for k in family),
         two_triplet_casimir=casimir_eigenvalue(label),
-        ab_casimir=ab_casimir_eigenvalue(*nm),
+        ab_casimir=scalar_on(ab_casimir2_op(), family),
     )

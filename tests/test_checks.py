@@ -187,6 +187,30 @@ def test_pair_algebra_witness_takes_each_ladder_image_once(monkeypatch):
     assert len(applied) == 9 * states
 
 
+def test_algebra_witnesses_take_each_basis_image_once(monkeypatch):
+    applied = Counter()
+
+    def counted(action):
+        def apply(a, b, psi):
+            ((state, coeff),) = psi.terms.items()  # only basis kets reach the bound op
+            assert coeff == 1
+            applied[action.__name__, a, b, state] += 1
+            return action(a, b, psi)
+
+        return apply
+
+    for name in ("generator_action", "invariant_action"):
+        monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
+    # rank 3, at most 3 quanta on the 6 oscillators
+    states = sum(sector_size(3, (q1, q - q1)) for q in range(4) for q1 in range(q + 1))
+    assert checks._bilinear_algebra_witness(3, 3) is None
+    # each of the 4 L[i,j] takes each state's image once, and every state meets all of them
+    assert set(applied.values()) == {1} and len(applied) == 4 * states
+    applied.clear()
+    assert checks._generator_commutant_witness(3, 3) is None
+    assert set(applied.values()) == {1} and len(applied) == (9 + 4) * states
+
+
 def test_dimension_triple_catches_a_fault_in_the_shared_eliminator(monkeypatch):
     # nullspace_dimension and monomial_rank share linalg._relations; the Weyl formula does not
     real = linalg._relations

@@ -114,6 +114,43 @@ class TestKet:
         assert Ket(2, [(s, 1), (s, Fraction(1, 3))]).terms == {s: Fraction(4, 3)}
 
 
+@st.composite
+def image_cases(draw):
+    """A ket of 1 to 4 terms over a pool of states, and an integer rule on the pool.
+
+    Each state's image is (terms, den): repeated states and zero coefficients
+    included, so terms meet and cancel within one image and across images.
+    """
+    n = draw(st.integers(2, 3))
+    pool = draw(st.lists(states(n), min_size=4, max_size=6, unique=True))
+    size = draw(st.integers(1, 4))
+    coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool)
+    psi = Ket(n, draw(st.dictionaries(st.sampled_from(pool), coeffs, min_size=size, max_size=size)))
+    image_terms = st.lists(st.tuples(st.sampled_from(pool), st.integers(-4, 4)), max_size=4)
+    images = {s: (draw(image_terms), draw(st.integers(1, 6))) for s in pool}
+    return psi, images
+
+
+def reference_images(psi: Ket, images: dict) -> dict:
+    """sum over the terms c |s> of psi of c * sum over images[s] of coeff/den |t>, in Fractions."""
+    total = {}
+    for s, c in psi.terms.items():
+        terms, den = images[s]
+        for t, coeff in terms:
+            total[t] = total.get(t, 0) + Fraction(c) * coeff / den
+    return {t: int(v) if v.denominator == 1 else v for t, v in total.items() if v}
+
+
+@given(image_cases())
+def test_apply_images_equals_the_reference_sum(case):
+    psi, images = case
+    got = fock._apply_images(psi, images.__getitem__)
+    expected = reference_images(psi, images)
+    assert got.n == psi.n and got.terms == expected
+    # an int exactly when the coefficient is integral
+    assert {t: type(c) for t, c in got.terms.items()} == {t: type(c) for t, c in expected.items()}
+
+
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), states(n), slots(n), slots(n))))
 def test_canonical_commutator(data):
     """[a_i^a, a+_j^b] acts as the identity iff the slots coincide."""

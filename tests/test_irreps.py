@@ -212,6 +212,41 @@ def index_walks(draw):
     return label, draw(st.lists(index, max_size=12))
 
 
+@st.composite
+def residual_kets(draw):
+    """A ket of one color-weight block at N = 3..5, killed by a drawn subset of the adjacent constraints.
+
+    It is a random combination of the block's null vectors under the
+    L[i,i+1] of that subset, plus at most one stray basis state.  Every
+    row of the label holds a box, so no L[i,i+1] vanishes on the sector.
+    """
+    n = draw(st.integers(3, 5))
+    label = draw(st.sampled_from([label for label in iter_labels(n, n + 1) if label.rows[-1]]))
+    kept = draw(st.sets(st.integers(1, n - 2)))
+    states = enumerate_sector(n, label.rows)
+    weight = color_totals(draw(st.sampled_from(states)))
+    block = [s for s in states if color_totals(s) == weight]
+    images = (
+        {(i, t): c for i in kept for t, c in invariant_action(i, i + 1, basis_ket(s)).terms.items()} for s in block
+    )
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    psi = zero_ket(n)
+    for rel in nullspace(images):
+        psi = psi + Ket(n, {block[j]: c for j, c in rel.items()}) * draw(coeffs)
+    return psi + Ket(n, draw(st.dictionaries(st.sampled_from(block), coeffs, max_size=1)))
+
+
+class TestConstraintResidual:
+    """The adjacent-first ``constraint_residual`` against a scan of every pair."""
+
+    @given(residual_kets())
+    def test_equals_the_all_pairs_scan(self, psi):
+        pairs = [(i, j) for i in range(1, psi.n) for j in range(i + 1, psi.n)]
+        violated = tuple((i, j) for i, j in pairs if invariant_action(i, j, psi).terms)
+        report = constraint_residual(psi)
+        assert (report.satisfied, report.violated) == (not violated, violated)
+
+
 def count_creations(monkeypatch):
     calls = []
     original = irreps.isb_create
