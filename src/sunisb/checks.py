@@ -351,6 +351,7 @@ _SPOT_DIMENSIONS = {
 
 
 def _dimension_triple(label: IrrepLabel) -> tuple[int, int, int]:
+    """Weyl formula, constraint null space and monomial rank: the ``dimensions`` suite and ``sunisb dim``."""
     return weyl_dimension(label), nullspace_dimension(label), monomial_rank(label)
 
 

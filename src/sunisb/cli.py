@@ -26,9 +26,9 @@ import time
 from typing import Sequence
 
 from . import su3x
-from .checks import SUITES, run_suite
+from .checks import SUITES, _dimension_triple, run_suite
 from .fock import dumps_ket
-from .irreps import IrrepLabel, build_monomial, monomial_rank, nullspace_dimension, weyl_dimension
+from .irreps import IrrepLabel, build_monomial
 
 __all__ = ["main"]
 
@@ -58,9 +58,7 @@ def _parse_index(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _cmd_dim(args: argparse.Namespace) -> Result:
     label = IrrepLabel(args.n, _parse_rows(args.rows))
-    weyl = weyl_dimension(label)
-    null = nullspace_dimension(label)
-    rank = monomial_rank(label)
+    weyl, null, rank = _dimension_triple(label)
     agree = weyl == null == rank
     document = {
         "n": label.n,

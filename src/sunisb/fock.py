@@ -17,10 +17,12 @@ functions here are pure, so values can be shared freely between
 threads.
 
 States are hash-consed: every route that builds a ``FockState`` returns
-the one canonical object for its occupation matrix, so a state-keyed
-dict lookup hits by identity.  Equality stays value-based and the hash
-stays ``hash((n, occ))``.  The table ``_STATES`` lives as long as the
-process, like ``isb._create_terms``.
+the one canonical object for its occupation matrix, so two states are
+equal exactly when they are the same object, and ``FockState`` keeps
+Python's identity equality and C-level hash.  Nothing may depend on
+the order of a set of states, since their hashes follow object
+addresses.  The table ``_STATES`` lives as long as the process, like
+``isb._create_terms``.
 
 ``dumps_ket`` writes exactly the bytes of
 ``json.dumps(ket_to_document(psi), indent=1)`` plus a newline, but
@@ -101,11 +103,12 @@ class FockState:
     """One basis state: an (N-1) x N matrix of occupation numbers.
 
     Rows are oscillator types, columns are colors.  Instances are
-    immutable values, hashable, and validated on construction; equal
-    matrices give the same object (see ``_unchecked_state``).
+    immutable and validated on construction.  Equal matrices give the
+    same object (see ``_unchecked_state``), so states compare and hash
+    by identity.
     """
 
-    __slots__ = ("n", "occ", "_hash")
+    __slots__ = ("n", "occ")
 
     def __new__(cls, n: int, occ: Iterable[Iterable[int]]) -> "FockState":
         occ = tuple(tuple(_exact_int(e, "occupation") for e in row) for row in occ)
@@ -119,16 +122,6 @@ class FockState:
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor, so they return the canonical state
         return FockState, (self.n, self.occ)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, FockState):
-            return NotImplemented
-        return self.n == other.n and self.occ == other.occ
 
     def __repr__(self) -> str:
         return f"FockState({self.n}, {self.occ})"
@@ -145,7 +138,6 @@ def _unchecked_state(n: int, occ: tuple[tuple[int, ...], ...]) -> FockState:
         s = object.__new__(FockState)
         s.n = n
         s.occ = occ
-        s._hash = hash((n, occ))
         s = _STATES.setdefault(occ, s)
     return s
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sunisb import irreps, su3x
+from sunisb import checks, irreps, linalg, su3x
 from sunisb.cli import main
 from sunisb.fock import dumps_ket, loads_ket
 from sunisb.irreps import IrrepLabel, build_monomial
@@ -33,6 +33,29 @@ class TestDim:
         doc = json.loads(out)
         assert doc["weyl"] == doc["nullspace"] == doc["monomial_rank"] == 6
         assert doc["agree"] is True
+
+    @pytest.mark.parametrize("n, rows", [(3, "2,1"), (4, "2,1,0"), (5, "1,1,0,0")])
+    @pytest.mark.parametrize("faulty", [False, True], ids=["exact", "faulty-eliminator"])
+    def test_outputs_carry_the_dimensions_suite_triple(self, capsys, monkeypatch, n, rows, faulty):
+        if faulty:
+            real = linalg._relations
+
+            def first_dependent(vectors):
+                # null space and rank share this eliminator, so both drift from the Weyl formula
+                return ({0: 1} if pos == 0 else rel for pos, rel in enumerate(real(vectors)))
+
+            monkeypatch.setattr(linalg, "_relations", first_dependent)
+        label = IrrepLabel(n, tuple(map(int, rows.split(","))))
+        weyl, null, rank = checks._dimension_triple(label)
+        agree = weyl == null == rank
+        assert agree is not faulty
+        code, plain, _ = run(capsys, "dim", "--n", str(n), "--rows", rows)
+        assert code == (0 if agree else 1)
+        assert plain == f"{weyl} {null} {rank} {'agree' if agree else 'disagree'}\n"
+        _, structured, _ = run(capsys, "--format", "structured", "dim", "--n", str(n), "--rows", rows)
+        doc = {"n": n, "rows": list(label.rows), "weyl": weyl, "nullspace": null}
+        doc |= {"monomial_rank": rank, "agree": agree}
+        assert structured == json.dumps(doc, indent=1) + "\n"
 
     def test_bad_rows_exit_2(self, capsys):
         code, _, err = run(capsys, "dim", "--n", "3", "--rows", "x,y")

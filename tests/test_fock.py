@@ -2,16 +2,20 @@
 
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sunisb import fock, su3x
+from sunisb import algebra, fock, isb, su3x
 from sunisb.fock import (
     FockState,
     Ket,
@@ -465,7 +469,16 @@ class TestCanonicalStates:
         n, occ = data
         state = FockState(n, occ)
         assert FockState(n, [list(row) for row in occ]) is state
-        assert hash(state) == hash((n, occ))
+        assert state is fock._STATES[occ]
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), occupations(n, 1), occupations(n, 1))))
+    def test_states_are_equal_exactly_when_they_are_the_table_object(self, data):
+        n, occ, other = data
+        state, twin = FockState(n, occ), FockState(n, other)
+        assert (state == twin) is (state is twin) is (occ == other)
+        assert state is fock._STATES[occ] and twin is fock._STATES[other]
+        assert {state: "entry"}.get(twin) == ("entry" if occ == other else None)
+        assert "__eq__" not in vars(FockState) and "__hash__" not in vars(FockState)
 
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), states(n), slots(n), slots(n))))
     def test_bumped_moved_recolored(self, data):
@@ -492,19 +505,74 @@ class TestCanonicalStates:
         assert raised is FockState(3, _with(_with(state.occ, 1, g + 1, 1), 2, g + 1, 1))
         assert su3x._paired(raised, g, -1) is state
 
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(kets(n), kets(n))), st.data())
+    def test_every_operator_returns_table_states(self, pair, data):
+        psi, phi = pair
+        n = psi.n
+        row, color = data.draw(slots(n))
+        other = data.draw(st.integers(1, n - 1))
+        alpha, beta = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
+        scalar = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool))
+        images = [
+            lambda: apply_create(row, color, psi),
+            lambda: apply_annihilate(row, color, psi),
+            lambda: algebra.invariant_action(row, other, psi),
+            lambda: algebra.generator_action(alpha, beta, psi),
+            lambda: isb.isb_create(row, color, psi),
+            lambda: isb.isb_annihilate(row, color, psi),
+            lambda: algebra.casimir2_op(n)(psi),
+            lambda: psi + phi,
+            lambda: psi - phi,
+            lambda: psi * scalar,
+            lambda: psi / scalar,
+            lambda: loads_ket(dumps_ket(psi)),
+        ]
+        if n == 3:
+            images += [
+                lambda: su3x.pair_create(psi),
+                lambda: su3x.pair_annihilate(psi),
+                lambda: su3x.pair_level(psi),
+                lambda: su3x.dressed_create_a(alpha, psi),
+                lambda: su3x.dressed_create_b(alpha, psi),
+                lambda: su3x.ab_generator_action(alpha, beta, psi),
+            ]
+        if n == 4:
+            images.append(lambda: isb.isb_create_iterative(color, psi))
+        for image in images:
+            try:
+                out = image()
+            except isb.SingularCoefficientError:
+                continue
+            assert all(s is fock._STATES[s.occ] for s in out.terms)
+
     @given(st.integers(2, 4).flatmap(kets))
     def test_loads_ket(self, psi):
         loaded = loads_ket(dumps_ket(psi))
         assert loaded == psi
         assert sorted(map(id, loaded.terms)) == sorted(map(id, psi.terms))
 
-    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), states(n))))
-    def test_a_twin_outside_the_table_is_equal_and_finds_the_entry(self, data):
-        n, state = data
-        twin = object.__new__(FockState)
-        twin.n, twin.occ, twin._hash = n, tuple(tuple(list(row)) for row in state.occ), hash((n, state.occ))
-        assert twin is not state and twin == state and state == twin
-        assert {state: "entry"}[twin] == "entry" and {twin: "entry"}[state] == "entry"
+    def test_a_state_pickled_here_loads_as_the_table_state_of_a_fresh_interpreter(self):
+        state = FockState(3, ((1, 0, 2), (0, 1, 0)))
+        psi = Ket(3, {state: Fraction(2, 3), FockState(3, ((0, 0, 0), (4, 0, 1))): -1})
+        script = textwrap.dedent(
+            """
+            import pickle, sys
+            from sunisb.fock import FockState
+            state, psi = pickle.load(sys.stdin.buffer)
+            print(state is FockState(3, ((1, 0, 2), (0, 1, 0))))
+            print(all(s is FockState(3, s.occ) for s in psi.terms), len(psi.terms))
+            """
+        )
+        src = str(Path(fock.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            input=pickle.dumps((state, psi)),
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        assert run.stdout.decode().split() == ["True", "True", "2"]
 
     @given(st.integers(2, 4).flatmap(sectors))
     def test_rebuilding_existing_states_does_not_grow_the_table(self, data):
