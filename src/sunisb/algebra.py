@@ -22,9 +22,10 @@ matter:
   (1/2) sum_ab Q[a,b] Q[b,a].
 
 Each bilinear is summed in place: ``_bilinear_into`` adds its image
-of a term dict straight into an accumulator, with an integer factor.
-``invariant_action`` sums into an empty one, and the nested row sums
-of the dressed ladders in ``isb`` into their row's.
+of a dict of integer numerators straight into an accumulator, with an
+integer factor.  ``invariant_action`` sums a ket's numerators into an
+empty one and keeps the ket's denominator, and the nested row sums of
+the dressed ladders in ``isb`` sum into their row's.
 
 Each generator is written once, as an integer rule on one basis
 state: ``_generator_on_basis(alpha, beta, state)`` returns
@@ -38,7 +39,8 @@ composes the rule on each basis state alike for every ordered pair
 by Q[a,b].  Each basis image is kept as ints over one denominator, in
 a memo that lives as long as the operator.  ``LinearOp`` applies such
 images through ``fock._apply_images``, the integer kernel of the
-dressed ladders.
+dressed ladders, which sums integer products over one common
+denominator and reduces the output ket once.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .fock import (
     _check_rank,
     _check_row,
     _moved,
-    _raw_ket,
     _recolored,
+    _reduced,
 )
 
 __all__ = [
@@ -74,7 +76,7 @@ class LinearOp:
     ``on_basis(state)`` returns ``(terms, den)``: the image of the state
     is the sum of coeff / den |s> over the (s, coeff) pairs of terms,
     every coeff an ``int``.  A ket is mapped by ``fock._apply_images``,
-    which divides once per output state.
+    which sums over one common denominator and reduces the ket once.
     """
 
     __slots__ = ("n", "label", "_on_basis")
@@ -103,7 +105,7 @@ def invariant_action(i: int, j: int, psi: Ket) -> Ket:
     n = psi.n
     _check_row(n, i)
     _check_row(n, j)
-    return _raw_ket(n, _bilinear_into({}, psi.terms, i, j))
+    return _reduced(n, _bilinear_into({}, psi._nums, i, j), psi._den)
 
 
 def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:
@@ -112,8 +114,7 @@ def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:
     States whose total reaches zero are dropped.  The loop is an inline
     copy of ``fock._accumulate``'s, kept on the figure cited there.
     """
-    # only an int scale is tested for 1, as in fock._accumulate
-    unit = type(scale) is int and scale == 1
+    unit = scale == 1
     for state, coeff in terms.items():
         if not unit:
             coeff = coeff * scale
@@ -148,8 +149,7 @@ def generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     Q[alpha, alpha] multiplies a basis state by count_alpha - quanta/N.
     Q[alpha, beta], alpha != beta, recolors one quantum per row, so an
     ``int`` ket stays ``int``.  The rule is ``_generator_on_basis``,
-    applied by ``fock._apply_images``: each output coefficient is an
-    ``int`` when it is integral and a ``Fraction`` otherwise.
+    applied by ``fock._apply_images`` over one common denominator.
     """
     _check_color(psi.n, alpha)
     _check_color(psi.n, beta)

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, islice, product
+from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from . import su3x
@@ -76,7 +77,8 @@ from .fock import (
     _check_rank,
     _compositions,
     _exact_int,
-    _raw_ket,
+    _reduced,
+    _sum,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -88,6 +90,7 @@ from .fock import (
     loads_ket,
     sector_size,
     vacuum,
+    zero_ket,
 )
 from .irreps import (
     AlgebraViolationError,
@@ -169,15 +172,15 @@ def _basis_kets(n: int, max_quanta: int):
 def _bracket_witness(kets, ops, brackets: dict) -> str | None:
     """The first failing bracket as ``"[x,y] on <where>"``, else None; see the module docstring."""
     for where, psi in kets:
-        if not psi.terms:
+        if not psi:
             continue
         image = {name: op(psi) for name, op in ops.items()}
         image[None] = psi
         for (x, y), right in brackets.items():
-            expect = ops[y](image[x]).terms
+            expect = ops[y](image[x])
             for z, c in right.items():
-                expect = _accumulate(dict(expect), image[z].terms.items(), c)
-            if ops[x](image[y]).terms != expect:
+                expect = _sum(expect, image[z], c)
+            if ops[x](image[y]) != expect:
                 return f"[{x},{y}] on {where}"
     return None
 
@@ -188,14 +191,29 @@ def _tabled(ops: dict) -> dict:
 
 
 def _through_table(op, images: dict, psi: Ket) -> Ket:
-    """The sum over the terms c |s> of psi of c op(|s>), each op(|s>) taken once and kept in images."""
+    """The sum over the terms c |s> of psi of c op(|s>), each op(|s>) taken once and kept in images.
+
+    Each image is kept as its integer numerators and denominator.  The
+    sum runs over the lcm of the denominators met so far, rescaled only
+    when a new one does not divide it: no ``lcm`` is taken while every
+    image is integral, as the images of ``algebra`` nearly all are.
+    """
     acc: dict = {}
-    for state, c in psi.terms.items():
+    den = 1
+    for state, v in psi._nums.items():
         image = images.get(state)
         if image is None:
-            image = images[state] = op(basis_ket(state)).terms.items()
-        _accumulate(acc, image, c)
-    return _raw_ket(psi.n, acc)
+            image = op(basis_ket(state))
+            image = images[state] = image._nums.items(), image._den
+        terms, d = image
+        if d != 1:
+            if den % d:
+                common = lcm(den, d)
+                acc = {s: c * (common // den) for s, c in acc.items()}
+                den = common
+            v *= den // d
+        _accumulate(acc, terms, v)
+    return _reduced(psi.n, acc, den * psi._den)
 
 
 def _named(name: str, action, index_tuples) -> dict:
@@ -263,11 +281,11 @@ def _adjointness_witness(n: int) -> str | None:
         raised, lowered = {}, {}
         for s in sources:
             image = apply_create(i, alpha, basis_ket(s))
-            for t in image.terms:
+            for t in image._nums:
                 raised[s, t] = inner_product(image, basis_ket(t))
         for t in targets:
             image = apply_annihilate(i, alpha, basis_ket(t))
-            for s in image.terms:
+            for s in image._nums:
                 lowered[s, t] = inner_product(basis_ket(s), image)
         for s, t in (*raised, *lowered):
             up, down = raised.get((s, t), 0), lowered.get((s, t), 0)
@@ -405,7 +423,7 @@ def _contraction_witness(n: int, m: int, table: dict) -> str | None:
     for l in range(1, n + 1):
         for k in range(1, m + 1):
             witness = _first_colors(
-                n, m, lambda a, b: su3x.trace_contract(traceless, a, b, l, k).terms
+                n, m, lambda a, b: su3x.trace_contract(traceless, a, b, l, k)
             )
             if witness is not None:
                 return f"positions ({l},{k}) at {witness}"
@@ -443,7 +461,7 @@ def suite_traceless(n_max: int | None = None, max_quanta: int | None = None) -> 
 
     bare = su3x.trace_contract(su3x.bare_state, (1,), (1,), 1, 1)
     yield "trace-contraction-negative-control", (
-        None if bare.terms else "the bare monomial contraction vanished"
+        None if bare else "the bare monomial contraction vanished"
     )
 
 
@@ -545,12 +563,12 @@ def _multiplicity_witnesses(n: int, basis: list[Ket]) -> tuple[str | None, str |
             for op, ladder in ladders.items():
                 image[op] = ladder(psi)
             for i, j, (word, outer, inner) in product(rows, rows, words):
-                op, terms = word.format(i, j), {}
+                op, total = word.format(i, j), zero_ket(n)
                 for g in colors:
-                    _accumulate(terms, ladders[outer.format(i, g)](image[inner.format(j, g)]).terms.items())
+                    total = _sum(total, ladders[outer.format(i, g)](image[inner.format(j, g)]))
                 if i == j:
-                    diagonal[op][id(psi)] = _raw_ket(n, terms)
-                elif offdiagonal is None and terms:
+                    diagonal[op][id(psi)] = total
+                elif offdiagonal is None and total:
                     offdiagonal = f"{op} on basis[{b}]"
         except SingularCoefficientError as err:
             failure = f"{op} on basis[{b}]: {err}"
@@ -619,9 +637,9 @@ def _pair_algebra_witness(max_quanta: int) -> str | None:
 def _tower_witness() -> str | None:
     lifted = su3x.pair_create(su3x.traceless_state(1, 1, (1,), (2,)))
     covariant = su3x.ab_casimir2_op()(lifted) == lifted * su3x.ab_casimir_eigenvalue(1, 1)
-    broken = bool(su3x.pair_annihilate(lifted).terms)
-    ok = bool(lifted.terms) and covariant and broken
-    return None if ok else f"lifted nonzero={bool(lifted.terms)} covariant={covariant} leaves-bottom={broken}"
+    broken = bool(su3x.pair_annihilate(lifted))
+    ok = bool(lifted) and covariant and broken
+    return None if ok else f"lifted nonzero={bool(lifted)} covariant={covariant} leaves-bottom={broken}"
 
 
 def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
@@ -630,7 +648,7 @@ def suite_sp2r(n_max: int | None = None, max_quanta: int = 6) -> Checks:
     for n in range(3):
         for m in range(3):
             yield f"lowest-weight[({n},{m})]", _first_colors(
-                n, m, lambda a, b: su3x.pair_annihilate(su3x.traceless_state(n, m, a, b)).terms
+                n, m, lambda a, b: su3x.pair_annihilate(su3x.traceless_state(n, m, a, b))
             )
 
     yield "tower-negative-control", _unless_raised(_tower_witness)

@@ -16,6 +16,16 @@ Kets are immutable values; every operation returns a new Ket.  All
 functions here are pure, so values can be shared freely between
 threads.
 
+A ket is stored as integer numerators over one positive common
+denominator, in lowest terms: the gcd of every numerator and the
+denominator is 1, no numerator is 0, and the zero ket has denominator
+1.  That form is canonical, so two kets are equal exactly when their
+numerator dicts and denominators are.  ``Ket.terms`` is the public
+view, state -> ``int`` when the coefficient is integral and
+``Fraction`` otherwise; it is the numerator dict itself when the
+denominator is 1 and is built afresh on each read otherwise, so the
+operators and the checks of the package read the numerators.
+
 States are hash-consed: every route that builds a ``FockState`` returns
 the one canonical object for its occupation matrix, so two states are
 equal exactly when they are the same object, and ``FockState`` keeps
@@ -32,17 +42,18 @@ pure-Python encoder, several times slower than the direct writer.
 Kets are summed by two private kernels here and one in ``algebra``:
 
 * ``_apply_images`` maps a ket by an integer rule on basis states,
-  ``(terms, den)``, and divides each output coefficient once.  Every
+  ``(terms, den)``: it sums integer products over one common
+  denominator and reduces the result once, with one ``gcd``.  Every
   operator that ``algebra``, ``isb`` and ``su3x`` define, bar
   ``invariant_action``, is such a rule: the su(N) and
   triplet/antitriplet generators, the Casimirs, the dressed ladders of
   both languages, the rank-4 gluing route, the pair ladders and the
   pair level.  It sums its integer products inline, on the figure in
   its docstring;
-* ``_accumulate`` adds (state, coeff) pairs into a dict: ket
-  construction, addition and subtraction, the per-state image tables
-  of the ``algebra`` suite, and the compositions inside the Casimir
-  rule and the gluing rule;
+* ``_accumulate`` adds (state, int) pairs into a dict: ket
+  construction, ``_sum`` (addition and subtraction), the per-state
+  image tables of the ``algebra`` suite, and the compositions inside
+  the Casimir rule and the gluing rule;
 * ``algebra._bilinear_into`` sums the image of an invariant bilinear
   in place, for ``invariant_action`` and the row sums of the dressed
   ladders, kept on its own figure (see ``_accumulate``).
@@ -58,7 +69,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -177,12 +188,15 @@ class Ket:
     """Finite linear combination of FockStates with exact coefficients.
 
     Coefficients must be ints or Fractions (``bool`` and ``float`` raise
-    ``ValueError``); zero terms are pruned on construction, so equality
-    of ``terms`` dicts is exact state equality.  Treat instances as
-    frozen.
+    ``ValueError``).  A ket holds integer numerators over one positive
+    denominator in lowest terms (see the module docstring), so equality
+    is exact state equality.  In ``terms`` a coefficient is an ``int``
+    exactly when it is integral, on every route: construction, the
+    operators, arithmetic and ``ket_from_document``.  Treat instances
+    as frozen.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_nums", "_den")
 
     def __init__(self, n: int, terms=None):
         _check_rank(n)
@@ -192,16 +206,27 @@ class Ket:
                 raise ValueError(f"every state of a rank-{n} ket must be a rank-{n} FockState")
             if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
                 raise ValueError(f"coefficients must be int or Fraction, got {coeff!r}")
+        den = lcm(*(c.denominator for _, c in items))
+        nums = _accumulate({}, ((s, c.numerator * (den // c.denominator)) for s, c in items))
         self.n = n
-        self.terms = _accumulate({}, items)
+        k = _reduced(n, nums, den)
+        self._nums, self._den = k._nums, k._den
+
+    @property
+    def terms(self) -> dict:
+        """State -> coefficient: an ``int`` when integral, a ``Fraction`` otherwise."""
+        den = self._den
+        if den == 1:
+            return self._nums
+        return {s: v // den if v % den == 0 else Fraction(v, den) for s, v in self._nums.items()}
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ket):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self._den == other._den and self._nums == other._nums
 
     def __add__(self, other: "Ket") -> "Ket":
         return self._combined(other, 1)
@@ -214,17 +239,15 @@ class Ket:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("cannot mix group ranks in one ket")
-        return _raw_ket(self.n, _accumulate(dict(self.terms), other.terms.items(), sign))
+        return _sum(self, other, sign)
 
     def __neg__(self) -> "Ket":
-        return _raw_ket(self.n, {s: -c for s, c in self.terms.items()})
+        return _reduced(self.n, {s: -v for s, v in self._nums.items()}, self._den)
 
     def __mul__(self, scalar) -> "Ket":
         if isinstance(scalar, bool) or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        if not scalar:
-            return _raw_ket(self.n, {})
-        return _raw_ket(self.n, {s: c * scalar for s, c in self.terms.items()})
+        return self._scaled(scalar.numerator, scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -233,10 +256,16 @@ class Ket:
             return NotImplemented
         if not scalar:
             raise ValueError("Ket division by zero")
-        return self.__mul__(Fraction(1, 1) / scalar)
+        return self._scaled(scalar.denominator, scalar.numerator)
+
+    def _scaled(self, num: int, den: int) -> "Ket":
+        # self * num / den, den nonzero
+        if not num:
+            return _reduced(self.n, {})
+        return _reduced(self.n, {s: v * num for s, v in self._nums.items()}, self._den * den)
 
     def __repr__(self) -> str:
-        return f"<Ket N={self.n}, {len(self.terms)} terms>"
+        return f"<Ket N={self.n}, {len(self._nums)} terms>"
 
 
 def _accumulate(acc: dict, terms, scale=1) -> dict:
@@ -252,8 +281,7 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     8 of 10 alternated 30-second harness pairs, with an IQR of 0.0082 s
     over the inline runs (2-core x86 box, Python 3.11).
     """
-    # only an int scale is tested for 1: comparing a Fraction to 1 costs more than it saves
-    unit = type(scale) is int and scale == 1
+    unit = scale == 1
     for state, coeff in terms:
         total = acc.get(state, 0) + (coeff if unit else coeff * scale)
         if total:
@@ -263,15 +291,25 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     return acc
 
 
+def _sum(psi: Ket, phi: Ket, scale: int = 1) -> Ket:
+    """psi + scale * phi over the lcm of their denominators, for an ``int`` scale."""
+    d1, d2 = psi._den, phi._den
+    if d1 == d2:
+        return _reduced(psi.n, _accumulate(dict(psi._nums), phi._nums.items(), scale), d1)
+    den = lcm(d1, d2)
+    acc = {s: v * (den // d1) for s, v in psi._nums.items()}
+    return _reduced(psi.n, _accumulate(acc, phi._nums.items(), scale * (den // d2)), den)
+
+
 def _apply_images(psi: Ket, on_basis, *args) -> Ket:
     """The linear extension to psi of ``on_basis(*args, state) -> (terms, den)``, terms over ints.
 
     The image of a basis state is the sum of coeff / den |s> over the
-    (s, coeff) pairs of terms.  Every input coefficient and image
-    denominator is brought to one common denominator, the integer
-    products are summed, and each output coefficient is divided once:
-    an ``int`` when the division is exact, a ``Fraction`` otherwise.
-    Every ladder and operator kept as integer basis images sums here.
+    (s, coeff) pairs of terms.  The image denominators are brought to
+    their lcm, the integer products with psi's numerators are summed,
+    and the sum over that lcm times psi's denominator is reduced once
+    (``_reduced``: no ``gcd`` when both are 1).  Every ladder and
+    operator kept as integer basis images sums here.
 
     The products are summed inline, a copy of ``_accumulate``'s loop.
     Against passing each image to ``_accumulate``, verify-all ``pass_s``
@@ -285,45 +323,54 @@ def _apply_images(psi: Ket, on_basis, *args) -> Ket:
     21 ms) but read build-sample ``pass_s`` slower in 20 of 20 harness
     pairs (median +5.5%).
     """
-    pieces = [(c, *on_basis(*args, s)) for s, c in psi.terms.items()]
-    common = lcm(*(c.denominator * den for c, _, den in pieces))
+    pieces = [(v, *on_basis(*args, s)) for s, v in psi._nums.items()]
+    common = lcm(*(den for _, _, den in pieces))
     acc: dict = {}
-    for c, terms, den in pieces:
-        scale = c.numerator * (common // (c.denominator * den))
+    for v, terms, den in pieces:
+        scale = v * (common // den)
         for state, coeff in terms:
             total = acc.get(state, 0) + coeff * scale
             if total:
                 acc[state] = total
             else:
                 acc.pop(state, None)
-    if common != 1:
-        for state, v in acc.items():
-            acc[state] = v // common if v % common == 0 else Fraction(v, common)
-    return _raw_ket(psi.n, acc)
+    return _reduced(psi.n, acc, common * psi._den)
 
 
-def _raw_ket(n: int, terms: dict) -> Ket:
-    # Trusted fast path: terms already pruned and rank-consistent.
+def _reduced(n: int, nums: dict, den: int = 1) -> Ket:
+    """The ket nums / den, nonzero ints over a nonzero int, in lowest terms; den 1 skips the ``gcd``.
+
+    The one trusted constructor: nums must be rank-consistent.  Dividing
+    by the gcd, negated for a negative den, leaves den positive.
+    """
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {s: v // g for s, v in nums.items()}
+            den //= g
     k = Ket.__new__(Ket)
     k.n = n
-    k.terms = terms
+    k._nums = nums
+    k._den = den
     return k
 
 
 def zero_ket(n: int) -> Ket:
     _check_rank(n)
-    return _raw_ket(n, {})
+    return _reduced(n, {})
 
 
 def vacuum(n: int) -> Ket:
     """The Fock vacuum |0> for rank n, with coefficient one."""
     _check_rank(n)
     empty = _unchecked_state(n, ((0,) * n,) * (n - 1))
-    return _raw_ket(n, {empty: 1})
+    return _reduced(n, {empty: 1})
 
 
 def basis_ket(state: FockState) -> Ket:
-    return _raw_ket(state.n, {state: 1})
+    return _reduced(state.n, {state: 1})
 
 
 # an index is an int in range: a float or bool one raises here, not as a TypeError deeper in
@@ -345,18 +392,18 @@ def _check_slot(n: int, i: int, alpha: int) -> None:
 def apply_create(i: int, alpha: int, psi: Ket) -> Ket:
     """Apply a+[i]^alpha: raise one occupation, coefficient unchanged."""
     _check_slot(psi.n, i, alpha)
-    return _raw_ket(psi.n, {_bumped(s, i, alpha, 1): c for s, c in psi.terms.items()})
+    return _reduced(psi.n, {_bumped(s, i, alpha, 1): v for s, v in psi._nums.items()}, psi._den)
 
 
 def apply_annihilate(i: int, alpha: int, psi: Ket) -> Ket:
     """Apply a[i]_alpha: lower one occupation, coefficient times old occupation."""
     _check_slot(psi.n, i, alpha)
     out = {}
-    for s, c in psi.terms.items():
+    for s, v in psi._nums.items():
         m = s.occ[i - 1][alpha - 1]
         if m:
-            out[_bumped(s, i, alpha, -1)] = m * c
-    return _raw_ket(psi.n, out)
+            out[_bumped(s, i, alpha, -1)] = m * v
+    return _reduced(psi.n, out, psi._den)
 
 
 def total_occupations(state: FockState) -> tuple[int, ...]:
@@ -389,7 +436,7 @@ def inner_product(phi: Ket, psi: Ket) -> Fraction:
     """
     if phi.n != psi.n:
         raise ValueError("cannot mix group ranks in an inner product")
-    small, big = phi.terms, psi.terms
+    small, big = phi._nums, psi._nums
     if len(big) < len(small):
         small, big = big, small
     total = 0
@@ -397,7 +444,7 @@ def inner_product(phi: Ket, psi: Ket) -> Fraction:
         d = big.get(s)
         if d is not None:
             total += c * d * factorial_weight(s)
-    return Fraction(total)
+    return Fraction(total, phi._den * psi._den)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -440,12 +487,14 @@ def _sector_totals(n: int, totals: Iterable[int]) -> tuple[int, ...]:
 
 
 def _sorted_terms(psi: Ket) -> Iterator[tuple[FockState, int, int]]:
-    """(state, numerator, denominator) of every term, sorted by occupation matrix."""
-    for state, c in sorted(psi.terms.items(), key=lambda term: term[0].occ):
-        if type(c) is int:
-            yield state, c, 1
+    """(state, numerator, denominator) of every term in lowest terms, sorted by occupation matrix."""
+    den = psi._den
+    for state, v in sorted(psi._nums.items(), key=lambda term: term[0].occ):
+        if den == 1:
+            yield state, v, 1
         else:
-            yield state, c.numerator, c.denominator
+            g = gcd(v, den)
+            yield state, v // g, den // g
 
 
 def ket_to_document(psi: Ket) -> dict:
@@ -478,7 +527,7 @@ def ket_from_document(doc: dict) -> Ket:
     if type(n) is not int or type(records) is not list:
         raise ValueError("a ket document needs an int N and a list of terms")
     _check_rank(n)  # a ket without terms builds no state that would check it
-    terms = {}
+    terms = []
     last = ()
     for record in records:
         if not isinstance(record, dict) or record.keys() != {"occ", "num", "den"}:
@@ -493,11 +542,12 @@ def ket_from_document(doc: dict) -> Ket:
         num, den = record["num"], record["den"]
         if type(num) is not str or type(den) is not str or int(den) <= 0:
             raise ValueError(f"num and den must be decimal strings, den positive; got {num!r}, {den!r}")
-        coeff = Fraction(int(num), int(den))
-        if not coeff or [str(coeff.numerator), str(coeff.denominator)] != [num, den]:
+        v, d = int(num), int(den)
+        if not v or gcd(v, d) != 1 or [str(v), str(d)] != [num, den]:
             raise ValueError(f"coefficient {num}/{den} of state {state.occ} is zero or not in lowest terms")
-        terms[state] = coeff
-    return _raw_ket(n, terms)
+        terms.append((state, v, d))
+    common = lcm(*(d for _, _, d in terms))
+    return _reduced(n, {state: v * (common // d) for state, v, d in terms}, common)
 
 
 def dumps_ket(psi: Ket) -> str:
@@ -529,7 +579,7 @@ def loads_ket(text: str) -> Ket:
 
 def format_ket(psi: Ket) -> str:
     """Human-readable rendering, terms in serialization order."""
-    if not psi.terms:
+    if not psi:
         return "0"
     parts = []
     for state, num, den in _sorted_terms(psi):

@@ -49,12 +49,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator
 
-from .algebra import casimir2_op, invariant_action
+from .algebra import _bilinear_into, casimir2_op
 from .fock import (
     Ket,
     _check_rank,
     _exact_int,
-    basis_ket,
     color_totals,
     enumerate_sector,
     vacuum,
@@ -164,7 +163,7 @@ def _monomials(label: IrrepLabel, indices: Iterable) -> Iterator[Ket]:
         del partial[keep + 1 :]
         for row, alpha, start in steps[keep:]:
             psi = partial[-1]
-            partial.append(isb_create(row, alpha, psi) if partial[start].terms else psi)
+            partial.append(isb_create(row, alpha, psi) if partial[start] else psi)
         path = steps
         yield partial[-1]
 
@@ -190,13 +189,15 @@ def constraint_residual(psi: Ket) -> ConstraintReport:
     The N-2 adjacent bilinears L[i,i+1] decide ``satisfied``: since
     [L[i,k], L[k,j]] = L[i,j], a ket they all annihilate is annihilated
     by every L[i,j], i < j.  Only when one of them fails are all
-    (N-1)(N-2)/2 bilinears applied, to name each violated one.
+    (N-1)(N-2)/2 bilinears applied, to name each violated one.  Each
+    acts on psi's integer numerators: whether an image vanishes does
+    not depend on psi's denominator.
     """
-    n = psi.n
-    if not any(invariant_action(i, i + 1, psi).terms for i in range(1, n - 1)):
+    n, nums = psi.n, psi._nums
+    if not any(_bilinear_into({}, nums, i, i + 1) for i in range(1, n - 1)):
         return ConstraintReport(True, ())
     violated = tuple(
-        (i, j) for i in range(1, n) for j in range(i + 1, n) if invariant_action(i, j, psi).terms
+        (i, j) for i in range(1, n) for j in range(i + 1, n) if _bilinear_into({}, nums, i, j)
     )
     return ConstraintReport(False, violated)
 
@@ -213,8 +214,8 @@ def _weight_blocks(label: IrrepLabel) -> Iterator[tuple[tuple, list, list[dict[i
     rows = range(1, label.n - 1)  # the constraints a+[i].a[i+1], i in rows
     for weight, states in sorted(blocks.items()):
         images = (
-            {(i, t): c for i in rows for t, c in invariant_action(i, i + 1, psi).terms.items()}
-            for psi in map(basis_ket, states)
+            {(i, t): c for i in rows for t, c in _bilinear_into({}, {state: 1}, i, i + 1).items()}
+            for state in states
         )
         yield weight, states, nullspace(images)
 
@@ -245,13 +246,15 @@ def monomial_rank(label: IrrepLabel) -> int:
     between colors, so every state of a monomial has its index's color
     weight; monomials of different weight share no state, and the rank
     is a sum of one ``linalg.rank`` per weight block.  Zero monomials
-    add nothing to a rank and are left out.
+    add nothing to a rank and are left out.  Each monomial enters as
+    its integer numerators: a vector's rank does not depend on its
+    scale.
     """
     blocks: dict = {}
     for psi in _monomials(label, distinct_multi_indices(label)):
-        terms = psi.terms
-        if terms:
-            blocks.setdefault(color_totals(next(iter(terms))), []).append(terms)
+        nums = psi._nums
+        if nums:
+            blocks.setdefault(color_totals(next(iter(nums))), []).append(nums)
     return sum(rank(block) for block in blocks.values())
 
 
@@ -260,17 +263,27 @@ def scalar_on(op: Callable[[Ket], Ket], kets: Iterable[Ket]) -> Fraction:
 
     Zero kets are skipped.  Raises ``AlgebraViolationError`` at the
     first ket (counted from 0, zero kets included) on which op is not
-    that scalar, and ``ValueError`` when no ket is nonzero.
+    that scalar, and ``ValueError`` when no ket is nonzero.  The image
+    is compared with psi by cross-multiplied integer numerators, and
+    one ``Fraction`` per ket holds the scalar.
     """
     scalar = None
     for pos, psi in enumerate(kets):
-        if not psi.terms:
+        nums = psi._nums
+        if not nums:
             continue
         image = op(psi)
-        state, coeff = next(iter(psi.terms.items()))
-        value = Fraction(image.terms.get(state, 0)) / Fraction(coeff)
-        if image != psi * value:
+        inums = image._nums
+        state, p = next(iter(nums.items()))
+        q = inums.get(state, 0)
+        # image = (q/p) psi in numerators: no state when q is 0, else psi's states and q v = p w on each
+        if q:
+            proportional = inums.keys() == nums.keys() and all(q * v == p * inums[t] for t, v in nums.items())
+        else:
+            proportional = not inums
+        if not proportional:
             raise AlgebraViolationError(f"image of ket {pos} is not proportional to it")
+        value = Fraction(q * psi._den, p * image._den)
         if scalar is None:
             scalar = value
         elif value != scalar:

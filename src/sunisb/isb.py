@@ -63,12 +63,12 @@ M_s[i,j] (E_j X_j) is summed in place into the row's accumulator, with
 its integer factor, by ``algebra._bilinear_into``: no ket is built per
 bilinear.  The denominator is a product, not an lcm: at rank 4 and row
 totals (1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link
-chain carries 1/4.  Applied to a ket, the basis images and the input
-coefficients share one common denominator, and each output
-coefficient is divided once: an ``int`` when exact, a ``Fraction``
-otherwise.  That sum is ``fock._apply_images``, which the Casimir of
-``algebra``, the ladders of ``su3x`` and the rank-4 gluing route
-``isb_create_iterative`` share.
+chain carries 1/4.  Applied to a ket, whose integer numerators share
+one denominator, the basis images are brought to one common
+denominator, the integer products are summed, and the output ket is
+reduced once to lowest terms.  That sum is ``fock._apply_images``,
+which the Casimir of ``algebra``, the ladders of ``su3x`` and the
+rank-4 gluing route ``isb_create_iterative`` share.
 """
 
 from __future__ import annotations

@@ -2,14 +2,18 @@
 
 A vector is a dict from any hashable key to an exact ``int`` or
 ``Fraction`` (any other entry, ``bool`` and ``float`` included, raises
-``ValueError``); absent keys are zero.  Callers split their systems
-into color-weight blocks before coming here, which bounds how many
-pivot rows each vector is reduced against.
+``ValueError``); absent keys are zero.  Callers inside the package
+pass integer vectors: the numerators of a ket, or the images of basis
+states, whose span does not depend on a ket's denominator.  A
+``Fraction`` entry from an outside caller is accepted.  Callers split
+their systems into color-weight blocks before coming here, which
+bounds how many pivot rows each vector is reduced against.
 
 Vectors are taken one at a time, in order.  Each is scaled to
-integers and reduced against the independent vectors before it; one
-that reduces to zero is dependent, and its integer relation over the
-earlier vectors is unique up to scale.  So the rank, the set of
+integers (an integer vector as it is) and reduced against the
+independent vectors before it; one that reduces to zero is dependent,
+and its integer relation over the earlier vectors is unique up to
+scale.  So the rank, the set of
 dependent vectors and the primitive null vectors do not depend on
 which keys serve as pivots: every result is deterministic.
 ``nullspace`` returns those relations, sparse, as ``{position: int}``.
@@ -35,10 +39,15 @@ def _relations(vectors: Iterable[Mapping[Hashable, object]]) -> Iterator[dict[in
     """
     pivots: list[tuple[Hashable, dict, dict[int, int]]] = []
     for pos, vector in enumerate(vectors):
-        if not _EXACT.issuperset(map(type, vector.values())):
+        types = set(map(type, vector.values()))
+        if not _EXACT.issuperset(types):
             raise ValueError(f"vector {pos} has an entry that is not an int or Fraction")
-        scale = lcm(*(c.denominator for c in vector.values()))
-        row = {k: c.numerator * (scale // c.denominator) for k, c in vector.items() if c}
+        if Fraction in types:
+            scale = lcm(*(c.denominator for c in vector.values()))
+            row = {k: c.numerator * (scale // c.denominator) for k, c in vector.items() if c}
+        else:
+            scale = 1
+            row = {k: c for k, c in vector.items() if c}
         rel = {pos: scale}
         # Each pivot row holds no pivot key of an earlier row, so eliminating
         # the keys in insertion order never brings an eliminated key back.

@@ -36,10 +36,13 @@ Shared generic helpers: ``fock._apply_images``, ``algebra.casimir_op``,
 ``linalg.rank`` and ``irreps.scalar_on``.  The pair ladders, the pair
 level and both dressed creations (one routine, ``_dressed_create``)
 keep one integer image per basis state over one denominator, as the
-Casimir does; a ket is mapped by ``fock._apply_images``, which divides
-each output coefficient once.  The traceless states are compositions
-of the pair ladders.  Every map of a ket here takes rank-3 kets only and raises
-``ValueError`` on any other, as ``algebra.LinearOp`` does.
+Casimir does; a ket is mapped by ``fock._apply_images``, which sums
+over one common denominator and reduces the output ket once.  Both
+rank calls hand ``linalg`` the kets' integer numerators: a vector's
+rank does not depend on its scale.  The traceless states are
+compositions of the pair ladders.  Every map of a ket here takes
+rank-3 kets only and raises ``ValueError`` on any other, as
+``algebra.LinearOp`` does.
 """
 
 from __future__ import annotations
@@ -326,7 +329,7 @@ def _traceless_family(n: int, m: int) -> Iterator[Ket]:
 
 def ab_dimension(n: int, m: int) -> int:
     """Rank of the traceless family's coefficient vectors; zero states count as dependent."""
-    return rank(k.terms for k in _traceless_family(n, m))
+    return rank(k._nums for k in _traceless_family(n, m))
 
 
 def ab_casimir_eigenvalue(n: int, m: int) -> Fraction:
@@ -370,7 +373,7 @@ def compare_languages(label: IrrepLabel) -> LanguageComparison:
         label=label,
         nm=nm,
         two_triplet_dimension=nullspace_dimension(label),
-        ab_dimension=rank(k.terms for k in family),
+        ab_dimension=rank(k._nums for k in family),
         two_triplet_casimir=casimir_eigenvalue(label),
         ab_casimir=scalar_on(ab_casimir2_op(), family),
     )

@@ -8,8 +8,9 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given
@@ -117,6 +118,21 @@ class TestKet:
         assert not Ket(2, [(s, 2), (s, -2)])
         assert Ket(2, [(s, 1), (s, Fraction(1, 3))]).terms == {s: Fraction(4, 3)}
 
+    def test_an_integral_coefficient_is_an_int_on_every_route(self):
+        s = FockState(3, ((1, 0, 0), (0, 2, 0)))
+        record = {"occ": [[1, 0, 0], [0, 2, 0]], "num": "-7", "den": "1"}
+        routes = [
+            ((basis_ket(s) * Fraction(1, 2)) * 2, 1),
+            (basis_ket(s) / 3 + basis_ket(s) * Fraction(2, 3), 1),
+            (Ket(3, {s: Fraction(4, 1)}), 4),
+            (ket_from_document({"N": 3, "convention": "unnormalized-monomial", "terms": [record]}), -7),
+            (basis_ket(s) * 6 / Fraction(-3, 2), -4),
+            (apply_annihilate(2, 2, apply_create(2, 2, basis_ket(s)) / 3), 1),
+        ]
+        for psi, value in routes:
+            assert psi.terms == {s: value}
+            assert type(psi.terms[s]) is int
+
 
 @st.composite
 def image_cases(draw):
@@ -131,7 +147,8 @@ def image_cases(draw):
     coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool)
     psi = Ket(n, draw(st.dictionaries(st.sampled_from(pool), coeffs, min_size=size, max_size=size)))
     image_terms = st.lists(st.tuples(st.sampled_from(pool), st.integers(-4, 4)), max_size=4)
-    images = {s: (draw(image_terms), draw(st.integers(1, 6))) for s in pool}
+    # a dressing denominator outside the ordered regime is negative
+    images = {s: (draw(image_terms), draw(st.integers(-6, 6).filter(bool))) for s in pool}
     return psi, images
 
 
@@ -232,9 +249,13 @@ class TestSectors:
             vacuum(n)
 
 
-def kets(n: int):
+def term_dicts(n: int):
     coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool)
-    return st.dictionaries(states(n), coeffs, max_size=4).map(lambda terms: Ket(n, terms))
+    return st.dictionaries(states(n), coeffs, max_size=4)
+
+
+def kets(n: int):
+    return term_dicts(n).map(lambda terms: Ket(n, terms))
 
 
 ket_documents = st.integers(2, 4).flatmap(kets).map(ket_to_document)
@@ -450,6 +471,111 @@ def test_format_ket_readable():
     assert format_ket(basis_ket(FockState(2, ((0, 2),))) * 3) == "3 |0 2>"
 
 
+def operator_images(psi: Ket, phi: Ket, data) -> Iterator[Ket]:
+    """The image of psi under every operator of the package, bar a vanishing dressing denominator.
+
+    Ladders, bilinears, generators, Casimirs, ket arithmetic with phi and a
+    drawn scalar, and a byte round trip; at rank 3 the su(3) operators, at
+    rank 4 the gluing route.
+    """
+    n = psi.n
+    row, color = data.draw(slots(n))
+    other = data.draw(st.integers(1, n - 1))
+    alpha, beta = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
+    scalar = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool))
+    images = [
+        lambda: apply_create(row, color, psi),
+        lambda: apply_annihilate(row, color, psi),
+        lambda: algebra.invariant_action(row, other, psi),
+        lambda: algebra.generator_action(alpha, beta, psi),
+        lambda: isb.isb_create(row, color, psi),
+        lambda: isb.isb_annihilate(row, color, psi),
+        lambda: algebra.casimir2_op(n)(psi),
+        lambda: psi + phi,
+        lambda: psi - phi,
+        lambda: -psi,
+        lambda: psi * scalar,
+        lambda: psi / scalar,
+        lambda: loads_ket(dumps_ket(psi)),
+    ]
+    if n == 3:
+        images += [
+            lambda: su3x.pair_create(psi),
+            lambda: su3x.pair_annihilate(psi),
+            lambda: su3x.pair_level(psi),
+            lambda: su3x.dressed_create_a(alpha, psi),
+            lambda: su3x.dressed_create_b(alpha, psi),
+            lambda: su3x.ab_generator_action(alpha, beta, psi),
+        ]
+    if n == 4:
+        images.append(lambda: isb.isb_create_iterative(color, psi))
+    for image in images:
+        try:
+            yield image()
+        except isb.SingularCoefficientError:
+            continue
+
+
+def in_lowest_terms(psi: Ket) -> bool:
+    """Nonzero int numerators over a positive int denominator, gcd 1; the zero ket over 1."""
+    nums, den = psi._nums, psi._den
+    exact = type(den) is int and all(type(v) is int and v for v in nums.values())
+    return exact and den > 0 and gcd(den, *nums.values()) == 1
+
+
+def lowest_terms(coeffs: dict) -> tuple[dict, int]:
+    """The (numerators, denominator) form of a dict of nonzero exact coefficients, built in Fractions."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    return {s: int(Fraction(c) * den) for s, c in coeffs.items()}, den
+
+
+def fraction_sum(*scaled: tuple[dict, Fraction]) -> dict:
+    """The sum of scale * coeff over the (terms, scale) pairs, in Fractions, zeros dropped."""
+    total: dict = {}
+    for terms, scale in scaled:
+        for s, c in terms.items():
+            total[s] = total.get(s, 0) + Fraction(c) * scale
+    return {s: c for s, c in total.items() if c}
+
+
+class TestLowestTerms:
+    """A ket is integer numerators over one positive denominator, in lowest terms, on every route."""
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(kets(n), kets(n))), st.data())
+    def test_every_operator_returns_the_canonical_form(self, pair, data):
+        assert all(in_lowest_terms(psi) for psi in pair)
+        for out in operator_images(*pair, data):
+            assert in_lowest_terms(out)
+
+    @given(
+        st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), term_dicts(n), term_dicts(n))),
+        st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6)).filter(bool),
+    )
+    def test_arithmetic_equals_the_fraction_reference(self, data, scalar):
+        n, a, b = data
+        psi, phi = Ket(n, a), Ket(n, b)
+        cases = [
+            (psi, fraction_sum((a, 1))),
+            (psi + phi, fraction_sum((a, 1), (b, 1))),
+            (psi - phi, fraction_sum((a, 1), (b, -1))),
+            (psi * scalar, fraction_sum((a, scalar))),
+            (psi / scalar, fraction_sum((a, 1 / Fraction(scalar)))),
+        ]
+        for got, expected in cases:
+            assert (got._nums, got._den) == lowest_terms(expected)
+            # the public view: an int exactly when the coefficient is integral
+            assert got.terms == expected
+            assert {s: type(c) for s, c in got.terms.items()} == {
+                s: int if c.denominator == 1 else Fraction for s, c in expected.items()
+            }
+
+    @given(image_cases())
+    def test_apply_images_equals_the_fraction_reference(self, case):
+        psi, images = case
+        got = fock._apply_images(psi, images.__getitem__)
+        assert (got._nums, got._den) == lowest_terms(reference_images(psi, images))
+
+
 def sectors(n: int):
     return st.tuples(st.just(n), st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
 
@@ -507,42 +633,7 @@ class TestCanonicalStates:
 
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(kets(n), kets(n))), st.data())
     def test_every_operator_returns_table_states(self, pair, data):
-        psi, phi = pair
-        n = psi.n
-        row, color = data.draw(slots(n))
-        other = data.draw(st.integers(1, n - 1))
-        alpha, beta = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
-        scalar = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool))
-        images = [
-            lambda: apply_create(row, color, psi),
-            lambda: apply_annihilate(row, color, psi),
-            lambda: algebra.invariant_action(row, other, psi),
-            lambda: algebra.generator_action(alpha, beta, psi),
-            lambda: isb.isb_create(row, color, psi),
-            lambda: isb.isb_annihilate(row, color, psi),
-            lambda: algebra.casimir2_op(n)(psi),
-            lambda: psi + phi,
-            lambda: psi - phi,
-            lambda: psi * scalar,
-            lambda: psi / scalar,
-            lambda: loads_ket(dumps_ket(psi)),
-        ]
-        if n == 3:
-            images += [
-                lambda: su3x.pair_create(psi),
-                lambda: su3x.pair_annihilate(psi),
-                lambda: su3x.pair_level(psi),
-                lambda: su3x.dressed_create_a(alpha, psi),
-                lambda: su3x.dressed_create_b(alpha, psi),
-                lambda: su3x.ab_generator_action(alpha, beta, psi),
-            ]
-        if n == 4:
-            images.append(lambda: isb.isb_create_iterative(color, psi))
-        for image in images:
-            try:
-                out = image()
-            except isb.SingularCoefficientError:
-                continue
+        for out in operator_images(*pair, data):
             assert all(s is fock._STATES[s.occ] for s in out.terms)
 
     @given(st.integers(2, 4).flatmap(kets))

@@ -185,6 +185,19 @@ class TestMonomials:
         assert (count, nonzero) == (1291, 864)
         assert digest.hexdigest() == "e5184ca5e8e6ef655adea3e1ef84013af91a3ada11d19d48af9cf6acfeb40e95"
 
+    def test_serialization_family_documents_pinned(self):
+        # SHA-256 over the serialized kets of every family the serialization suite
+        # round-trips at n_max = max_quanta = 4, in order: besides monomials and
+        # null vectors, the traceless, pair-ladder, iterative-image and zero kets
+        digest = hashlib.sha256()
+        count = 0
+        for _, kets in checks._serialization_families(4, 4):
+            for psi in kets:
+                digest.update(dumps_ket(psi).encode())
+                count += 1
+        assert count == 976
+        assert digest.hexdigest() == "7b8351c1f8295116945e6c589c104c957e2a2bd49489a7b43f695dcefb234af6"
+
 
 def reference_monomial(label, idx):
     """The per-index build: each row's creations in turn, stopping after a row that leaves the zero ket."""
