@@ -58,8 +58,9 @@ from .fock import (
     _check_rank,
     _check_row,
     _moved,
+    _numerators,
     _recolored,
-    _reduced,
+    _with_numerators,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ def invariant_action(i: int, j: int, psi: Ket) -> Ket:
     n = psi.n
     _check_row(n, i)
     _check_row(n, j)
-    return _reduced(n, _bilinear_into({}, psi._nums, i, j), psi._den)
+    return _with_numerators(psi, _bilinear_into({}, _numerators(psi), i, j))
 
 
 def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:

@@ -66,18 +66,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, islice, product
-from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from . import su3x
 from .algebra import casimir2_op, generator_action, invariant_action
 from .fock import (
     Ket,
-    _accumulate,
+    _apply_tabled,
     _check_rank,
     _compositions,
     _exact_int,
-    _reduced,
     _sum,
     apply_annihilate,
     apply_create,
@@ -187,33 +185,7 @@ def _bracket_witness(kets, ops, brackets: dict) -> str | None:
 
 def _tabled(ops: dict) -> dict:
     """Each op of ops mapping kets through its own per-state image table; see the module docstring."""
-    return {name: partial(_through_table, op, {}) for name, op in ops.items()}
-
-
-def _through_table(op, images: dict, psi: Ket) -> Ket:
-    """The sum over the terms c |s> of psi of c op(|s>), each op(|s>) taken once and kept in images.
-
-    Each image is kept as its integer numerators and denominator.  The
-    sum runs over the lcm of the denominators met so far, rescaled only
-    when a new one does not divide it: no ``lcm`` is taken while every
-    image is integral, as the images of ``algebra`` nearly all are.
-    """
-    acc: dict = {}
-    den = 1
-    for state, v in psi._nums.items():
-        image = images.get(state)
-        if image is None:
-            image = op(basis_ket(state))
-            image = images[state] = image._nums.items(), image._den
-        terms, d = image
-        if d != 1:
-            if den % d:
-                common = lcm(den, d)
-                acc = {s: c * (common // den) for s, c in acc.items()}
-                den = common
-            v *= den // d
-        _accumulate(acc, terms, v)
-    return _reduced(psi.n, acc, den * psi._den)
+    return {name: partial(_apply_tabled, op, {}) for name, op in ops.items()}
 
 
 def _named(name: str, action, index_tuples) -> dict:
@@ -281,11 +253,11 @@ def _adjointness_witness(n: int) -> str | None:
         raised, lowered = {}, {}
         for s in sources:
             image = apply_create(i, alpha, basis_ket(s))
-            for t in image._nums:
+            for t in image.terms:
                 raised[s, t] = inner_product(image, basis_ket(t))
         for t in targets:
             image = apply_annihilate(i, alpha, basis_ket(t))
-            for s in image._nums:
+            for s in image.terms:
                 lowered[s, t] = inner_product(basis_ket(s), image)
         for s, t in (*raised, *lowered):
             up, down = raised.get((s, t), 0), lowered.get((s, t), 0)

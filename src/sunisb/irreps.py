@@ -54,6 +54,8 @@ from .fock import (
     Ket,
     _check_rank,
     _exact_int,
+    _numerators,
+    _ratio,
     color_totals,
     enumerate_sector,
     vacuum,
@@ -193,7 +195,7 @@ def constraint_residual(psi: Ket) -> ConstraintReport:
     acts on psi's integer numerators: whether an image vanishes does
     not depend on psi's denominator.
     """
-    n, nums = psi.n, psi._nums
+    n, nums = psi.n, _numerators(psi)
     if not any(_bilinear_into({}, nums, i, i + 1) for i in range(1, n - 1)):
         return ConstraintReport(True, ())
     violated = tuple(
@@ -252,7 +254,7 @@ def monomial_rank(label: IrrepLabel) -> int:
     """
     blocks: dict = {}
     for psi in _monomials(label, distinct_multi_indices(label)):
-        nums = psi._nums
+        nums = _numerators(psi)
         if nums:
             blocks.setdefault(color_totals(next(iter(nums))), []).append(nums)
     return sum(rank(block) for block in blocks.values())
@@ -264,26 +266,15 @@ def scalar_on(op: Callable[[Ket], Ket], kets: Iterable[Ket]) -> Fraction:
     Zero kets are skipped.  Raises ``AlgebraViolationError`` at the
     first ket (counted from 0, zero kets included) on which op is not
     that scalar, and ``ValueError`` when no ket is nonzero.  The image
-    is compared with psi by cross-multiplied integer numerators, and
-    one ``Fraction`` per ket holds the scalar.
+    is compared with psi by ``fock._ratio``, on integer numerators.
     """
     scalar = None
     for pos, psi in enumerate(kets):
-        nums = psi._nums
-        if not nums:
+        if not psi:
             continue
-        image = op(psi)
-        inums = image._nums
-        state, p = next(iter(nums.items()))
-        q = inums.get(state, 0)
-        # image = (q/p) psi in numerators: no state when q is 0, else psi's states and q v = p w on each
-        if q:
-            proportional = inums.keys() == nums.keys() and all(q * v == p * inums[t] for t, v in nums.items())
-        else:
-            proportional = not inums
-        if not proportional:
+        value = _ratio(op(psi), psi)
+        if value is None:
             raise AlgebraViolationError(f"image of ket {pos} is not proportional to it")
-        value = Fraction(q * psi._den, p * image._den)
         if scalar is None:
             scalar = value
         elif value != scalar:

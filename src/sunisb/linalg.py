@@ -10,10 +10,9 @@ their systems into color-weight blocks before coming here, which
 bounds how many pivot rows each vector is reduced against.
 
 Vectors are taken one at a time, in order.  Each is scaled to
-integers (an integer vector as it is) and reduced against the
-independent vectors before it; one that reduces to zero is dependent,
-and its integer relation over the earlier vectors is unique up to
-scale.  So the rank, the set of
+integers and reduced against the independent vectors before it; one
+that reduces to zero is dependent, and its integer relation over the
+earlier vectors is unique up to scale.  So the rank, the set of
 dependent vectors and the primitive null vectors do not depend on
 which keys serve as pivots: every result is deterministic.
 ``nullspace`` returns those relations, sparse, as ``{position: int}``.
@@ -39,15 +38,10 @@ def _relations(vectors: Iterable[Mapping[Hashable, object]]) -> Iterator[dict[in
     """
     pivots: list[tuple[Hashable, dict, dict[int, int]]] = []
     for pos, vector in enumerate(vectors):
-        types = set(map(type, vector.values()))
-        if not _EXACT.issuperset(types):
+        if not _EXACT.issuperset(map(type, vector.values())):
             raise ValueError(f"vector {pos} has an entry that is not an int or Fraction")
-        if Fraction in types:
-            scale = lcm(*(c.denominator for c in vector.values()))
-            row = {k: c.numerator * (scale // c.denominator) for k, c in vector.items() if c}
-        else:
-            scale = 1
-            row = {k: c for k, c in vector.items() if c}
+        scale = lcm(*(c.denominator for c in vector.values()))
+        row = {k: c.numerator * (scale // c.denominator) for k, c in vector.items() if c}
         rel = {pos: scale}
         # Each pivot row holds no pivot key of an earlier row, so eliminating
         # the keys in insertion order never brings an eliminated key back.

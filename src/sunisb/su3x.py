@@ -61,6 +61,7 @@ from .fock import (
     _bumped,
     _check_color,
     _exact_int,
+    _numerators,
     _recolored,
     _unchecked_state,
     apply_create,
@@ -329,7 +330,7 @@ def _traceless_family(n: int, m: int) -> Iterator[Ket]:
 
 def ab_dimension(n: int, m: int) -> int:
     """Rank of the traceless family's coefficient vectors; zero states count as dependent."""
-    return rank(k._nums for k in _traceless_family(n, m))
+    return rank(map(_numerators, _traceless_family(n, m)))
 
 
 def ab_casimir_eigenvalue(n: int, m: int) -> Fraction:
@@ -373,7 +374,7 @@ def compare_languages(label: IrrepLabel) -> LanguageComparison:
         label=label,
         nm=nm,
         two_triplet_dimension=nullspace_dimension(label),
-        ab_dimension=rank(k._nums for k in family),
+        ab_dimension=rank(map(_numerators, family)),
         two_triplet_casimir=casimir_eigenvalue(label),
         ab_casimir=scalar_on(ab_casimir2_op(), family),
     )

@@ -575,6 +575,24 @@ class TestLowestTerms:
         got = fock._apply_images(psi, images.__getitem__)
         assert (got._nums, got._den) == lowest_terms(reference_images(psi, images))
 
+    @given(image_cases())
+    def test_apply_tabled_equals_the_fraction_reference(self, case):
+        psi, images = case
+        table: dict = {}
+        op = lambda ket: fock._apply_images(ket, images.__getitem__)  # noqa: E731
+        for _ in range(2):  # the second pass reads every image from the table
+            got = fock._apply_tabled(op, table, psi)
+            assert (got._nums, got._den) == lowest_terms(reference_images(psi, images))
+            assert got == op(psi)
+
+    def test_apply_tabled_scales_an_integral_image_after_a_fractional_one(self):
+        first, later, target = (FockState(2, ((k, 0),)) for k in (1, 2, 3))
+        images = {first: ([(target, 1)], 2), later: ([(target, 3)], 1)}
+        op = lambda ket: fock._apply_images(ket, images.__getitem__)  # noqa: E731
+        psi = Ket(2, {first: 1, later: 1})
+        assert list(psi.terms) == [first, later]
+        assert fock._apply_tabled(op, {}, psi) == op(psi) == basis_ket(target) * Fraction(7, 2)
+
 
 def sectors(n: int):
     return st.tuples(st.just(n), st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
