@@ -38,9 +38,9 @@ composes the rule on each basis state alike for every ordered pair
 (a, b), a = b included: the terms of Q[b,a] on the state, each mapped
 by Q[a,b].  Each basis image is kept as ints over one denominator, in
 a memo that lives as long as the operator.  ``LinearOp`` applies such
-images through ``fock._apply_images``, the integer kernel of the
-dressed ladders, which sums integer products over one common
-denominator and reduces the output ket once.
+images through ``fock._apply_images``, the one kernel that maps a ket
+by integer basis images, which sums integer products over a running
+common denominator and reduces the output ket once.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class LinearOp:
     ``on_basis(state)`` returns ``(terms, den)``: the image of the state
     is the sum of coeff / den |s> over the (s, coeff) pairs of terms,
     every coeff an ``int``.  A ket is mapped by ``fock._apply_images``,
-    which sums over one common denominator and reduces the ket once.
+    which sums over a running common denominator and reduces the ket
+    once.
     """
 
     __slots__ = ("n", "label", "_on_basis")
@@ -150,7 +151,7 @@ def generator_action(alpha: int, beta: int, psi: Ket) -> Ket:
     Q[alpha, alpha] multiplies a basis state by count_alpha - quanta/N.
     Q[alpha, beta], alpha != beta, recolors one quantum per row, so an
     ``int`` ket stays ``int``.  The rule is ``_generator_on_basis``,
-    applied by ``fock._apply_images`` over one common denominator.
+    applied by ``fock._apply_images``.
     """
     _check_color(psi.n, alpha)
     _check_color(psi.n, beta)

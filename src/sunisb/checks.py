@@ -29,15 +29,16 @@ table of structure constants, (x, y) -> {z: c} for [x, y] = sum_z c z
 over op names, None naming the identity.  It takes each op's image of a
 ket once; ops are bound when it runs, so a perturbed operator reaches it.
 The two ``algebra`` witnesses hand it their Q[a,b] and L[i,j] ops through
-``_tabled``: a per-state image table, living for one witness call, that
-takes each op's image of a basis state once, by the bound op on
-``basis_ket(state)``, and maps every ket as the linear sum of those
-images.  Q and L keep the number of quanta, so every state a bracket meets
-is a state of the sweep and each image is reused.  Only there: the ladders
-of ``fock``, ``commutators`` and ``sp2r`` change the number of quanta, so
-most of their images would be taken once and never met again; tabling
-every op of the kernel took ``commutators`` at ``n_max=3`` from 68 to
-99 ms and ``sp2r`` from 65 to 71 ms.
+``_tabled``: per op a ``fock._BasisImages`` table, living for one witness
+call, that takes the op's image of a basis state once, by the bound op on
+``basis_ket(state)``, and is the rule by which ``fock._apply_images``, the
+kernel of every operator of the package, maps each ket.  Q and L keep the
+number of quanta, so every state a bracket meets is a state of the sweep
+and each image is reused.  Only there: the ladders of ``fock``,
+``commutators`` and ``sp2r`` change the number of quanta, so most of
+their images would be taken once and never met again; tabling every op
+of the kernel took ``commutators`` at ``n_max=3`` from 68 to 99 ms and
+``sp2r`` from 65 to 71 ms.
 The multiplicity check is built the same way: one table of dressed
 ladders, each imaging a basis vector once, and one two-word table,
 (name, outer, inner), for the products A+[i].A[j] and A[i].A+[j].
@@ -72,7 +73,8 @@ from . import su3x
 from .algebra import casimir2_op, generator_action, invariant_action
 from .fock import (
     Ket,
-    _apply_tabled,
+    _apply_images,
+    _BasisImages,
     _check_rank,
     _compositions,
     _exact_int,
@@ -185,7 +187,9 @@ def _bracket_witness(kets, ops, brackets: dict) -> str | None:
 
 def _tabled(ops: dict) -> dict:
     """Each op of ops mapping kets through its own per-state image table; see the module docstring."""
-    return {name: partial(_apply_tabled, op, {}) for name, op in ops.items()}
+    rules = {name: _BasisImages(op).__getitem__ for name, op in ops.items()}
+    # the default binds each lambda to its own op's rule
+    return {name: lambda psi, rule=rule: _apply_images(psi, rule) for name, rule in rules.items()}
 
 
 def _named(name: str, action, index_tuples) -> dict:

@@ -29,7 +29,7 @@ form only through the private helpers here: ``_numerators`` (a ket
 scaled to integers, for the eliminator and the constraint test),
 ``_with_numerators`` (an integer linear image over the ket's
 denominator), ``_sum``, ``_ratio`` (the scalar of a proportional
-image) and ``_apply_tabled``.
+image) and ``_BasisImages`` (a per-state image table).
 
 States are hash-consed: every route that builds a ``FockState`` returns
 the one canonical object for its occupation matrix, so two states are
@@ -44,24 +44,22 @@ addresses.  The table ``_STATES`` lives as long as the process, like
 directly: before Python 3.13 an indented ``json.dumps`` runs the
 pure-Python encoder, several times slower than the direct writer.
 
-Kets are summed by three private kernels here and one in ``algebra``:
+Kets are summed by two private kernels here and one in ``algebra``:
 
 * ``_apply_images`` maps a ket by an integer rule on basis states,
-  ``(terms, den)``: it sums integer products over one common
-  denominator and reduces the result once, with one ``gcd``.  Every
+  ``(terms, den)``: it sums integer products over a running common
+  denominator, rescaled only when an image's denominator does not
+  divide it, and reduces the result once, with one ``gcd``.  Every
   operator that ``algebra``, ``isb`` and ``su3x`` define, bar
   ``invariant_action``, is such a rule: the su(N) and
   triplet/antitriplet generators, the Casimirs, the dressed ladders of
   both languages, the rank-4 gluing route, the pair ladders and the
-  pair level.  It sums its integer products inline, on the figure in
-  its docstring;
+  pair level.  So is the per-state image table of an op,
+  ``_BasisImages``, through which the ``algebra`` suite maps its kets.
+  The products are summed inline (see ``_apply_images``);
 * ``_accumulate`` adds (state, int) pairs into a dict: ket
-  construction, ``_sum`` (addition and subtraction), the per-state
-  image tables of the ``algebra`` suite, and the compositions inside
-  the Casimir rule and the gluing rule;
-* ``_apply_tabled`` maps a ket by an operator whose basis images it
-  keeps in a table, for the ``algebra`` suite; it takes an ``lcm``
-  only when an image's denominator does not divide the running one;
+  construction, ``_sum`` (addition and subtraction), and the
+  compositions inside the Casimir rule and the gluing rule;
 * ``algebra._bilinear_into`` sums the image of an invariant bilinear
   in place, for ``invariant_action`` and the row sums of the dressed
   ladders, kept on its own figure (see ``_accumulate``).
@@ -280,10 +278,11 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
     """Add scale * coeff into acc for every (state, coeff) of terms, in place; return acc.
 
     States whose total reaches zero are dropped.  Two inline copies of
-    this loop are kept, each on its own figure: ``_apply_images`` (see
-    there), and ``algebra._bilinear_into``, which sums each invariant
-    bilinear in place, for ``invariant_action`` and every row sum of
-    the dressed ladders.  For the latter, against the same code passing
+    this loop are kept: ``_apply_images``, the one kernel that maps a
+    ket by integer basis images (see there), and
+    ``algebra._bilinear_into``, which sums each invariant bilinear in
+    place, for ``invariant_action`` and every row sum of the dressed
+    ladders.  For the latter, against the same code passing
     its terms to this function as a generator expression, build-sample
     ``pass_s`` is 0.2275 s inline against 0.2414 s (medians), lower in
     8 of 10 alternated 30-second harness pairs, with an IQR of 0.0082 s
@@ -313,28 +312,34 @@ def _apply_images(psi: Ket, on_basis, *args) -> Ket:
     """The linear extension to psi of ``on_basis(*args, state) -> (terms, den)``, terms over ints.
 
     The image of a basis state is the sum of coeff / den |s> over the
-    (s, coeff) pairs of terms.  The image denominators are brought to
-    their lcm, the integer products with psi's numerators are summed,
-    and the sum over that lcm times psi's denominator is reduced once
-    (``_reduced``: no ``gcd`` when both are 1).  Every ladder and
-    operator kept as integer basis images sums here.
+    (s, coeff) pairs of terms, den a nonzero ``int`` of either sign.
+    The integer products with psi's numerators are summed over a
+    running positive denominator, the lcm of the image denominators met
+    so far: each image's terms are scaled to it, and the partial sum is
+    rescaled only when an image's denominator does not divide it, so
+    while every image is integral no ``lcm`` is taken.  The sum over
+    that denominator times psi's is reduced once (``_reduced``: no
+    ``gcd`` when both are 1).  Every ladder and operator kept as integer
+    basis images sums here, and so do the per-state image tables of the
+    ``algebra`` suite (``_BasisImages``).
 
-    The products are summed inline, a copy of ``_accumulate``'s loop.
-    Against passing each image to ``_accumulate``, verify-all ``pass_s``
-    is 0.4341 s inline against 0.4381 s (medians), lower in 7 of 8
-    alternated 30-second harness pairs, a gap inside the IQR of the
-    runs without it (0.0120 s; 0.0057 s inline), and build-sample
-    reads 0.2468 s against 0.2491 s, lower in 5 of 5 (2-core x86 box,
-    Python 3.11).  There is no one-term branch: skipping the list and
-    the ``lcm`` for a one-term ket, inline or through ``_accumulate``,
-    left the kernel's own time on a build-sample pass unchanged (about
-    21 ms) but read build-sample ``pass_s`` slower in 20 of 20 harness
-    pairs (median +5.5%).
+    The products are summed inline, a copy of ``_accumulate``'s loop,
+    so a call is one Python frame besides the rule's.  Against passing
+    each image to ``_accumulate``, Q[1,2] on one basis ket takes 2.71
+    against 2.80 us and the dressed creation A+[3]^2 on a 10-term rank-4
+    monomial 6.30 against 6.91 us (medians of 15 alternated rounds in
+    one process, best of 3 x 20,000 calls each; inline faster in 14 of
+    15 rounds for both; 2-core x86 box, Python 3.11).
     """
-    pieces = [(v, *on_basis(*args, s)) for s, v in psi._nums.items()]
-    common = lcm(*(den for _, _, den in pieces))
     acc: dict = {}
-    for v, terms, den in pieces:
+    common = 1
+    for s, v in psi._nums.items():
+        terms, den = on_basis(*args, s)
+        if common % den:
+            wider = lcm(common, den)
+            up = wider // common
+            acc = {t: c * up for t, c in acc.items()}
+            common = wider
         scale = v * (common // den)
         for state, coeff in terms:
             total = acc.get(state, 0) + coeff * scale
@@ -345,33 +350,28 @@ def _apply_images(psi: Ket, on_basis, *args) -> Ket:
     return _reduced(psi.n, acc, common * psi._den)
 
 
-def _apply_tabled(op, images: dict, psi: Ket) -> Ket:
-    """The sum over the terms c |s> of psi of c op(|s>), each op(|s>) taken once and kept in images.
+class _BasisImages(dict):
+    """state -> ``(terms, den)`` of ``op(basis_ket(state))``, each taken once: a memo rule.
 
-    images maps a state to its image's numerators and denominator.  The
-    sum runs over the lcm of the image denominators met so far, and
-    every term is scaled to it; the sum is rescaled only when a new
-    denominator does not divide it, so no ``lcm`` is taken while every
-    image is integral, as the images of the ``algebra`` suite nearly
-    all are.  Routed through ``_apply_images`` with a table lookup as
-    its rule, ``run_suite("algebra", n_max=3)`` reads 72.7 ms against
-    49.4 ms (medians of 12 alternated passes in one process, 2-core
-    x86 box, Python 3.11).
+    ``table.__getitem__`` is a rule for ``_apply_images``: a state met
+    for the first time calls op, the op bound when the table was made,
+    and keeps its image's numerators and denominator.  A table lives as
+    long as its owner holds it.  Keyed by the state itself: with a
+    ``functools.cache`` rule, which stores a 1-tuple key per entry, the
+    peak RSS of a fresh interpreter running the default ``algebra``
+    suite read 32.79 MB against 30.61 MB (medians of 5 alternated runs;
+    2-core x86 box, Python 3.11).
     """
-    acc: dict = {}
-    den = 1
-    for state, v in psi._nums.items():
-        image = images.get(state)
-        if image is None:
-            image = op(basis_ket(state))
-            image = images[state] = image._nums.items(), image._den
-        terms, d = image
-        if den % d:
-            common = lcm(den, d)
-            acc = {s: c * (common // den) for s, c in acc.items()}
-            den = common
-        _accumulate(acc, terms, v * (den // d))
-    return _reduced(psi.n, acc, den * psi._den)
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, state):
+        image = self.op(basis_ket(state))
+        image = self[state] = image._nums.items(), image._den
+        return image
 
 
 def _numerators(psi: Ket) -> dict:

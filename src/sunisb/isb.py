@@ -64,17 +64,18 @@ its integer factor, by ``algebra._bilinear_into``: no ket is built per
 bilinear.  The denominator is a product, not an lcm: at rank 4 and row
 totals (1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link
 chain carries 1/4.  Applied to a ket, whose integer numerators share
-one denominator, the basis images are brought to one common
-denominator, the integer products are summed, and the output ket is
-reduced once to lowest terms.  That sum is ``fock._apply_images``,
-which the Casimir of ``algebra``, the ladders of ``su3x`` and the
-rank-4 gluing route ``isb_create_iterative`` share.
+one denominator, the integer products are summed over a running
+common denominator of the basis images, and the output ket is reduced
+once to lowest terms.  That sum is ``fock._apply_images``, the one
+kernel that maps a ket by integer basis images, which the Casimir of
+``algebra``, the ladders of ``su3x`` and the rank-4 gluing route
+``isb_create_iterative`` share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Iterable
 
 from .algebra import _bilinear_into
@@ -163,14 +164,10 @@ def _nested_rows(state, k: int, alpha: int, rows: range, direction: int) -> tupl
     return acc.items(), scale
 
 
-def _create_on_basis(k: int, alpha: int, state) -> tuple:
-    return _nested_rows(state, k, alpha, range(1, k + 1), 1)
-
-
-@lru_cache(maxsize=None)
+@cache
 def _create_terms(k: int, alpha: int, state) -> tuple:
     # memoized: monomial sweeps revisit the same basis states constantly
-    terms, den = _create_on_basis(k, alpha, state)
+    terms, den = _nested_rows(state, k, alpha, range(1, k + 1), 1)
     return tuple(terms), den
 
 

@@ -37,7 +37,7 @@ Shared generic helpers: ``fock._apply_images``, ``algebra.casimir_op``,
 level and both dressed creations (one routine, ``_dressed_create``)
 keep one integer image per basis state over one denominator, as the
 Casimir does; a ket is mapped by ``fock._apply_images``, which sums
-over one common denominator and reduces the output ket once.  Both
+over a running common denominator and reduces the output ket once.  Both
 rank calls hand ``linalg`` the kets' integer numerators: a vector's
 rank does not depend on its scale.  The traceless states are
 compositions of the pair ladders.  Every map of a ket here takes

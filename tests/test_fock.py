@@ -162,16 +162,6 @@ def reference_images(psi: Ket, images: dict) -> dict:
     return {t: int(v) if v.denominator == 1 else v for t, v in total.items() if v}
 
 
-@given(image_cases())
-def test_apply_images_equals_the_reference_sum(case):
-    psi, images = case
-    got = fock._apply_images(psi, images.__getitem__)
-    expected = reference_images(psi, images)
-    assert got.n == psi.n and got.terms == expected
-    # an int exactly when the coefficient is integral
-    assert {t: type(c) for t, c in got.terms.items()} == {t: type(c) for t, c in expected.items()}
-
-
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), states(n), slots(n), slots(n))))
 def test_canonical_commutator(data):
     """[a_i^a, a+_j^b] acts as the identity iff the slots coincide."""
@@ -573,25 +563,56 @@ class TestLowestTerms:
     def test_apply_images_equals_the_fraction_reference(self, case):
         psi, images = case
         got = fock._apply_images(psi, images.__getitem__)
-        assert (got._nums, got._den) == lowest_terms(reference_images(psi, images))
+        expected = reference_images(psi, images)
+        assert got.n == psi.n and (got._nums, got._den) == lowest_terms(expected)
+        assert got.terms == expected
+        # an int exactly when the coefficient is integral
+        assert {t: type(c) for t, c in got.terms.items()} == {t: type(c) for t, c in expected.items()}
+
+    @pytest.mark.parametrize(
+        "images, expected",
+        [
+            # an integral image after a fractional one is scaled to the running denominator
+            ({1: ([(3, 1)], 2), 2: ([(3, 3)], 1)}, {3: Fraction(7, 2)}),
+            # a fractional image after an integral one rescales the partial sum
+            ({1: ([(3, 3)], 1), 2: ([(4, 1)], 2)}, {3: 3, 4: Fraction(1, 2)}),
+            # a denominator dividing the running one rescales nothing
+            ({1: ([(3, 1)], 4), 2: ([(3, 1), (4, 1)], 2)}, {3: Fraction(3, 4), 4: Fraction(1, 2)}),
+            # a negative denominator, as a dressing outside the ordered regime gives
+            ({1: ([(3, 1)], 1), 2: ([(4, 1)], -3)}, {3: 1, 4: Fraction(-1, 3)}),
+            ({1: ([(3, 1)], -2), 2: ([(3, 3)], 1)}, {3: Fraction(5, 2)}),
+        ],
+        ids=[
+            "integral-after-fractional",
+            "fractional-after-integral",
+            "divisor",
+            "negative-den",
+            "integral-after-negative",
+        ],
+    )
+    def test_apply_images_scales_to_the_running_denominator(self, images, expected):
+        state = {k: FockState(2, ((k, 0),)) for k in range(1, 5)}
+        rule = {state[k]: ([(state[t], c) for t, c in terms], den) for k, (terms, den) in images.items()}
+        psi = Ket(2, {state[1]: 1, state[2]: 1})
+        assert list(psi.terms) == [state[1], state[2]]  # the images are met in this order
+        assert fock._apply_images(psi, rule.__getitem__).terms == {state[t]: c for t, c in expected.items()}
 
     @given(image_cases())
-    def test_apply_tabled_equals_the_fraction_reference(self, case):
+    def test_basis_image_table_equals_the_fraction_reference(self, case):
         psi, images = case
-        table: dict = {}
-        op = lambda ket: fock._apply_images(ket, images.__getitem__)  # noqa: E731
-        for _ in range(2):  # the second pass reads every image from the table
-            got = fock._apply_tabled(op, table, psi)
-            assert (got._nums, got._den) == lowest_terms(reference_images(psi, images))
-            assert got == op(psi)
+        met = []
 
-    def test_apply_tabled_scales_an_integral_image_after_a_fractional_one(self):
-        first, later, target = (FockState(2, ((k, 0),)) for k in (1, 2, 3))
-        images = {first: ([(target, 1)], 2), later: ([(target, 3)], 1)}
-        op = lambda ket: fock._apply_images(ket, images.__getitem__)  # noqa: E731
-        psi = Ket(2, {first: 1, later: 1})
-        assert list(psi.terms) == [first, later]
-        assert fock._apply_tabled(op, {}, psi) == op(psi) == basis_ket(target) * Fraction(7, 2)
+        def op(ket):
+            met.extend(ket.terms)
+            return fock._apply_images(ket, images.__getitem__)
+
+        table = fock._BasisImages(op)
+        expected = lowest_terms(reference_images(psi, images))
+        for _ in range(2):  # the second pass reads every image from the table
+            got = fock._apply_images(psi, table.__getitem__)
+            assert (got._nums, got._den) == expected
+        # op is called once per distinct state, on that state's basis ket
+        assert len(met) == len(psi.terms) and set(met) == set(psi.terms)
 
 
 def sectors(n: int):

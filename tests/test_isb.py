@@ -302,7 +302,7 @@ class TestChainSum:
 
         monkeypatch.setattr(isb, "_bilinear_into", counted)
         state = FockState(6, ((1,) * 6,) * 5)
-        assert isb._create_on_basis(k, 1, state)[0]
+        assert isb._create_terms.__wrapped__(k, 1, state)[0]  # the rule itself, not its memo
         assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
         for top in range(k, 6):
             calls.clear()
