@@ -21,11 +21,12 @@ matter:
   and matrix elements stay rational.  The quadratic Casimir is
   (1/2) sum_ab Q[a,b] Q[b,a].
 
-Each bilinear is summed in place: ``_bilinear_into`` adds its image
-of a dict of integer numerators straight into an accumulator, with an
-integer factor.  ``invariant_action`` sums a ket's numerators into an
-empty one and keeps the ket's denominator, and the nested row sums of
-the dressed ladders in ``isb`` sum into their row's.
+Each bilinear is summed in place by ``fock._bilinear_into``, which adds
+its image of a dict of integer numerators straight into an
+accumulator, with an integer factor.  ``invariant_action`` sums a
+ket's numerators into an empty one and keeps the ket's denominator;
+the nested row sums of the dressed ladders in ``isb`` call the kernel
+directly.
 
 Each generator is written once, as an integer rule on one basis
 state: ``_generator_on_basis(alpha, beta, state)`` returns
@@ -54,10 +55,10 @@ from .fock import (
     Ket,
     _accumulate,
     _apply_images,
+    _bilinear_into,
     _check_color,
     _check_rank,
     _check_row,
-    _moved,
     _numerators,
     _recolored,
     _with_numerators,
@@ -108,27 +109,6 @@ def invariant_action(i: int, j: int, psi: Ket) -> Ket:
     _check_row(n, i)
     _check_row(n, j)
     return _with_numerators(psi, _bilinear_into({}, _numerators(psi), i, j))
-
-
-def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:
-    """Add scale * a+[i].a[j] applied to terms (state -> coeff) into acc, in place; return acc.
-
-    States whose total reaches zero are dropped.  The loop is an inline
-    copy of ``fock._accumulate``'s, kept on the figure cited there.
-    """
-    unit = scale == 1
-    for state, coeff in terms.items():
-        if not unit:
-            coeff = coeff * scale
-        for alpha, m in enumerate(state.occ[j - 1], start=1):
-            if m:
-                target = _moved(state, j, i, alpha)
-                total = acc.get(target, 0) + m * coeff
-                if total:
-                    acc[target] = total
-                else:
-                    acc.pop(target, None)
-    return acc
 
 
 def _generator_on_basis(alpha: int, beta: int, state: FockState) -> tuple:

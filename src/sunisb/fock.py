@@ -22,10 +22,10 @@ denominator is 1, no numerator is 0, and the zero ket has denominator
 1.  That form is canonical, so two kets are equal exactly when their
 numerator dicts and denominators are.  ``Ket.terms`` is the public
 view, state -> ``int`` when the coefficient is integral and
-``Fraction`` otherwise; it is the numerator dict itself when the
-denominator is 1 and is built afresh on each read otherwise, so the
-operators of the package read the numerators.  Other modules reach the
-form only through the private helpers here: ``_numerators`` (a ket
+``Fraction`` otherwise, a new dict on every read, so changing it leaves
+the ket as it was; the operators of the package read the numerators.
+No module but this one reads ``_nums`` or ``_den``: the others reach
+the form only through the private helpers here: ``_numerators`` (a ket
 scaled to integers, for the eliminator and the constraint test),
 ``_with_numerators`` (an integer linear image over the ket's
 denominator), ``_sum``, ``_ratio`` (the scalar of a proportional
@@ -37,14 +37,18 @@ equal exactly when they are the same object, and ``FockState`` keeps
 Python's identity equality and C-level hash.  Nothing may depend on
 the order of a set of states, since their hashes follow object
 addresses.  The table ``_STATES`` lives as long as the process, like
-``isb._create_terms``.
+``isb._create_terms``, and only ``_unchecked_state`` reaches it.  The
+state edits that build on it all live here: ``_bumped`` (one
+occupation up or down), ``_moved`` (a quantum to another row),
+``_recolored`` (a quantum to another color) and ``_paired`` (a quantum
+of one color in both rows of a rank-3 state).
 
 ``dumps_ket`` writes exactly the bytes of
 ``json.dumps(ket_to_document(psi), indent=1)`` plus a newline, but
 directly: before Python 3.13 an indented ``json.dumps`` runs the
 pure-Python encoder, several times slower than the direct writer.
 
-Kets are summed by two private kernels here and one in ``algebra``:
+Kets are summed by three private kernels, all here:
 
 * ``_apply_images`` maps a ket by an integer rule on basis states,
   ``(terms, den)``: it sums integer products over a running common
@@ -60,9 +64,10 @@ Kets are summed by two private kernels here and one in ``algebra``:
 * ``_accumulate`` adds (state, int) pairs into a dict: ket
   construction, ``_sum`` (addition and subtraction), and the
   compositions inside the Casimir rule and the gluing rule;
-* ``algebra._bilinear_into`` sums the image of an invariant bilinear
-  in place, for ``invariant_action`` and the row sums of the dressed
-  ladders, kept on its own figure (see ``_accumulate``).
+* ``_bilinear_into`` sums the image of an invariant bilinear in place,
+  for ``algebra.invariant_action``, the constraint test and null
+  spaces of ``irreps`` and the row sums of the dressed ladders, kept
+  on its own figure (see ``_accumulate``).
 
 ``apply_create`` and ``apply_annihilate`` stay comprehensions: they
 relabel each state once, so no two terms meet and there is nothing to
@@ -134,7 +139,7 @@ class FockState:
             raise ValueError(f"occupation matrix must be {n - 1}x{n}")
         if any(e < 0 for row in occ for e in row):
             raise ValueError("occupations must be non-negative")
-        return _unchecked_state(n, occ)
+        return _unchecked_state(occ)
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor, so they return the canonical state
@@ -148,12 +153,12 @@ class FockState:
 _STATES: dict = {}
 
 
-def _unchecked_state(n: int, occ: tuple[tuple[int, ...], ...]) -> FockState:
-    # Trusted fast path: callers guarantee shape and non-negativity.
+def _unchecked_state(occ: tuple[tuple[int, ...], ...]) -> FockState:
+    # Trusted fast path: callers guarantee shape and non-negativity; N is the row count plus one.
     s = _STATES.get(occ)
     if s is None:
         s = object.__new__(FockState)
-        s.n = n
+        s.n = len(occ) + 1
         s.occ = occ
         s = _STATES.setdefault(occ, s)
     return s
@@ -163,7 +168,7 @@ def _bumped(state: FockState, i: int, alpha: int, delta: int) -> FockState:
     occ = state.occ
     row = occ[i - 1]
     new_row = row[: alpha - 1] + (row[alpha - 1] + delta,) + row[alpha:]
-    return _unchecked_state(state.n, occ[: i - 1] + (new_row,) + occ[i:])
+    return _unchecked_state(occ[: i - 1] + (new_row,) + occ[i:])
 
 
 def _moved(state: FockState, src: int, dst: int, alpha: int) -> FockState:
@@ -176,18 +181,22 @@ def _moved(state: FockState, src: int, dst: int, alpha: int) -> FockState:
     occ[src - 1] = row[:a] + (row[a] - 1,) + row[a + 1 :]
     row = occ[dst - 1]
     occ[dst - 1] = row[:a] + (row[a] + 1,) + row[a + 1 :]
-    return _unchecked_state(state.n, tuple(occ))
+    return _unchecked_state(tuple(occ))
 
 
 def _recolored(state: FockState, i: int, beta: int, alpha: int) -> FockState:
-    """One quantum in row i recolored from beta to alpha."""
-    if beta == alpha:
-        return state
+    """One quantum in row i recolored from beta to alpha; callers pass beta != alpha."""
     occ = state.occ
     row = list(occ[i - 1])
     row[beta - 1] -= 1
     row[alpha - 1] += 1
-    return _unchecked_state(state.n, occ[: i - 1] + (tuple(row),) + occ[i:])
+    return _unchecked_state(occ[: i - 1] + (tuple(row),) + occ[i:])
+
+
+def _paired(state: FockState, g: int, delta: int) -> FockState:
+    """One quantum of color g + 1 added to (delta 1) or taken from (delta -1) both rows of a rank-3 state."""
+    a, b = state.occ
+    return _unchecked_state((a[:g] + (a[g] + delta,) + a[g + 1 :], b[:g] + (b[g] + delta,) + b[g + 1 :]))
 
 
 class Ket:
@@ -220,10 +229,8 @@ class Ket:
 
     @property
     def terms(self) -> dict:
-        """State -> coefficient: an ``int`` when integral, a ``Fraction`` otherwise."""
+        """State -> coefficient, a new dict on each read: an ``int`` when integral, a ``Fraction`` otherwise."""
         den = self._den
-        if den == 1:
-            return self._nums
         return {s: v // den if v % den == 0 else Fraction(v, den) for s, v in self._nums.items()}
 
     def __bool__(self) -> bool:
@@ -279,9 +286,9 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
 
     States whose total reaches zero are dropped.  Two inline copies of
     this loop are kept: ``_apply_images``, the one kernel that maps a
-    ket by integer basis images (see there), and
-    ``algebra._bilinear_into``, which sums each invariant bilinear in
-    place, for ``invariant_action`` and every row sum of the dressed
+    ket by integer basis images (see there), and ``_bilinear_into``,
+    which sums each invariant bilinear in place, for
+    ``algebra.invariant_action`` and every row sum of the dressed
     ladders.  For the latter, against the same code passing
     its terms to this function as a generator expression, build-sample
     ``pass_s`` is 0.2275 s inline against 0.2414 s (medians), lower in
@@ -295,6 +302,27 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
             acc[state] = total
         else:
             acc.pop(state, None)
+    return acc
+
+
+def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:
+    """Add scale * a+[i].a[j] applied to terms (state -> coeff) into acc, in place; return acc.
+
+    States whose total reaches zero are dropped.  The loop is an inline
+    copy of ``_accumulate``'s, kept on the figure cited there.
+    """
+    unit = scale == 1
+    for state, coeff in terms.items():
+        if not unit:
+            coeff = coeff * scale
+        for alpha, m in enumerate(state.occ[j - 1], start=1):
+            if m:
+                target = _moved(state, j, i, alpha)
+                total = acc.get(target, 0) + m * coeff
+                if total:
+                    acc[target] = total
+                else:
+                    acc.pop(target, None)
     return acc
 
 
@@ -440,7 +468,7 @@ def zero_ket(n: int) -> Ket:
 def vacuum(n: int) -> Ket:
     """The Fock vacuum |0> for rank n, with coefficient one."""
     _check_rank(n)
-    empty = _unchecked_state(n, ((0,) * n,) * (n - 1))
+    empty = _unchecked_state(((0,) * n,) * (n - 1))
     return _reduced(n, {empty: 1})
 
 
@@ -539,7 +567,7 @@ def enumerate_sector(n: int, totals: Iterable[int]) -> list[FockState]:
     """
     totals = _sector_totals(n, totals)
     per_row = [list(_compositions(t, n)) for t in totals]
-    return [_unchecked_state(n, rows) for rows in product(*per_row)]
+    return [_unchecked_state(rows) for rows in product(*per_row)]
 
 
 def sector_size(n: int, totals: Iterable[int]) -> int:

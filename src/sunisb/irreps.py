@@ -49,9 +49,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator
 
-from .algebra import _bilinear_into, casimir2_op
+from .algebra import casimir2_op
 from .fock import (
     Ket,
+    _bilinear_into,
     _check_rank,
     _exact_int,
     _numerators,

@@ -60,7 +60,7 @@ is an integer sum.  ``_nested_rows`` computes it for both operators;
 only the seed x_i (matrix element 1 for a+, the occupation m for a),
 the orientation of M_s and the sign -s follow the direction.  Each
 M_s[i,j] (E_j X_j) is summed in place into the row's accumulator, with
-its integer factor, by ``algebra._bilinear_into``: no ket is built per
+its integer factor, by ``fock._bilinear_into``: no ket is built per
 bilinear.  The denominator is a product, not an lcm: at rank 4 and row
 totals (1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link
 chain carries 1/4.  Applied to a ket, whose integer numerators share
@@ -78,11 +78,11 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable
 
-from .algebra import _bilinear_into
 from .fock import (
     Ket,
     _accumulate,
     _apply_images,
+    _bilinear_into,
     _bumped,
     _check_slot,
     _exact_int,

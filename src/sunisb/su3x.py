@@ -33,10 +33,11 @@ Provided:
   exactly.
 
 Shared generic helpers: ``fock._apply_images``, ``algebra.casimir_op``,
-``linalg.rank`` and ``irreps.scalar_on``.  The pair ladders, the pair
-level and both dressed creations (one routine, ``_dressed_create``)
-keep one integer image per basis state over one denominator, as the
-Casimir does; a ket is mapped by ``fock._apply_images``, which sums
+``linalg.rank`` and ``irreps.scalar_on``; the state edits, the pair
+shift ``fock._paired`` among them, are ``fock``'s.  The pair ladders,
+the pair level and both dressed creations (one routine,
+``_dressed_create``) keep one integer image per basis state over one
+denominator, as the Casimir does; a ket is mapped by ``fock._apply_images``, which sums
 over a running common denominator and reduces the output ket once.  Both
 rank calls hand ``linalg`` the kets' integer numerators: a vector's
 rank does not depend on its scale.  The traceless states are
@@ -62,8 +63,8 @@ from .fock import (
     _check_color,
     _exact_int,
     _numerators,
+    _paired,
     _recolored,
-    _unchecked_state,
     apply_create,
     vacuum,
     zero_ket,
@@ -127,12 +128,6 @@ def trace_coeff(n: int, m: int, r: int) -> Fraction:
     for t in range(r):
         den *= n + m + 1 - t
     return Fraction((-1) ** r, den)
-
-
-def _paired(state: FockState, g: int, delta: int) -> FockState:
-    # one quantum of color g + 1 added to (delta 1) or taken from (delta -1) both rows
-    a, b = state.occ
-    return _unchecked_state(3, (a[:g] + (a[g] + delta,) + a[g + 1 :], b[:g] + (b[g] + delta,) + b[g + 1 :]))
 
 
 def _check_rank3(psi: Ket) -> None:

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sunisb.algebra import (
-    _bilinear_into,
     _generator_on_basis,
     casimir2_op,
     casimir_op,
@@ -19,6 +18,7 @@ from sunisb.fock import (
     FockState,
     Ket,
     _apply_images,
+    _bilinear_into,
     apply_annihilate,
     apply_create,
     basis_ket,

@@ -1,5 +1,6 @@
 """Oscillator layer: states, kets, ladder maps, inner product, serialization."""
 
+import ast
 import copy
 import json
 import os
@@ -34,6 +35,7 @@ from sunisb.fock import (
     vacuum,
     zero_ket,
 )
+from sunisb.irreps import IrrepLabel, build_monomial, nullspace_basis
 
 
 def occupations(n: int, per_slot_max: int = 3):
@@ -672,9 +674,9 @@ class TestCanonicalStates:
 
     @given(states(3), st.integers(0, 2))
     def test_su3_shifted_state(self, state, g):
-        raised = su3x._paired(state, g, 1)
+        raised = fock._paired(state, g, 1)
         assert raised is FockState(3, _with(_with(state.occ, 1, g + 1, 1), 2, g + 1, 1))
-        assert su3x._paired(raised, g, -1) is state
+        assert fock._paired(raised, g, -1) is state
 
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(kets(n), kets(n))), st.data())
     def test_every_operator_returns_table_states(self, pair, data):
@@ -734,3 +736,82 @@ class TestCanonicalStates:
         cloned = clone(psi)
         assert cloned == psi and cloned.n == 3
         assert all(s is FockState(3, s.occ) for s in cloned.terms)
+
+
+class TestTermsView:
+    """``Ket.terms`` is a new dict on every read: changing it leaves the ket as it was."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: basis_ket(FockState(3, ((1, 0, 2), (0, 1, 0)))),
+            lambda: vacuum(4),
+            lambda: nullspace_basis(IrrepLabel(3, (2, 1)))[0],
+            lambda: build_monomial(IrrepLabel(3, (2, 1)), ((1, 2), (3,))),
+        ],
+        ids=["basis-ket", "vacuum", "nullspace-vector", "fractional-monomial"],
+    )
+    def test_changing_the_view_leaves_the_ket(self, make):
+        psi = make()
+        text = dumps_ket(psi)
+        expected = loads_ket(text)
+        state = next(iter(psi.terms))
+        edits = [
+            lambda view: view.update({state: 5}),
+            lambda view: view.update({FockState(psi.n, [[9] * psi.n] * (psi.n - 1)): 1}),
+            lambda view: view.pop(state),
+            dict.clear,
+        ]
+        for edit in edits:
+            view = psi.terms
+            edit(view)
+            assert view != psi.terms
+            assert psi == expected and psi and dumps_ket(psi) == text
+
+
+# names no module but fock may use: the table's constructor, the private move, the ket's form
+_FOCK_ONLY = {"_unchecked_state", "_moved"}
+_KET_FORM = {"_nums", "_den"}
+# and the state edits and bilinear kernel, which no other module may define
+_EDITS_AND_KERNELS = {"_bilinear_into", "_paired", "_bumped", "_moved", "_recolored"}
+
+
+def _package_modules() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(Path(fock.__file__).parent.glob("*.py"))}
+
+
+def _offences(tree) -> Iterator[str]:
+    """Each place where a module reaches what only ``fock`` may: the table, the ket form, a kernel."""
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Name) and node.id in _FOCK_ONLY:
+            yield f"{where}: {node.id}"
+        elif isinstance(node, ast.Attribute) and node.attr in _FOCK_ONLY | _KET_FORM:
+            yield f"{where}: .{node.attr}"
+        elif isinstance(node, ast.Constant) and node.value in _FOCK_ONLY | _KET_FORM:
+            yield f"{where}: {node.value!r}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (f"{where}: imports {a.name}" for a in node.names if a.name in _FOCK_ONLY)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _EDITS_AND_KERNELS:
+            yield f"{where}: defines {node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__":
+            if isinstance(node.func.value, ast.Name) and node.func.value.id == "object":
+                yield f"{where}: calls object.__new__"
+
+
+class TestFockOwnsStatesAndKets:
+    """No module but ``fock`` builds a state, reads a ket's form, or defines a state edit or bilinear kernel."""
+
+    def test_no_other_module_reaches_the_table_the_form_or_the_kernels(self):
+        modules = _package_modules()
+        assert {"fock.py", "algebra.py", "isb.py", "su3x.py", "irreps.py", "checks.py"} <= modules.keys()
+        found = {name: list(_offences(tree)) for name, tree in modules.items() if name != "fock.py"}
+        assert {name: where for name, where in found.items() if where} == {}
+        own = " ".join(_offences(modules["fock.py"]))  # the scan sees each of these in fock itself
+        assert all(f"defines {name}" in own for name in _EDITS_AND_KERNELS) and "object.__new__" in own
+
+    def test_isb_imports_nothing_from_algebra(self):
+        imports = [node for node in ast.walk(_package_modules()["isb.py"]) if isinstance(node, ast.ImportFrom)]
+        assert imports and all(node.module != "algebra" for node in imports if node.level == 1)
+        assert all(a.name != "algebra" for node in imports for a in node.names)
+        assert all(node.module not in ("sunisb", "sunisb.algebra") for node in imports)
