@@ -22,7 +22,12 @@ walk over one index.  ``dimensions`` (through ``monomial_rank``),
 ``casimir`` and the ``monomials`` family of ``serialization`` walk
 whole index families directly.  So a perturbed
 ``checks.build_monomial`` reaches ``constraints``, ``octet`` and the
-zero ket of ``serialization``, and nothing else.
+zero ket of ``serialization``, and nothing else.  ``run_suite`` runs
+every suite inside a sweep (``isb._sweep``), so each dressed creation
+of a suite maps its ket by ``isb._create_terms``, the memo of per-state
+images, which lives as long as the process: suites reuse the images of
+the suites run before them, and a perturbed dressing rule reaches a
+suite only once the memo is cleared.
 
 Every commutator identity is one kernel, ``_bracket_witness``, fed a
 table of structure constants, (x, y) -> {z: c} for [x, y] = sum_z c z
@@ -109,6 +114,7 @@ from .irreps import (
 )
 from .isb import (
     SingularCoefficientError,
+    _sweep,
     annihilation_coeff,
     creation_coeff,
     isb_annihilate,
@@ -757,8 +763,9 @@ def run_suite(name: str, n_max: int | None = None, max_quanta: int | None = None
             raise ValueError(f"{key} must be non-negative, got {value}")
     records = []
     try:
-        for check_id, witness in suite(**given):
-            records.append(CheckRecord(check_id, witness is None, witness))
+        with _sweep():
+            for check_id, witness in suite(**given):
+                records.append(CheckRecord(check_id, witness is None, witness))
     except SingularCoefficientError as err:
         last = records[-1].check_id if records else "none"
         witness = f"SingularCoefficientError: {err} (last completed check: {last})"

@@ -38,6 +38,13 @@ dressed creations where one build per index makes 5,400.  The
 constraints sweep over ``all_multi_indices`` still builds each
 monomial on its own.
 
+Both family walks run inside a sweep (``isb._sweep``), so their
+creations map kets by ``isb._create_terms``, the memo of per-state
+images, which lives as long as the process and which they fill.  A
+``build_monomial`` outside a sweep, as ``sunisb build`` makes, leaves
+the memo as it was: it runs the nested rows on each ket's own
+numerators (see ``isb``).
+
 Shared helper: ``scalar_on(op, kets)`` serves both Casimir eigenvalues
 and the ``casimir`` and ``multiplicity`` suites.
 """
@@ -61,7 +68,7 @@ from .fock import (
     enumerate_sector,
     vacuum,
 )
-from .isb import isb_create
+from .isb import _sweep, isb_create
 from .linalg import nullspace, rank
 
 __all__ = [
@@ -254,10 +261,11 @@ def monomial_rank(label: IrrepLabel) -> int:
     scale.
     """
     blocks: dict = {}
-    for psi in _monomials(label, distinct_multi_indices(label)):
-        nums = _numerators(psi)
-        if nums:
-            blocks.setdefault(color_totals(next(iter(nums))), []).append(nums)
+    with _sweep():
+        for psi in _monomials(label, distinct_multi_indices(label)):
+            nums = _numerators(psi)
+            if nums:
+                blocks.setdefault(color_totals(next(iter(nums))), []).append(nums)
     return sum(rank(block) for block in blocks.values())
 
 
@@ -290,4 +298,5 @@ def casimir_eigenvalue(label: IrrepLabel) -> Fraction:
 
     Ket positions in an ``AlgebraViolationError`` follow ``distinct_multi_indices``.
     """
-    return scalar_on(casimir2_op(label.n), _monomials(label, distinct_multi_indices(label)))
+    with _sweep():
+        return scalar_on(casimir2_op(label.n), _monomials(label, distinct_multi_indices(label)))

@@ -50,9 +50,11 @@ at the totals with row k moved by s: d_j = -1/F(k,j) for creation and
     X_i = x_i - s sum_{j before i} (1/d_j) M_s[i,j] X_j,    the operator = X_k
 
 so each operator takes one bilinear application per pair of rows,
-k(k-1)/2 for A+[k]^a, not one for each row of every chain.  The rows
-run on ints, over one denominator per basis image, the product of the
-d_j.  With E_i the product of the d_j of the rows before i,
+k(k-1)/2 for A+[k]^a, not one for each row of every chain.  The d_j
+depend on the row totals alone, so the rows run on ints, on integer
+numerators of states that share one row-total vector, over one
+denominator, the product of the d_j.  With E_i the product of the d_j
+of the rows before i,
 
     E_i X_i = E_i x_i - s sum_{j before i} (prod_{l between j and i} d_l) M_s[i,j] (E_j X_j)
 
@@ -63,17 +65,31 @@ M_s[i,j] (E_j X_j) is summed in place into the row's accumulator, with
 its integer factor, by ``fock._bilinear_into``: no ket is built per
 bilinear.  The denominator is a product, not an lcm: at rank 4 and row
 totals (1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link
-chain carries 1/4.  Applied to a ket, whose integer numerators share
-one denominator, the integer products are summed over a running
-common denominator of the basis images, and the output ket is reduced
-once to lowest terms.  That sum is ``fock._apply_images``, the one
-kernel that maps a ket by integer basis images, which the Casimir of
-``algebra``, the ladders of ``su3x`` and the rank-4 gluing route
-``isb_create_iterative`` share.
+chain carries 1/4.
+
+``isb_create`` runs that one kernel by two routes, which give the same
+ket and raise the same ``SingularCoefficientError``, pole and text; the
+scope of the call picks the cheaper one.  A one-off call, such as
+``sunisb build``, runs the rows once per row-total vector of the ket,
+on the ket's own numerators (``fock._apply_by_totals``), so terms that
+its states share merge and cancel before the next row's bilinears;
+A+[1]^a is the bare a+[1]^a and takes no totals.  Inside a sweep the
+ket is mapped state by state (``fock._apply_images``) through
+``_create_terms``, the image of one basis state memoized for the life
+of the process, since a label-family sweep meets the same basis states
+again and again.  A sweep is the private scope ``_sweep()``, which
+``checks.run_suite``, ``irreps.monomial_rank`` and
+``irreps.casimir_eigenvalue`` open; ``isb_create_iterative`` reads the
+memo only inside one too.  Annihilation and the gluing route map kets
+state by state by ``fock._apply_images``, the one kernel that maps a
+ket by integer basis images, which the Casimir of ``algebra`` and the
+ladders of ``su3x`` share.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache
 from typing import Iterable
@@ -81,11 +97,14 @@ from typing import Iterable
 from .fock import (
     Ket,
     _accumulate,
+    _apply_by_totals,
     _apply_images,
     _bilinear_into,
     _bumped,
     _check_slot,
     _exact_int,
+    _numerators,
+    _with_numerators,
     total_occupations,
 )
 
@@ -136,22 +155,24 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
     return -creation_coeff(i, k, totals)
 
 
-def _nested_rows(state, k: int, alpha: int, rows: range, direction: int) -> tuple:
+def _nested_rows(k: int, alpha: int, rows: range, direction: int, nums: dict) -> tuple:
     # the module docstring's nested row form: E_i X_i for each row i of rows in
-    # turn, over ints; direction 1 gives the creation rows B_i, -1 the
-    # annihilation rows C_i.  Returns the last row's terms and E, its denominator.
-    t = total_occupations(state)
+    # turn, over ints, on nums, state -> int, whose states share one row-total
+    # vector; direction 1 gives the creation rows B_i, -1 the annihilation rows
+    # C_i.  Returns the last row's terms and E, its denominator.
+    t = total_occupations(next(iter(nums)))
     totals = (*t[: k - 1], t[k - 1] + direction, *t[k:])
     # d_j from the row next to k outward, so of two vanishing ones the nearer is named
     dens = [_dressing_den(max(j, k), min(j, k), totals) for j in rows[-2::-1]]
     done = []  # (j, E_j X_j, -direction E_j d_j) for each nonzero row j so far
     scale = 1  # E_i
     for i, den in zip(rows, (*dens[::-1], 1)):
-        if direction == 1:  # the bare ladder's matrix element: 1 for a+, the occupation m for a
-            acc = {_bumped(state, i, alpha, 1): scale}
-        else:
-            m = state.occ[i - 1][alpha - 1]
-            acc = {_bumped(state, i, alpha, -1): m * scale} if m else {}
+        acc = {}
+        for s, v in nums.items():
+            # the bare ladder's matrix element: 1 for a+, the occupation m for a
+            m = 1 if direction == 1 else s.occ[i - 1][alpha - 1]
+            if m:
+                acc[_bumped(s, i, alpha, direction)] = m * v * scale
         for j, x_j, below in done:
             # scale // below is E_i times the dressing factor -direction/d_j, over E_j
             if direction == 1:
@@ -166,22 +187,40 @@ def _nested_rows(state, k: int, alpha: int, rows: range, direction: int) -> tupl
 
 @cache
 def _create_terms(k: int, alpha: int, state) -> tuple:
-    # memoized: monomial sweeps revisit the same basis states constantly
-    terms, den = _nested_rows(state, k, alpha, range(1, k + 1), 1)
+    # the sweep route's rule, memoized: a sweep revisits the same basis states constantly
+    terms, den = _nested_rows(k, alpha, range(1, k + 1), 1, {state: 1})
     return tuple(terms), den
+
+
+# True only inside _sweep(); no public name or option sets it
+_IN_SWEEP = ContextVar("sunisb.isb.in_sweep", default=False)
+
+
+@contextmanager
+def _sweep():
+    """The scope of a label-family sweep: inside it ``isb_create`` maps kets by ``_create_terms``."""
+    token = _IN_SWEEP.set(True)
+    try:
+        yield
+    finally:
+        _IN_SWEEP.reset(token)
 
 
 def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
     """Apply the dressed creation operator of row k, color alpha."""
     _check_slot(psi.n, k, alpha)
-    return _apply_images(psi, _create_terms, k, alpha)
+    if _IN_SWEEP.get():
+        return _apply_images(psi, _create_terms, k, alpha)
+    if k == 1:  # A+[1]^a is the bare a+[1]^a
+        return _with_numerators(psi, {_bumped(s, 1, alpha, 1): v for s, v in _numerators(psi).items()})
+    return _apply_by_totals(psi, _nested_rows, k, alpha, range(1, k + 1), 1)
 
 
 def _annihilate_on_basis(k: int, alpha: int, top: int, state) -> tuple:
     if sum(state.occ[k - 1]) == 0:
         # nothing in row k for the final bilinear to absorb: every chain term vanishes
         top = k
-    return _nested_rows(state, k, alpha, range(top, k - 1, -1), -1)
+    return _nested_rows(k, alpha, range(top, k - 1, -1), -1, {state: 1})
 
 
 def isb_annihilate(k: int, alpha: int, psi: Ket) -> Ket:
@@ -190,7 +229,7 @@ def isb_annihilate(k: int, alpha: int, psi: Ket) -> Ket:
     return _apply_images(psi, _annihilate_on_basis, k, alpha, psi.n - 1)
 
 
-def _iterative_on_basis(alpha: int, state) -> tuple:
+def _iterative_on_basis(create, alpha: int, state) -> tuple:
     # isb_create_iterative's formula on a basis state, over ints: G2 = -1/d2 and
     # G1 = -(d1a + 1)/(d1a d1b), A+[2]^a over e2, the a+[3].A[1] images over f
     t = total_occupations(state)
@@ -199,7 +238,7 @@ def _iterative_on_basis(alpha: int, state) -> tuple:
     d1b = t[0] - t[2] + 2
     if d2 == 0 or d1a == 0 or d1b == 0:
         raise SingularCoefficientError(f"singular gluing coefficient at totals {t}")
-    terms2, e2 = _create_terms(2, alpha, state)
+    terms2, e2 = create(2, alpha, state)
     # (a+[3].A[1]) a+[1]^a, A+[1] being bare; f depends on the row totals alone
     raised = _bumped(state, 1, alpha, 1)
     row1 = [_annihilate_on_basis(1, gamma, 2, raised) for gamma in range(1, 5)]
@@ -234,7 +273,9 @@ def isb_create_iterative(alpha: int, psi: Ket) -> Ket:
     if psi.n != 4:
         raise ValueError("the iterative construction is specific to rank 4")
     _check_slot(4, 3, alpha)
-    return _apply_images(psi, _iterative_on_basis, alpha)
+    # A+[2]^a from the memo only inside a sweep, as isb_create
+    create = _create_terms if _IN_SWEEP.get() else _create_terms.__wrapped__
+    return _apply_images(psi, _iterative_on_basis, create, alpha)
 
 
 def verify_recurrence(k_max: int, totals_grid: Iterable[Iterable[int]], coeff=creation_coeff) -> bool:

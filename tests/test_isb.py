@@ -1,6 +1,7 @@
 """Dressed ladder operators: coefficients, chains, recurrence, the gluing route."""
 
 import re
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sunisb import isb
+from sunisb import checks, isb
 from sunisb.algebra import invariant_action
 from sunisb.fock import (
     FockState,
@@ -18,11 +19,19 @@ from sunisb.fock import (
     apply_annihilate,
     apply_create,
     basis_ket,
+    dumps_ket,
     total_occupations,
     vacuum,
     zero_ket,
 )
-from sunisb.irreps import IrrepLabel, build_monomial, nullspace_basis
+from sunisb.irreps import (
+    IrrepLabel,
+    all_multi_indices,
+    build_monomial,
+    constraint_residual,
+    monomial_rank,
+    nullspace_basis,
+)
 from sunisb.isb import (
     SingularCoefficientError,
     annihilation_coeff,
@@ -32,6 +41,10 @@ from sunisb.isb import (
     isb_create_iterative,
     verify_recurrence,
 )
+
+
+# the two scopes isb_create runs in: a one-off call maps a ket by row-total groups, a sweep by memoized basis images
+SCOPES = (nullcontext, isb._sweep)
 
 
 def ordered_totals(length, max_entry=4):
@@ -288,8 +301,9 @@ class TestChainSum:
             with pytest.raises(SingularCoefficientError):
                 creation_coeff(*pair, totals)
         message = f"singular dressing coefficient for row pair {named} at totals {totals}"
-        with pytest.raises(SingularCoefficientError, match=f"^{re.escape(message)}$"):
-            ladder(k, 1, basis_ket(FockState(4, occ)))
+        for scope in SCOPES:
+            with scope(), pytest.raises(SingularCoefficientError, match=f"^{re.escape(message)}$"):
+                ladder(k, 1, basis_ket(FockState(4, occ)))
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_one_bilinear_per_row_pair(self, k, monkeypatch):
@@ -304,6 +318,14 @@ class TestChainSum:
         state = FockState(6, ((1,) * 6,) * 5)
         assert isb._create_terms.__wrapped__(k, 1, state)[0]  # the rule itself, not its memo
         assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
+        # outside a sweep a ket takes them once per row-total vector: here two, of two states each
+        calls.clear()
+        swapped = FockState(6, ((2, 0, 1, 1, 1, 1),) + ((1,) * 6,) * 4)
+        wider = FockState(6, ((2,) * 6,) + ((1,) * 6,) * 4)
+        wider_swapped = FockState(6, ((2,) * 6, (0, 2, 1, 1, 1, 1)) + ((1,) * 6,) * 3)
+        psi = Ket(6, {state: 1, wider: Fraction(-2, 3), swapped: 5, wider_swapped: 1})
+        assert isb_create(k, 1, psi)
+        assert len(calls) == 2 * (k * (k - 1) // 2)
         for top in range(k, 6):
             calls.clear()
             assert isb._annihilate_on_basis(k, 1, top, state)[0]
@@ -465,3 +487,96 @@ class TestIterative:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             isb_create_iterative(1, vacuum(3))
+
+
+@st.composite
+def route_kets(draw):
+    """A ket of rank 2 to 6, up to eight basis states, often two of one row-total vector
+    (a state and its rows reversed), with int or Fraction coefficients of both signs; a row and a color."""
+    n = draw(st.integers(2, 6))
+    cap = 2 if n <= 4 else 1
+    occs = st.lists(st.lists(st.integers(0, cap), min_size=n, max_size=n), min_size=n - 1, max_size=n - 1)
+    coeffs = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7)).filter(bool)
+    terms = {}
+    for occ in draw(st.lists(occs, max_size=4)):
+        for rows in (occ, [row[::-1] for row in occ])[: draw(st.integers(1, 2))]:
+            terms[FockState(n, rows)] = draw(coeffs)
+    return Ket(n, terms), draw(st.integers(1, n - 1)), draw(st.integers(1, n))
+
+
+def routed(scope, k, alpha, psi):
+    """isb_create in scope: the bytes of its ket, or the text of its SingularCoefficientError."""
+    with scope():
+        try:
+            return dumps_ket(isb_create(k, alpha, psi))
+        except SingularCoefficientError as err:
+            return "singular", str(err)
+
+
+# rank-4 totals (0, 0, 2) and (0, 0, 1): with row 3 raised, A+[3] meets the pole of pair (3, 1) on
+# the first and of pair (3, 2) on the second, so the state met first decides which one is named
+_POLE_31 = FockState(4, ((0, 0, 0, 0), (0, 0, 0, 0), (1, 1, 0, 0)))
+_POLE_32 = FockState(4, ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0)))
+
+
+class TestSweepScope:
+    """isb_create maps a ket by row-total groups outside a sweep and by memoized basis images inside."""
+
+    @given(route_kets())
+    @example((zero_ket(2), 1, 1))
+    @example((zero_ket(6), 5, 6))
+    @example((Ket(4, {_POLE_31: 1, _POLE_32: Fraction(1, 2)}), 3, 1))
+    @example((Ket(4, {_POLE_32: Fraction(1, 2), _POLE_31: 1}), 3, 1))
+    def test_both_scopes_give_the_same_bytes_or_error(self, case):
+        psi, k, alpha = case
+        one_off = routed(nullcontext, k, alpha, psi)
+        assert one_off == routed(isb._sweep, k, alpha, psi)
+
+    def test_the_pole_of_the_state_met_first_is_named(self):
+        cases = [
+            ({_POLE_31: 1, _POLE_32: 1}, "(3, 1) at totals (0, 0, 3)"),
+            ({_POLE_32: 1, _POLE_31: 1}, "(3, 2) at totals (0, 0, 2)"),
+        ]
+        for terms, named in cases:
+            for scope in SCOPES:
+                message = f"singular dressing coefficient for row pair {named}"
+                assert routed(scope, 3, 1, Ket(4, terms)) == ("singular", message)
+
+    def test_constraint_labels_build_the_same_bytes_in_both_scopes(self):
+        # the constraints suite builds every index by build_monomial inside its sweep, as
+        # `sunisb build` does outside one: every label of that suite at n_max=4, 5 boxes
+        for label in checks._labels(4, 5):
+            for idx in all_multi_indices(label):
+                one_off = build_monomial(label, idx)
+                with isb._sweep():
+                    swept = build_monomial(label, idx)
+                assert dumps_ket(one_off) == dumps_ket(swept), (label, idx)
+                assert constraint_residual(one_off).satisfied, (label, idx)
+
+    @pytest.mark.parametrize(
+        "name, perturb",
+        [
+            ("_dressing_den", lambda rule: lambda k, i, totals: rule(k, i, totals) + 1),
+            ("_bilinear_into", lambda rule: lambda acc, terms, i, j, scale=1: rule(acc, terms, i, j, 2 * scale)),
+        ],
+        ids=["shifted-denominator", "doubled-bilinear"],
+    )
+    def test_a_one_off_build_reads_the_perturbed_rule(self, monkeypatch, name, perturb):
+        # no memo stands between a one-off build and the rules, so nothing needs clearing
+        label, idx = IrrepLabel(4, (2, 1, 1)), ((1, 2), (3,), (4,))
+        before = dumps_ket(build_monomial(label, idx))
+        monkeypatch.setattr(isb, name, perturb(getattr(isb, name)))
+        assert dumps_ket(build_monomial(label, idx)) != before
+
+    def test_one_off_calls_leave_the_memo_and_sweeps_fill_it(self):
+        memo = isb._create_terms
+        memo.cache_clear()
+        psi = build_monomial(IrrepLabel(6, (2, 2, 1, 1, 0)), ((1, 2), (3, 4), (5,), (6,), ()))
+        assert psi
+        for k in range(1, 6):
+            isb_create(k, 2, psi)
+        for rank4 in nullspace_basis(IrrepLabel(4, (2, 1, 0))):
+            isb_create_iterative(1, rank4)
+        assert memo.cache_info().currsize == 0
+        monomial_rank(IrrepLabel(4, (2, 1, 0)))
+        assert memo.cache_info().currsize > 0
