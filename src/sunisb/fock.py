@@ -62,10 +62,10 @@ Kets are summed by three private kernels, all here:
   both languages, the rank-4 gluing route, the pair ladders and the
   pair level.  So is the per-state image table of an op,
   ``_BasisImages``, through which the ``algebra`` suite maps its kets.
-  ``_apply_by_totals`` sums in the same loop, ``_image_sum``, but calls
-  its rule once per row-total vector of the ket, on the ket's
-  numerators there: the dressed creation of a one-off call.  The
-  products are summed inline (see ``_apply_images``);
+  ``_apply_by_totals`` sums through it, but calls its rule once per
+  row-total vector of the ket, on the ket's numerators there: the
+  dressed creation of a one-off call.  The products are summed inline
+  (see ``_apply_images``);
 * ``_accumulate`` adds (state, int) pairs into a dict: ket
   construction, ``_sum`` (addition and subtraction), and the
   compositions inside the Casimir rule and the gluing rule;
@@ -356,54 +356,21 @@ def _apply_images(psi: Ket, on_basis, *args) -> Ket:
     basis images sums here, and so do the per-state image tables of the
     ``algebra`` suite (``_BasisImages``).
 
-    The products are summed inline in ``_image_sum``, a copy of
-    ``_accumulate``'s loop, so a call is two Python frames besides the
-    rule's, not one per image.  Against passing
+    The products are summed inline, a copy of ``_accumulate``'s loop,
+    so a call is one Python frame besides the rule's.  Against passing
     each image to ``_accumulate``, Q[1,2] on one basis ket takes 2.71
     against 2.80 us and the dressed creation A+[3]^2 on a 10-term rank-4
     monomial 6.30 against 6.91 us (medians of 15 alternated rounds in
     one process, best of 3 x 20,000 calls each; inline faster in 14 of
-    15 rounds for both; 2-core x86 box, Python 3.11).  With the second
-    frame, which ``_apply_by_totals`` shares, against without it, Q[1,2]
-    read 2.24 against 2.24 us and A+[3]^2 in a sweep 6.52 against 6.38
-    us (medians of 6 and 4 alternated fresh interpreters, best of 9 runs
-    each; same box).
+    15 rounds for both; 2-core x86 box, Python 3.11).  With the loop in
+    a helper that ``_apply_by_totals`` shared, one frame more per call,
+    the ``algebra`` suite at ``n_max=3`` read 53.1 against 47.6 ms
+    (medians of 6 alternated fresh interpreters; same box).
     """
-    return _image_sum(psi, psi._nums.items(), on_basis, args)
-
-
-def _apply_by_totals(psi: Ket, on_group, *args) -> Ket:
-    """The linear extension to psi of ``on_group(*args, nums) -> (terms, den)``, one call per row-total vector.
-
-    nums is psi's numerator dict restricted to the states of one
-    row-total vector, a new dict in psi's order, and the group's image
-    is the sum of coeff / den |s> over the (s, coeff) pairs of terms.
-    The groups are taken in the order their first states hold in psi,
-    and their images are summed as ``_apply_images`` sums basis images.
-    So a rule whose denominator and whose errors depend only on the row
-    totals gives the same ket, and raises at the same state, as the
-    per-state rule ``on_group(*args, {state: 1})`` mapped by
-    ``_apply_images``, while terms that states of one group share meet
-    and cancel inside the rule.
-    """
-    groups: dict = {}
-    for s, v in psi._nums.items():
-        totals = tuple(map(sum, s.occ))
-        group = groups.get(totals)
-        if group is None:
-            groups[totals] = {s: v}
-        else:
-            group[s] = v
-    return _image_sum(psi, ((group, 1) for group in groups.values()), on_group, args)
-
-
-def _image_sum(psi: Ket, parts, rule, args: tuple) -> Ket:
-    # the loop of _apply_images and _apply_by_totals: sum v * rule(*args, part) over the
-    # (part, v) pairs of parts over a running common denominator, then reduce once over psi's
     acc: dict = {}
     common = 1
-    for part, v in parts:
-        terms, den = rule(*args, part)
+    for s, v in psi._nums.items():
+        terms, den = on_basis(*args, s)
         if common % den:
             wider = lcm(common, den)
             up = wider // common
@@ -417,6 +384,34 @@ def _image_sum(psi: Ket, parts, rule, args: tuple) -> Ket:
             else:
                 acc.pop(state, None)
     return _reduced(psi.n, acc, common * psi._den)
+
+
+def _apply_by_totals(psi: Ket, on_group, *args) -> Ket:
+    """The linear extension to psi of ``on_group(*args, nums) -> (terms, den)``, one call per row-total vector.
+
+    nums is psi's numerator dict restricted to the states of one
+    row-total vector, a new dict in psi's order, and the group's image
+    is the sum of coeff / den |s> over the (s, coeff) pairs of terms.
+    psi is the sum of its groups, so ``_apply_images`` sums the images:
+    it maps the ket of each group's first state, each with numerator 1
+    over psi's denominator, by the rule that sends a first state to the
+    image of its group.  So the groups are taken in the order their
+    first states hold in psi, and a rule whose denominator and whose
+    errors depend only on the row totals gives the same ket, and raises
+    at the same state, as the per-state rule ``on_group(*args, {state:
+    1})`` mapped by ``_apply_images``, while terms that states of one
+    group share meet and cancel inside the rule.
+    """
+    groups: dict = {}  # row totals -> the numerators of the group
+    firsts: dict = {}  # the first state of each group -> the numerators of the group
+    for s, v in psi._nums.items():
+        totals = tuple(map(sum, s.occ))
+        group = groups.get(totals)
+        if group is None:
+            group = groups[totals] = firsts[s] = {}
+        group[s] = v
+    heads = _reduced(psi.n, dict.fromkeys(firsts, 1), psi._den)
+    return _apply_images(heads, lambda first: on_group(*args, firsts[first]))
 
 
 class _BasisImages(dict):
