@@ -103,8 +103,7 @@ from .fock import (
     _bumped,
     _check_slot,
     _exact_int,
-    _numerators,
-    _with_numerators,
+    apply_create,
     total_occupations,
 )
 
@@ -212,7 +211,7 @@ def isb_create(k: int, alpha: int, psi: Ket) -> Ket:
     if _IN_SWEEP.get():
         return _apply_images(psi, _create_terms, k, alpha)
     if k == 1:  # A+[1]^a is the bare a+[1]^a
-        return _with_numerators(psi, {_bumped(s, 1, alpha, 1): v for s, v in _numerators(psi).items()})
+        return apply_create(1, alpha, psi)
     return _apply_by_totals(psi, _nested_rows, k, alpha, range(1, k + 1), 1)
 
 
