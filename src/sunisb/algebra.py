@@ -23,10 +23,12 @@ matter:
 
 Each bilinear is summed in place by ``fock._bilinear_into``, which adds
 its image of a dict of integer numerators straight into an
-accumulator, with an integer factor.  ``invariant_action`` sums a
-ket's numerators into an empty one and keeps the ket's denominator;
-the nested row sums of the dressed ladders in ``isb`` call the kernel
-directly.
+accumulator, with an integer factor; both dicts are keyed by packed
+occupation codes.  ``invariant_action`` sums a ket's numerators, keyed
+by code with ``fock._by_code``, into an empty one, turns the image back
+into states with ``fock._by_state`` and keeps the ket's denominator;
+the nested row sums of the dressed ladders in ``fock._row_sums`` call
+the kernel directly.
 
 Each generator is written once, as an integer rule on one basis
 state: ``_generator_on_basis(alpha, beta, state)`` returns
@@ -56,6 +58,8 @@ from .fock import (
     _accumulate,
     _apply_images,
     _bilinear_into,
+    _by_code,
+    _by_state,
     _check_color,
     _check_rank,
     _check_row,
@@ -108,7 +112,7 @@ def invariant_action(i: int, j: int, psi: Ket) -> Ket:
     n = psi.n
     _check_row(n, i)
     _check_row(n, j)
-    return _with_numerators(psi, _bilinear_into({}, _numerators(psi), i, j))
+    return _with_numerators(psi, _by_state(_bilinear_into({}, _by_code(_numerators(psi)), i, j)))
 
 
 def _generator_on_basis(alpha: int, beta: int, state: FockState) -> tuple:

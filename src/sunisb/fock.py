@@ -38,12 +38,25 @@ Python's identity equality and C-level hash.  Nothing may depend on
 the order of a set of states, since their hashes follow object
 addresses.  The table ``_STATES`` lives as long as the process, like
 ``isb._create_terms``, the memo of dressed creation images, which only
-label-family sweeps fill (see ``isb``); only ``_unchecked_state``
-reaches the table.  The
-state edits that build on it all live here: ``_bumped`` (one
-occupation up or down), ``_moved`` (a quantum to another row),
-``_recolored`` (a quantum to another color) and ``_paired`` (a quantum
-of one color in both rows of a rank-3 state).
+label-family sweeps fill (see ``isb``).
+
+The table is keyed by each state's ``code``, one int of 16-bit fields:
+the rank N in field 0 and occupation (i, alpha) in field
+(i-1)N + alpha.  It is packed with ``struct`` as little-endian words,
+so it does not depend on the machine's byte order.  No state holds an
+occupation above 65,534, one below the field's largest value:
+``FockState`` and ``enumerate_sector`` raise ``ValueError`` naming that
+cap, and so does a code past it when the table meets it.  So a state
+edit that adds one quantum to a cell can never carry into the next
+field.  Every state edit is one int added to the code, then one table
+lookup, and the occupation tuples of a state are built only when the
+table misses: ``_bumped`` (one occupation up or down), ``_recolored``
+(a quantum to another color) and ``_paired`` (a quantum of one color in
+both rows of a rank-3 state).  Only ``_unchecked_state``, ``_decoded``
+and ``enumerate_sector`` add states to the table.  No module but this
+one reads a code: the others pass dicts keyed by codes between
+``_by_code``, the code kernels below and ``_by_state``, which turn
+state keys into codes and back.
 
 ``dumps_ket`` writes exactly the bytes of
 ``json.dumps(ket_to_document(psi), indent=1)`` plus a newline, but
@@ -70,9 +83,19 @@ Kets are summed by three private kernels, all here:
   construction, ``_sum`` (addition and subtraction), and the
   compositions inside the Casimir rule and the gluing rule;
 * ``_bilinear_into`` sums the image of an invariant bilinear in place,
-  for ``algebra.invariant_action``, the constraint test and null
-  spaces of ``irreps`` and the row sums of the dressed ladders, kept
-  on its own figure (see ``_accumulate``).
+  on dicts keyed by codes, each move of a quantum one int added to a
+  code, kept on its own figure (see ``_accumulate``).  It serves
+  ``algebra.invariant_action``, which turns the image back into states,
+  the constraint test of ``irreps``, which only asks whether an image
+  is empty, the null spaces of ``irreps``, whose relations do not
+  depend on the keys, and ``_row_sums``.
+
+``_row_sums`` runs the nested row form of the dressed ladders of
+``isb`` (see there), given the dressing denominators: both routes of
+``isb_create``, ``isb_annihilate`` and the gluing route.  Each row is a
+dict keyed by codes, summed by ``_bilinear_into``, and only the last
+row's terms become states: the intermediate rows, whose row totals
+the operator never returns, are never put in the table.
 
 ``apply_create`` and ``apply_annihilate`` stay comprehensions: they
 relabel each state once, so no two terms meet and there is nothing to
@@ -84,8 +107,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import chain, product
 from math import comb, factorial, gcd, lcm
+from struct import Struct
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -130,20 +155,23 @@ class FockState:
     """One basis state: an (N-1) x N matrix of occupation numbers.
 
     Rows are oscillator types, columns are colors.  Instances are
-    immutable and validated on construction.  Equal matrices give the
-    same object (see ``_unchecked_state``), so states compare and hash
-    by identity.
+    immutable and validated on construction; no occupation may exceed
+    65,534 (see the module docstring).  Equal matrices give the same
+    object (see ``_unchecked_state``), so states compare and hash by
+    identity.
     """
 
-    __slots__ = ("n", "occ")
+    __slots__ = ("n", "occ", "code")
 
     def __new__(cls, n: int, occ: Iterable[Iterable[int]]) -> "FockState":
         occ = tuple(tuple(_exact_int(e, "occupation") for e in row) for row in occ)
         _check_rank(n)
         if len(occ) != n - 1 or any(len(row) != n for row in occ):
             raise ValueError(f"occupation matrix must be {n - 1}x{n}")
-        if any(e < 0 for row in occ for e in row):
+        if min(map(min, occ)) < 0:
             raise ValueError("occupations must be non-negative")
+        if max(map(max, occ)) > _CAP:
+            raise ValueError(_CAP_TEXT)
         return _unchecked_state(occ)
 
     def __reduce__(self):
@@ -154,54 +182,83 @@ class FockState:
         return f"FockState({self.n}, {self.occ})"
 
 
-# occ -> its canonical FockState; occ's shape fixes n, so occ alone is the key
+# A code packs a state into one int of 16-bit fields: the rank in field 0
+# and occupation (i, alpha) in field (i-1)N + alpha.  Table states hold
+# occupations up to _CAP, one below the field's largest value, so one
+# quantum more never carries into the next field.
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_CAP = _MASK - 1
+_CAP_TEXT = f"occupations must not exceed {_CAP}"
+
+# code -> its canonical FockState; the code holds the rank, so it alone is the key
 _STATES: dict = {}
 
 
+@cache
+def _layout(n: int) -> Struct:
+    """The fields of a rank-n code as bytes: little-endian 16-bit words, whatever the machine's byte order."""
+    return Struct(f"<{n * (n - 1) + 1}H")
+
+
+def _encode(occ: tuple[tuple[int, ...], ...]) -> int:
+    """The code of an occupation matrix within the cap."""
+    n = len(occ) + 1
+    return int.from_bytes(_layout(n).pack(n, *chain.from_iterable(occ)), "little")
+
+
+def _interned(code: int, occ: tuple[tuple[int, ...], ...]) -> FockState:
+    s = object.__new__(FockState)
+    s.n = len(occ) + 1
+    s.occ = occ
+    s.code = code
+    return _STATES.setdefault(code, s)
+
+
 def _unchecked_state(occ: tuple[tuple[int, ...], ...]) -> FockState:
-    # Trusted fast path: callers guarantee shape and non-negativity; N is the row count plus one.
-    s = _STATES.get(occ)
-    if s is None:
-        s = object.__new__(FockState)
-        s.n = len(occ) + 1
-        s.occ = occ
-        s = _STATES.setdefault(occ, s)
-    return s
+    # Trusted fast path: callers guarantee shape, non-negativity and the cap; N is the row count plus one.
+    code = _encode(occ)
+    s = _STATES.get(code)
+    return _interned(code, occ) if s is None else s
+
+
+def _decoded(code: int) -> FockState:
+    """The table state of a code the table does not hold yet; ``ValueError`` past the cap."""
+    n = code & _MASK
+    layout = _layout(n)
+    fields = layout.unpack(code.to_bytes(layout.size, "little"))
+    if max(fields[1:]) > _CAP:
+        raise ValueError(_CAP_TEXT)
+    return _interned(code, tuple(fields[r : r + n] for r in range(1, len(fields), n)))
 
 
 def _bumped(state: FockState, i: int, alpha: int, delta: int) -> FockState:
-    occ = state.occ
-    row = occ[i - 1]
-    new_row = row[: alpha - 1] + (row[alpha - 1] + delta,) + row[alpha:]
-    return _unchecked_state(occ[: i - 1] + (new_row,) + occ[i:])
-
-
-def _moved(state: FockState, src: int, dst: int, alpha: int) -> FockState:
-    """One quantum of color alpha moved from row src to row dst."""
-    if src == dst:
-        return state
-    occ = list(state.occ)
-    a = alpha - 1
-    row = occ[src - 1]
-    occ[src - 1] = row[:a] + (row[a] - 1,) + row[a + 1 :]
-    row = occ[dst - 1]
-    occ[dst - 1] = row[:a] + (row[a] + 1,) + row[a + 1 :]
-    return _unchecked_state(tuple(occ))
+    code = state.code + (delta << _FIELD * ((i - 1) * state.n + alpha))
+    return _STATES.get(code) or _decoded(code)
 
 
 def _recolored(state: FockState, i: int, beta: int, alpha: int) -> FockState:
     """One quantum in row i recolored from beta to alpha; callers pass beta != alpha."""
-    occ = state.occ
-    row = list(occ[i - 1])
-    row[beta - 1] -= 1
-    row[alpha - 1] += 1
-    return _unchecked_state(occ[: i - 1] + (tuple(row),) + occ[i:])
+    row = _FIELD * (i - 1) * state.n
+    code = state.code + (1 << row + _FIELD * alpha) - (1 << row + _FIELD * beta)
+    return _STATES.get(code) or _decoded(code)
 
 
 def _paired(state: FockState, g: int, delta: int) -> FockState:
     """One quantum of color g + 1 added to (delta 1) or taken from (delta -1) both rows of a rank-3 state."""
-    a, b = state.occ
-    return _unchecked_state((a[:g] + (a[g] + delta,) + a[g + 1 :], b[:g] + (b[g] + delta,) + b[g + 1 :]))
+    code = state.code + (delta << _FIELD * (g + 1)) + (delta << _FIELD * (g + 4))
+    return _STATES.get(code) or _decoded(code)
+
+
+def _by_code(nums: dict) -> dict:
+    """nums, state -> coeff, keyed by the states' codes: the input of ``_bilinear_into``."""
+    return {s.code: v for s, v in nums.items()}
+
+
+def _by_state(terms: dict) -> dict:
+    """terms, code -> coeff, keyed by the table's states: the output of ``_bilinear_into``."""
+    get = _STATES.get
+    return {get(c) or _decoded(c): v for c, v in terms.items()}
 
 
 class Ket:
@@ -311,24 +368,79 @@ def _accumulate(acc: dict, terms, scale=1) -> dict:
 
 
 def _bilinear_into(acc: dict, terms: dict, i: int, j: int, scale=1) -> dict:
-    """Add scale * a+[i].a[j] applied to terms (state -> coeff) into acc, in place; return acc.
+    """Add scale * a+[i].a[j] applied to terms into acc, in place, both code -> coeff; return acc.
 
-    States whose total reaches zero are dropped.  The loop is an inline
-    copy of ``_accumulate``'s, kept on the figure cited there.
+    Each move of a quantum from row j to row i is one int added to the
+    code.  Codes whose total reaches zero are dropped.  The loop is an
+    inline copy of ``_accumulate``'s, kept on the figure cited there.
     """
     unit = scale == 1
-    for state, coeff in terms.items():
+    # every code of terms has one rank, in its lowest field
+    cells = _moves(next(iter(terms), 0) & _MASK, i, j)
+    for code, coeff in terms.items():
         if not unit:
             coeff = coeff * scale
-        for alpha, m in enumerate(state.occ[j - 1], start=1):
+        for shift, step in cells:
+            m = (code >> shift) & _MASK
             if m:
-                target = _moved(state, j, i, alpha)
+                target = code + step
                 total = acc.get(target, 0) + m * coeff
                 if total:
                     acc[target] = total
                 else:
                     acc.pop(target, None)
     return acc
+
+
+@cache
+def _moves(n: int, i: int, j: int) -> tuple:
+    """Per color alpha of a rank-n code, (shift, step): occupation (j, alpha) sits at bit shift.
+
+    code + step moves one of its quanta to row i.
+    """
+    src = _FIELD * ((j - 1) * n + 1)
+    move = (1 << _FIELD * ((i - 1) * n + 1)) - (1 << src)
+    return tuple((src + _FIELD * a, move << _FIELD * a) for a in range(n))
+
+
+def _row_sums(alpha: int, rows: range, direction: int, dens: list, nums: dict) -> tuple:
+    """The nested row form of ``isb`` on nums, state -> int: the last row's (terms, denominator).
+
+    Row i of rows holds E_i X_i, over ints: the bare ladder of row i
+    (a+[i]^alpha for direction 1, a[i]_alpha with its occupation for
+    -1) on nums, scaled by E_i, plus E_i (-direction / d_j) M[i,j]
+    applied to each nonzero row j before it, M[i,j] being
+    a+[i].a[j] for creation and a+[j].a[i] for annihilation.  dens
+    holds d_j for every row of rows but the last, in order, and E_i is
+    the product of those before row i.  The states of nums share one
+    row-total vector, on which the d_j depend.  Every row is a dict
+    over codes, summed by ``_bilinear_into``; only the last row's
+    terms become states, through the table.
+    """
+    n = next(iter(nums)).n
+    done = []  # (j, E_j X_j, -direction E_j d_j) for each nonzero row j so far
+    scale = 1  # E_i
+    for i, den in zip(rows, (*dens, 1)):
+        shift = _FIELD * ((i - 1) * n + alpha)
+        step = 1 << shift
+        if direction == 1:
+            acc = {s.code + step: v * scale for s, v in nums.items()}
+        else:
+            acc = {}
+            for s, v in nums.items():
+                m = (s.code >> shift) & _MASK
+                if m:
+                    acc[s.code - step] = m * v * scale
+        for j, x_j, below in done:
+            # scale // below is E_i times the dressing factor -direction/d_j, over E_j
+            if direction == 1:
+                _bilinear_into(acc, x_j, i, j, scale // below)
+            else:
+                _bilinear_into(acc, x_j, j, i, scale // below)
+        scale *= den
+        if acc:  # a zero row adds nothing further on
+            done.append((i, acc, -direction * scale))
+    return _by_state(acc).items(), scale
 
 
 def _sum(psi: Ket, phi: Ket, scale: int = 1) -> Ket:
@@ -547,7 +659,7 @@ def apply_annihilate(i: int, alpha: int, psi: Ket) -> Ket:
 
 def total_occupations(state: FockState) -> tuple[int, ...]:
     """Row totals (n_1, ..., n_{N-1}): the per-type number operator eigenvalues."""
-    return tuple(sum(row) for row in state.occ)
+    return tuple(map(sum, state.occ))
 
 
 def color_totals(state: FockState) -> tuple[int, ...]:
@@ -602,8 +714,17 @@ def enumerate_sector(n: int, totals: Iterable[int]) -> list[FockState]:
     it is reproducible across runs and platforms.
     """
     totals = _sector_totals(n, totals)
+    if any(t > _CAP for t in totals):
+        raise ValueError(f"row totals must not exceed {_CAP}, the occupation cap")
     per_row = [list(_compositions(t, n)) for t in totals]
-    return [_unchecked_state(rows) for rows in product(*per_row)]
+    # a code is the rank plus one part per row, so each row's parts are encoded once
+    zero = ((0,) * n,) * (n - 1)
+    codes = [n]
+    for r, rows in enumerate(per_row):
+        parts = [_encode((*zero[:r], row, *zero[r + 1 :])) - n for row in rows]
+        codes = [c + part for c in codes for part in parts]
+    get = _STATES.get
+    return [get(c) or _interned(c, occ) for occ, c in zip(product(*per_row), codes)]
 
 
 def sector_size(n: int, totals: Iterable[int]) -> int:

@@ -60,6 +60,7 @@ from .algebra import casimir2_op
 from .fock import (
     Ket,
     _bilinear_into,
+    _by_code,
     _check_rank,
     _exact_int,
     _numerators,
@@ -200,10 +201,10 @@ def constraint_residual(psi: Ket) -> ConstraintReport:
     [L[i,k], L[k,j]] = L[i,j], a ket they all annihilate is annihilated
     by every L[i,j], i < j.  Only when one of them fails are all
     (N-1)(N-2)/2 bilinears applied, to name each violated one.  Each
-    acts on psi's integer numerators: whether an image vanishes does
-    not depend on psi's denominator.
+    acts on psi's integer numerators, keyed by code: whether an image
+    vanishes depends neither on psi's denominator nor on the keys.
     """
-    n, nums = psi.n, _numerators(psi)
+    n, nums = psi.n, _by_code(_numerators(psi))
     if not any(_bilinear_into({}, nums, i, i + 1) for i in range(1, n - 1)):
         return ConstraintReport(True, ())
     violated = tuple(
@@ -216,7 +217,8 @@ def _weight_blocks(label: IrrepLabel) -> Iterator[tuple[tuple, list, list[dict[i
     """Per color-weight block of the label's sector, in sorted order: weight, states, null vectors.
 
     The states keep enumeration order; the null vectors are the ``linalg.nullspace``
-    relations ``{position: int}`` among their images keyed by (constraint, image state).
+    relations ``{position: int}`` among their images keyed by (constraint, image code),
+    which do not depend on the keys.
     """
     blocks: dict = {}
     for state in enumerate_sector(label.n, label.rows):
@@ -224,7 +226,7 @@ def _weight_blocks(label: IrrepLabel) -> Iterator[tuple[tuple, list, list[dict[i
     rows = range(1, label.n - 1)  # the constraints a+[i].a[i+1], i in rows
     for weight, states in sorted(blocks.items()):
         images = (
-            {(i, t): c for i in rows for t, c in _bilinear_into({}, {state: 1}, i, i + 1).items()}
+            {(i, t): c for i in rows for t, c in _bilinear_into({}, _by_code({state: 1}), i, i + 1).items()}
             for state in states
         )
         yield weight, states, nullspace(images)

@@ -58,14 +58,17 @@ of the rows before i,
 
     E_i X_i = E_i x_i - s sum_{j before i} (prod_{l between j and i} d_l) M_s[i,j] (E_j X_j)
 
-is an integer sum.  ``_nested_rows`` computes it for both operators;
-only the seed x_i (matrix element 1 for a+, the occupation m for a),
-the orientation of M_s and the sign -s follow the direction.  Each
-M_s[i,j] (E_j X_j) is summed in place into the row's accumulator, with
-its integer factor, by ``fock._bilinear_into``: no ket is built per
-bilinear.  The denominator is a product, not an lcm: at rank 4 and row
-totals (1, 2, 1), A+[3] takes both d_1 and d_2 as 2, and its two-link
-chain carries 1/4.
+is an integer sum.  ``_nested_rows`` computes it for both operators:
+it evaluates the d_j by the one dressing rule, ``_dressing_den``, and
+hands the rows to ``fock._row_sums``.  Only the seed x_i (matrix
+element 1 for a+, the occupation m for a), the orientation of M_s and
+the sign -s follow the direction.  That kernel runs the nested row form
+in ``fock`` on packed occupation codes: each M_s[i,j] (E_j X_j) is
+summed in place into the row's accumulator, with its integer factor,
+by ``fock._bilinear_into``, no ket is built per bilinear, and only the
+last row's terms become states.  The denominator is a product, not an
+lcm: at rank 4 and row totals (1, 2, 1), A+[3] takes both d_1 and d_2
+as 2, and its two-link chain carries 1/4.
 
 ``isb_create`` runs that one kernel by two routes, which give the same
 ket and raise the same ``SingularCoefficientError``, pole and text; the
@@ -101,8 +104,11 @@ from .fock import (
     _apply_images,
     _bilinear_into,
     _bumped,
+    _by_code,
+    _by_state,
     _check_slot,
     _exact_int,
+    _row_sums,
     apply_create,
     total_occupations,
 )
@@ -155,33 +161,14 @@ def annihilation_coeff(i: int, k: int, totals: Iterable[int]) -> Fraction:
 
 
 def _nested_rows(k: int, alpha: int, rows: range, direction: int, nums: dict) -> tuple:
-    # the module docstring's nested row form: E_i X_i for each row i of rows in
-    # turn, over ints, on nums, state -> int, whose states share one row-total
-    # vector; direction 1 gives the creation rows B_i, -1 the annihilation rows
-    # C_i.  Returns the last row's terms and E, its denominator.
+    # the module docstring's nested row form on nums, state -> int, whose states
+    # share one row-total vector: the dressing rule gives the d_j, fock's kernel
+    # sums the rows.  Returns the last row's terms and E, its denominator.
     t = total_occupations(next(iter(nums)))
     totals = (*t[: k - 1], t[k - 1] + direction, *t[k:])
     # d_j from the row next to k outward, so of two vanishing ones the nearer is named
     dens = [_dressing_den(max(j, k), min(j, k), totals) for j in rows[-2::-1]]
-    done = []  # (j, E_j X_j, -direction E_j d_j) for each nonzero row j so far
-    scale = 1  # E_i
-    for i, den in zip(rows, (*dens[::-1], 1)):
-        acc = {}
-        for s, v in nums.items():
-            # the bare ladder's matrix element: 1 for a+, the occupation m for a
-            m = 1 if direction == 1 else s.occ[i - 1][alpha - 1]
-            if m:
-                acc[_bumped(s, i, alpha, direction)] = m * v * scale
-        for j, x_j, below in done:
-            # scale // below is E_i times the dressing factor -direction/d_j, over E_j
-            if direction == 1:
-                _bilinear_into(acc, x_j, i, j, scale // below)
-            else:
-                _bilinear_into(acc, x_j, j, i, scale // below)
-        scale *= den
-        if acc:  # a zero row adds nothing further on
-            done.append((i, acc, -direction * scale))
-    return acc.items(), scale
+    return _row_sums(alpha, rows, direction, dens[::-1], nums)
 
 
 @cache
@@ -243,9 +230,10 @@ def _iterative_on_basis(create, alpha: int, state) -> tuple:
     row1 = [_annihilate_on_basis(1, gamma, 2, raised) for gamma in range(1, 5)]
     f = row1[0][1]
     den = d2 * d1a * d1b * e2 * f
-    acc = {_bumped(state, 3, alpha, 1): den}
+    acc = _by_code({_bumped(state, 3, alpha, 1): den})
     # (a+[3].A[2]) A+[2]^a: A[2] capped at row 2 is the plain a[2], so this is L[3,2]
-    _bilinear_into(acc, dict(terms2), 3, 2, -d1a * d1b * f)
+    _bilinear_into(acc, _by_code(dict(terms2)), 3, 2, -d1a * d1b * f)
+    acc = _by_state(acc)
     for gamma, (terms, _) in enumerate(row1, 1):
         _accumulate(acc, ((_bumped(s, 3, gamma, 1), c) for s, c in terms), -(d1a + 1) * d2 * e2)
     return acc.items(), den

@@ -19,6 +19,8 @@ from sunisb.fock import (
     Ket,
     _apply_images,
     _bilinear_into,
+    _by_code,
+    _by_state,
     apply_annihilate,
     apply_create,
     basis_ket,
@@ -324,10 +326,11 @@ class TestBilinearOracle:
     @given(st.integers(2, 4).flatmap(kets), st.integers(-3, 3))
     def test_kernel_adds_a_scaled_image_in_place(self, psi, scale):
         # the accumulator already holds psi, so targets of L[i,j] psi may cancel in it
+        # the kernel runs on codes: the accumulator and terms are keyed by the states' codes
         for i, j in row_pairs(psi.n):
-            acc = dict(psi.terms)
-            assert _bilinear_into(acc, psi.terms, i, j, scale) is acc
-            assert Ket(psi.n, acc) == psi + reference_bilinear(i, j, psi) * scale
+            acc = _by_code(psi.terms)
+            assert _bilinear_into(acc, _by_code(psi.terms), i, j, scale) is acc
+            assert Ket(psi.n, _by_state(acc)) == psi + reference_bilinear(i, j, psi) * scale
             assert all(acc.values())
 
     def test_cancelling_moves_leave_no_zero_term(self):
@@ -341,5 +344,5 @@ class TestBilinearOracle:
         assert invariant_action(1, 2, psi).terms == {survivor: 3}
         assert reference_bilinear(1, 2, psi).terms == {survivor: 3}
         # in place: a target already in the accumulator cancels there too
-        acc = {FockState(3, ((1, 1, 0), (0, 0, 0))): 2, survivor: 1}
-        assert _bilinear_into(acc, {first: 1}, 1, 2, -2) == {survivor: 1}
+        acc = _by_code({FockState(3, ((1, 1, 0), (0, 0, 0))): 2, survivor: 1})
+        assert _bilinear_into(acc, _by_code({first: 1}), 1, 2, -2) == _by_code({survivor: 1})

@@ -678,6 +678,26 @@ def _zero_ket_loaded_as_vacuum(original):
     return loads
 
 
+def _bilinear_into_next_color(original):
+    # the code step of a+[i].a[j] lands the quantum in row i one color up (the last color wraps to the first)
+    def moved(acc, terms, i, j, scale=1):
+        for code, coeff in terms.items():
+            n = code & fock._MASK
+            for alpha in range(1, n + 1):
+                src = fock._FIELD * ((j - 1) * n + alpha)
+                m = (code >> src) & fock._MASK
+                if m:
+                    target = code - (1 << src) + (1 << fock._FIELD * ((i - 1) * n + alpha % n + 1))
+                    total = acc.get(target, 0) + m * coeff * scale
+                    if total:
+                        acc[target] = total
+                    else:
+                        acc.pop(target, None)
+        return acc
+
+    return moved
+
+
 def _first_colors(n, m):
     """The witness of the first rank-3 color choice, every color 1."""
     return f"alphas={(1,) * n} betas={(1,) * m}"
@@ -753,6 +773,12 @@ def _iterative_failures():
             },
         ),
         ("iterative", {}, checks, "isb_create", _half_bare_row_three, dict(_iterative_failures())),
+        # the nested rows call the bilinear kernel by its name in fock; the gluing route's capped
+        # annihilations run it afresh, while the suite's isb_create images come from the sweep's memo
+        (
+            "iterative", {}, fock, "_bilinear_into", _bilinear_into_next_color,
+            {f"iterative-gluing[{totals}]": "basis[0] alpha=1" for totals in ((1, 1, 0), (2, 1, 0))},
+        ),
         # at (n, 0) and (0, m) there is no trace to subtract: the bare state is the traceless one
         (
             "sp2r", {}, su3x, "traceless_state", _bare_states,
@@ -772,7 +798,7 @@ def _iterative_failures():
     ids=[
         "sector-size", "sector-order", "annihilation-coeff", "creation-coeff", "shifted-denominator",
         "recurrence-always-holds", "traceless-bare-builder", "zero-ket-as-vacuum", "trace-coeff",
-        "dressed-creation", "bare-lowest-weight", "bare-traceless",
+        "dressed-creation", "next-color-bilinear", "bare-lowest-weight", "bare-traceless",
     ],
 )
 def test_checks_fail_on_a_perturbed_source(monkeypatch, suite, bounds, module, name, perturb, failed):

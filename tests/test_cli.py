@@ -1,7 +1,10 @@
 """Command line behavior: output shapes, exit codes, file output."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from sunisb.irreps import IrrepLabel, build_monomial
 from sunisb.isb import SingularCoefficientError
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(irreps.__file__).parents[1])
 
 
 def run(capsys, *argv):
@@ -56,6 +60,14 @@ class TestDim:
         doc = {"n": n, "rows": list(label.rows), "weyl": weyl, "nullspace": null}
         doc |= {"monomial_rank": rank, "agree": agree}
         assert structured == json.dumps(doc, indent=1) + "\n"
+
+    def test_rows_past_the_occupation_cap_exit_2_at_once(self):
+        # a row of 100,000 boxes would hold occupations past 65,534: the command stops before building a state
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "sunisb.cli", "dim", "--n", "2", "--rows", "100000"]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert "must not exceed 65534, the occupation cap" in done.stderr
 
     def test_bad_rows_exit_2(self, capsys):
         code, _, err = run(capsys, "dim", "--n", "3", "--rows", "x,y")

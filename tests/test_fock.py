@@ -642,14 +642,14 @@ class TestCanonicalStates:
         n, occ = data
         state = FockState(n, occ)
         assert FockState(n, [list(row) for row in occ]) is state
-        assert state is fock._STATES[occ]
+        assert state is fock._STATES[fock._encode(occ)]
 
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), occupations(n, 1), occupations(n, 1))))
     def test_states_are_equal_exactly_when_they_are_the_table_object(self, data):
         n, occ, other = data
         state, twin = FockState(n, occ), FockState(n, other)
         assert (state == twin) is (state is twin) is (occ == other)
-        assert state is fock._STATES[occ] and twin is fock._STATES[other]
+        assert state is fock._STATES[fock._encode(occ)] and twin is fock._STATES[fock._encode(other)]
         assert {state: "entry"}.get(twin) == ("entry" if occ == other else None)
         assert "__eq__" not in vars(FockState) and "__hash__" not in vars(FockState)
 
@@ -660,7 +660,10 @@ class TestCanonicalStates:
         assert raised is FockState(n, _with(state.occ, i, alpha, 1))
         assert fock._bumped(raised, i, alpha, -1) is state
         lowered = _with(raised.occ, i, alpha, -1)
-        assert fock._moved(raised, i, j, alpha) is FockState(n, _with(lowered, j, alpha, 1))
+        # a move is one step of the bilinear kernel on codes: a+[j].a[i] takes m quanta of color alpha
+        moves = fock._by_state(fock._bilinear_into({}, {raised.code: 1}, j, i))
+        m = sum(raised.occ[i - 1]) if i == j else raised.occ[i - 1][alpha - 1]
+        assert moves[FockState(n, _with(lowered, j, alpha, 1))] == m
         assert fock._recolored(raised, i, alpha, beta) is FockState(n, _with(lowered, i, beta, 1))
 
     @given(st.integers(2, 4).flatmap(sectors))
@@ -681,7 +684,7 @@ class TestCanonicalStates:
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(kets(n), kets(n))), st.data())
     def test_every_operator_returns_table_states(self, pair, data):
         for out in operator_images(*pair, data):
-            assert all(s is fock._STATES[s.occ] for s in out.terms)
+            assert all(s is fock._STATES[fock._encode(s.occ)] for s in out.terms)
 
     @given(st.integers(2, 4).flatmap(kets))
     def test_loads_ket(self, psi):
@@ -738,6 +741,61 @@ class TestCanonicalStates:
         assert all(s is FockState(3, s.occ) for s in cloned.terms)
 
 
+_CAP = 65_534  # the largest occupation a state may hold
+
+
+def _shifted(n: int, occ) -> int:
+    """The code of occ built from explicit shifts: the rank, then occupation (i, alpha) at bit 16((i-1)N + alpha)."""
+    return n + sum(e << 16 * ((i - 1) * n + alpha) for i, row in enumerate(occ, 1) for alpha, e in enumerate(row, 1))
+
+
+class TestStateCodes:
+    """Each table state has one packed code; the table is keyed by it, within the occupation cap."""
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), occupations(n, _CAP))))
+    def test_an_occupation_matrix_round_trips_through_its_code(self, data):
+        n, occ = data
+        code = fock._encode(occ)
+        # decoded through the table: a miss builds the state from the code alone
+        (state,) = fock._by_state({code: 1})
+        assert state.occ == occ and state.n == n and state.code == code
+        assert state is FockState(n, occ) and fock._by_code({state: 1}) == {code: 1}
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), occupations(n, _CAP))))
+    def test_the_encoder_does_not_depend_on_byte_order(self, data):
+        n, occ = data
+        assert fock._encode(occ) == _shifted(n, occ) == FockState(n, occ).code
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(states(n), states(n + 1))))
+    def test_no_two_ranks_share_a_code(self, pair):
+        small, big = pair
+        assert small.code != big.code
+        vacua = [next(iter(vacuum(n).terms)) for n in range(2, 7)]
+        assert [s.code for s in vacua] == [2, 3, 4, 5, 6]
+
+    def test_the_cap_is_accepted_and_one_more_raises(self):
+        top = FockState(3, ((_CAP, 0, 0), (0, 0, _CAP)))
+        assert top.code == _shifted(3, top.occ)
+        with pytest.raises(ValueError, match=f"must not exceed {_CAP}"):
+            FockState(3, ((_CAP + 1, 0, 0), (0, 0, 0)))
+        with pytest.raises(ValueError, match=f"must not exceed {_CAP}"):
+            enumerate_sector(2, (_CAP + 1,))
+        assert sector_size(2, (_CAP + 1,)) == _CAP + 2  # the closed form builds no state
+
+    def test_a_step_past_the_cap_raises_instead_of_carrying(self):
+        # one more quantum of color 1 would read 65,535 there; a carry would give color 2 one quantum
+        top = FockState(3, ((_CAP, 0, 0), (1, 0, 0)))
+        for step in (
+            lambda: apply_create(1, 1, basis_ket(top)),
+            lambda: algebra.invariant_action(1, 2, basis_ket(top)),
+            lambda: isb.isb_create(2, 1, basis_ket(FockState(3, ((0, 0, 0), (_CAP, 0, 0))))),
+        ):
+            with pytest.raises(ValueError, match=f"must not exceed {_CAP}"):
+                step()
+        assert max(max(map(max, s.occ)) for s in fock._STATES.values()) <= _CAP
+        assert apply_create(1, 2, basis_ket(top)) == basis_ket(FockState(3, ((_CAP, 1, 0), (1, 0, 0))))
+
+
 class TestTermsView:
     """``Ket.terms`` is a new dict on every read: changing it leaves the ket as it was."""
 
@@ -769,11 +827,11 @@ class TestTermsView:
             assert psi == expected and psi and dumps_ket(psi) == text
 
 
-# names no module but fock may use: the table's constructor, the private move, the ket's form
-_FOCK_ONLY = {"_unchecked_state", "_moved"}
+# names no module but fock may use: the table's constructors, a state's code and its fields, the ket's form
+_FOCK_ONLY = {"_unchecked_state", "_interned", "_decoded", "_encode", "code", "_FIELD", "_MASK", "_CAP"}
 _KET_FORM = {"_nums", "_den"}
-# and the state edits and bilinear kernel, which no other module may define
-_EDITS_AND_KERNELS = {"_bilinear_into", "_paired", "_bumped", "_moved", "_recolored"}
+# and the state edits, the code kernels and their converters, which no other module may define
+_EDITS_AND_KERNELS = {"_bilinear_into", "_row_sums", "_by_code", "_by_state", "_paired", "_bumped", "_recolored"}
 
 
 def _package_modules() -> dict:
@@ -809,6 +867,7 @@ class TestFockOwnsStatesAndKets:
         assert {name: where for name, where in found.items() if where} == {}
         own = " ".join(_offences(modules["fock.py"]))  # the scan sees each of these in fock itself
         assert all(f"defines {name}" in own for name in _EDITS_AND_KERNELS) and "object.__new__" in own
+        assert all(name in own for name in _FOCK_ONLY)
 
     def test_isb_imports_nothing_from_algebra(self):
         imports = [node for node in ast.walk(_package_modules()["isb.py"]) if isinstance(node, ast.ImportFrom)]

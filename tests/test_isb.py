@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sunisb import checks, isb
+from sunisb import checks, fock, isb
 from sunisb.algebra import invariant_action
 from sunisb.fock import (
     FockState,
@@ -308,13 +308,14 @@ class TestChainSum:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_one_bilinear_per_row_pair(self, k, monkeypatch):
         calls = []
-        bilinear_into = isb._bilinear_into
+        bilinear_into = fock._bilinear_into
 
         def counted(acc, terms, i, j, scale=1):
             calls.append((i, j))
             return bilinear_into(acc, terms, i, j, scale)
 
-        monkeypatch.setattr(isb, "_bilinear_into", counted)
+        # the rows run in fock's kernel, which calls the bilinear kernel by its name there
+        monkeypatch.setattr(fock, "_bilinear_into", counted)
         state = FockState(6, ((1,) * 6,) * 5)
         assert isb._create_terms.__wrapped__(k, 1, state)[0]  # the rule itself, not its memo
         assert len(calls) == k * (k - 1) // 2  # one L[i,j] per pair j < i of rows 1..k
@@ -397,13 +398,13 @@ class TestIntegerLadders:
 
     def test_row_sums_see_only_int_coefficients(self, monkeypatch):
         seen = []
-        bilinear_into = isb._bilinear_into
+        bilinear_into = fock._bilinear_into
 
         def recorded(acc, terms, i, j, scale=1):
             seen.extend(type(c) for c in (*terms.values(), scale))
             return bilinear_into(acc, terms, i, j, scale)
 
-        monkeypatch.setattr(isb, "_bilinear_into", recorded)
+        monkeypatch.setattr(fock, "_bilinear_into", recorded)
         isb._create_terms.cache_clear()
         psi = build_monomial(IrrepLabel(4, (2, 1, 1)), ((1, 2), (3,), (4,)))
         assert any(isinstance(c, Fraction) for c in psi.terms.values())
@@ -554,18 +555,19 @@ class TestSweepScope:
                 assert constraint_residual(one_off).satisfied, (label, idx)
 
     @pytest.mark.parametrize(
-        "name, perturb",
+        "module, name, perturb",
         [
-            ("_dressing_den", lambda rule: lambda k, i, totals: rule(k, i, totals) + 1),
-            ("_bilinear_into", lambda rule: lambda acc, terms, i, j, scale=1: rule(acc, terms, i, j, 2 * scale)),
+            (isb, "_dressing_den", lambda rule: lambda k, i, totals: rule(k, i, totals) + 1),
+            # the row kernel in fock calls the bilinear kernel by its name there
+            (fock, "_bilinear_into", lambda rule: lambda acc, terms, i, j, scale=1: rule(acc, terms, i, j, 2 * scale)),
         ],
         ids=["shifted-denominator", "doubled-bilinear"],
     )
-    def test_a_one_off_build_reads_the_perturbed_rule(self, monkeypatch, name, perturb):
+    def test_a_one_off_build_reads_the_perturbed_rule(self, monkeypatch, module, name, perturb):
         # no memo stands between a one-off build and the rules, so nothing needs clearing
         label, idx = IrrepLabel(4, (2, 1, 1)), ((1, 2), (3,), (4,))
         before = dumps_ket(build_monomial(label, idx))
-        monkeypatch.setattr(isb, name, perturb(getattr(isb, name)))
+        monkeypatch.setattr(module, name, perturb(getattr(module, name)))
         assert dumps_ket(build_monomial(label, idx)) != before
 
     def test_one_off_calls_leave_the_memo_and_sweeps_fill_it(self):
